@@ -142,7 +142,7 @@ class _Engine:
         # sync-policy round state
         self.round_updates: dict[int, np.ndarray] = {}
         self.round_index = 0
-        self.transmissions: list[tuple[float, float]] = []
+        self.transmissions: list[tuple[int, float, float]] = []  # (sat, start, stop)
 
     def push(self, event: SimEvent) -> None:
         if event.time_s > self.scenario.horizon_s:
@@ -271,10 +271,10 @@ class _Engine:
             for ci, cyc in enumerate(cycles):
                 self.push(SimEvent(cyc.dl_complete_s, EventKind.DL_COMPLETE, k, ci))
                 self.push(SimEvent(cyc.train_complete_s, EventKind.TRAIN_COMPLETE, k, ci))
-                self.transmissions.append((cyc.dl_start_s, cyc.dl_complete_s))
+                self.transmissions.append((k, cyc.dl_start_s, cyc.dl_complete_s))
                 if cyc.ul_complete_s is not None:
                     self.push(SimEvent(cyc.ul_complete_s, EventKind.UL_COMPLETE, k, ci))
-                    self.transmissions.append((cyc.ul_start_s, cyc.ul_complete_s))
+                    self.transmissions.append((k, cyc.ul_start_s, cyc.ul_complete_s))
 
     # ---- synchronous baseline ----------------------------------------
 
@@ -290,7 +290,9 @@ class _Engine:
         starts = {}
         for k, passes in enumerate(self.plan.passes):
             nxt = next(
-                ((i, p) for i, p in enumerate(passes) if p.rise_s >= now_s), None
+                ((i, p) for i, p in enumerate(passes)
+                 if p.rise_s >= now_s and p.rise_s + self.comm_s[k][i] <= p.set_s),
+                None,
             )
             if nxt is None:
                 return  # some satellite can never download: no further rounds
@@ -298,7 +300,7 @@ class _Engine:
         for k, (i, p) in starts.items():
             dl_complete = p.rise_s + self.comm_s[k][i]
             self.push(SimEvent(dl_complete, EventKind.DL_COMPLETE, k, self.round_index))
-            self.transmissions.append((p.rise_s, dl_complete))
+            self.transmissions.append((k, p.rise_s, dl_complete))
 
     def _sync_place_upload(self, k: int, cycle: int, now_s: float) -> None:
         for i, p in enumerate(self.plan.passes[k]):
@@ -308,7 +310,7 @@ class _Engine:
             ul_complete = ul_start + self.comm_s[k][i]
             if ul_complete <= p.set_s:
                 self.push(SimEvent(ul_complete, EventKind.UL_COMPLETE, k, cycle))
-                self.transmissions.append((ul_start, ul_complete))
+                self.transmissions.append((k, ul_start, ul_complete))
                 return
         # no pass left inside the horizon: the update is never reported
 
@@ -324,7 +326,7 @@ def _altitude_groups(scenario: Scenario) -> list[list[int]]:
 
 def _check_concurrency(transmissions, cap) -> None:
     events = []
-    for start, stop in transmissions:
+    for _, start, stop in transmissions:
         events.append((start, 1))
         events.append((stop, -1))
     active = 0

@@ -191,16 +191,24 @@ def _elevation_at(orbit, sat_index, gs, t, earth):
     return elevation_angle(sp, gp)
 
 
-def _refine_crossing(orbit, sat_index, gs, t_lo, t_hi, alpha, tol, earth):
-    """Bisect the sign change of elevation - alpha inside [t_lo, t_hi]."""
+def _refine_crossings(orbit, sat_index, gs, t_lo, t_hi, alpha, tol, earth):
+    """Bisect the sign change of elevation - alpha inside every bracket
+    [t_lo[i], t_hi[i]] of one satellite at once; return the midpoints.
+
+    Each step evaluates all brackets in one array call but moves only those
+    still wider than tol, so every bracket takes the same steps, with the
+    same float operations, as a bisection of that bracket alone.
+    """
     f_lo = _elevation_at(orbit, sat_index, gs, t_lo, earth) - alpha
-    while t_hi - t_lo > tol:
+    active = t_hi - t_lo > tol
+    while active.any():
         t_mid = 0.5 * (t_lo + t_hi)
         f_mid = _elevation_at(orbit, sat_index, gs, t_mid, earth) - alpha
-        if (f_mid >= 0) == (f_lo >= 0):
-            t_lo, f_lo = t_mid, f_mid
-        else:
-            t_hi = t_mid
+        move_lo = active & ((f_mid >= 0) == (f_lo >= 0))
+        t_lo = np.where(move_lo, t_mid, t_lo)
+        f_lo = np.where(move_lo, f_mid, f_lo)
+        t_hi = np.where(active & ~move_lo, t_mid, t_hi)
+        active = t_hi - t_lo > tol
     return 0.5 * (t_lo + t_hi)
 
 
@@ -214,9 +222,11 @@ def compute_contact_plan(
 ) -> ContactPlan:
     """Find every pass of every satellite over [0, horizon_s].
 
-    A coarse visibility scan locates candidate rise/set brackets; each
-    crossing is refined by bisection to refine_tol_s. Passes shorter than
-    coarse_step_s may be missed, hence the step is capped at 10 s.
+    A coarse visibility scan on a coarse_step_s grid locates the grid cells
+    holding a rise or set; all crossings of one satellite are then bisected
+    together, each to refine_tol_s (see _refine_crossings). The last cell
+    ends at horizon_s and may be narrower than the step. Passes shorter
+    than coarse_step_s may be missed, hence the step is capped at 10 s.
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
         raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")
@@ -238,18 +248,11 @@ def compute_contact_plan(
                 f"satellite {sat_id} is visible at a horizon endpoint; "
                 "the scan interval must start and end in off-time"
             )
-        passes = []
-        changes = np.flatnonzero(np.diff(visible.astype(np.int8)))
         # changes alternate rise (0->1) then set (1->0) since both ends are off
-        for i_rise, i_set in zip(changes[0::2], changes[1::2]):
-            rise = _refine_crossing(
-                orbit, j, gs, grid[i_rise], grid[i_rise + 1], alpha, refine_tol_s, earth
-            )
-            set_ = _refine_crossing(
-                orbit, j, gs, grid[i_set], grid[i_set + 1], alpha, refine_tol_s, earth
-            )
-            passes.append(Pass(rise_s=rise, set_s=set_))
-        plan.passes.append(passes)
+        changes = np.flatnonzero(np.diff(visible.astype(np.int8)))
+        t = _refine_crossings(orbit, j, gs, grid[changes], grid[changes + 1],
+                              alpha, refine_tol_s, earth)
+        plan.passes.append([Pass(r, s) for r, s in zip(t[0::2], t[1::2])])
     return plan
 
 
@@ -258,16 +261,15 @@ def max_pass_distance(
     orbit: OrbitSpec,
     sat_index: int,
     gs: GroundStation,
-    sample_step_s: float = 1.0,
     earth: EarthConstants = EARTH,
 ) -> float:
-    """Longest slant range over one pass, sampled at <= sample_step_s.
+    """Longest slant range over one pass: the larger of the ranges at its
+    rise and set instants.
 
-    Both endpoints are always evaluated; for a contiguous pass the maximum
-    sits at the rise or set instant.
+    On a circular orbit the slant range grows as the elevation falls, and
+    over a contiguous pass the elevation is lowest at its two ends.
     """
-    n = max(2, int(math.ceil(pass_.duration_s / sample_step_s)) + 1)
-    times = np.linspace(pass_.rise_s, pass_.set_s, n)
+    times = np.array([pass_.rise_s, pass_.set_s])
     sp = satellite_position_eci(orbit, sat_index, times, earth)
     gp = ground_station_position_eci(gs, times, earth)
     return float(np.max(slant_range(sp, gp)))

@@ -149,3 +149,19 @@ class TestErrorPaths:
         partial.write_text(yaml.safe_dump({"constellation": {"orbits": []}}))
         assert main(["plan", "--scenario", str(partial),
                      "--out", str(tmp_path / "out")]) == 2
+
+    def test_infeasible_schedule_exits_2_with_location(self, scenario_file,
+                                                       tmp_path, capsys):
+        # without the strict budget, fedsatschedule trains online on any
+        # pass longer than t_l, but a 5e8-bit exchange outlasts every pass
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["scheduler"] = {"policy": "fedsatschedule",
+                            "strict_online_budget": False}
+        doc["sim"]["model_bits"] = 500_000_000
+        loose = scenario_file.with_name("loose.yaml")
+        loose.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(loose),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert "error: satellite 0, pass 1: transmission overruns the pass by" in err

@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from satfl.engine import compare_runs, run_simulation
+from satfl import bundled_scenario_path, load_scenario
+from satfl.engine import _Engine, compare_runs, run_simulation
 from satfl.errors import ScenarioError
 from satfl.learning import (
     generate_synthetic_task,
@@ -173,6 +176,32 @@ class TestSyncBaseline:
             with_overrides(self.two_sat_scenario(), policy="fedsat")
         )
         assert sync.global_epoch <= async_.global_epoch
+
+
+class TestTransmissionsInsidePasses:
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_large_model_exchanges_fit_own_passes(self, policy, monkeypatch):
+        # at 5e8 bits an exchange takes longer than some Bremen passes, so
+        # every policy has to skip those passes rather than overrun them
+        engines = []
+        run = _Engine.run
+
+        def capture(self):
+            engines.append(self)
+            run(self)
+
+        monkeypatch.setattr(_Engine, "run", capture)
+        scenario = dataclasses.replace(
+            load_scenario(bundled_scenario_path()), policy=policy, model_bits=500_000_000
+        )
+        r = run_simulation(scenario)
+        assert r.global_epoch >= 1
+        transmissions = engines[0].transmissions
+        assert transmissions
+        for k, start, stop in transmissions:
+            assert any(
+                p.rise_s <= start <= stop <= p.set_s for p in r.plan.passes[k]
+            ), (k, start, stop)
 
 
 class TestConcurrencyCap:

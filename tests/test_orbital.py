@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from satfl.errors import ScenarioError
@@ -12,6 +12,7 @@ from satfl.orbital import (
     OrbitSpec,
     Pass,
     compute_contact_plan,
+    flatten_constellation,
     elevation_angle,
     ground_station_position_eci,
     is_visible,
@@ -22,6 +23,49 @@ from satfl.orbital import (
 )
 
 from conftest import brute_force_passes
+
+
+def scalar_refine_crossing(orbit, sat_index, gs, t_lo, t_hi, alpha, tol):
+    """Reference: the one-bracket scalar bisection that the planner's batched
+    bisection replaced, one scalar elevation evaluation per step."""
+    def f(t):
+        sp = satellite_position_eci(orbit, sat_index, t)
+        return elevation_angle(sp, ground_station_position_eci(gs, t)) - alpha
+
+    f_lo = f(t_lo)
+    while t_hi - t_lo > tol:
+        t_mid = 0.5 * (t_lo + t_hi)
+        f_mid = f(t_mid)
+        if (f_mid >= 0) == (f_lo >= 0):
+            t_lo, f_lo = t_mid, f_mid
+        else:
+            t_hi = t_mid
+    return 0.5 * (t_lo + t_hi)
+
+
+def scalar_reference_passes(orbit, gs, horizon_s, step_s=10.0, tol=0.1):
+    """(rise, set) of satellite 0 from the planner's coarse grid, each
+    crossing refined on its own by the scalar reference; None when the
+    satellite is visible at a horizon endpoint."""
+    grid = np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
+                      horizon_s)
+    alpha = gs.min_elevation_rad
+    visible = elevation_angle(satellite_position_eci(orbit, 0, grid),
+                              ground_station_position_eci(gs, grid)) >= alpha
+    if visible[0] or visible[-1]:
+        return None
+    changes = np.flatnonzero(np.diff(visible.astype(np.int8)))
+    t = [scalar_refine_crossing(orbit, 0, gs, grid[i], grid[i + 1], alpha, tol)
+         for i in changes]
+    return list(zip(t[0::2], t[1::2]))
+
+
+def dense_max_distance(pass_, orbit, sat_index, gs, sample_step_s=1.0):
+    """Reference: largest slant range over a pass sampled at <= 1 s."""
+    n = max(2, int(math.ceil(pass_.duration_s / sample_step_s)) + 1)
+    times = np.linspace(pass_.rise_s, pass_.set_s, n)
+    return float(np.max(slant_range(satellite_position_eci(orbit, sat_index, times),
+                                    ground_station_position_eci(gs, times))))
 
 # frozen oracles: manual evaluation of T = 2*pi*(r_E + h) / sqrt(mu/(r_E + h))
 # with r_E = 6371e3 m and mu = 3.98e14 m^3/s^2
@@ -226,7 +270,51 @@ class TestContactPlan:
         assert any(abs(g - period) > 60.0 for g in gaps)
 
 
+class TestBatchedRefinement:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        h=st.floats(300e3, 2500e3),
+        inc=st.floats(0.0, math.pi),
+        raan=st.floats(0.0, 2 * math.pi),
+        phase=st.floats(0.0, 2 * math.pi),
+    )
+    def test_equals_scalar_bisection(self, bremen_gs, h, inc, raan, phase):
+        orbit = OrbitSpec(h, inc, raan, phase)
+        expected = scalar_reference_passes(orbit, bremen_gs, 86400.0)
+        assume(expected is not None)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        assert [(p.rise_s, p.set_s) for p in plan.passes[0]] == expected
+
+    def test_narrow_last_cell_equals_scalar_bisection(self, bremen_gs):
+        # end the horizon a few seconds after a set so that the set's
+        # bracket is the last grid cell, narrower than the 10 s step, while
+        # the other brackets of the same satellite keep the full step
+        orbit = OrbitSpec(500e3, math.radians(80.0))
+        set_s = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0).passes[0][2].set_s
+        cell_start = 10.0 * math.floor(set_s / 10.0)
+        horizon = 0.5 * (set_s + cell_start + 10.0)
+        assert cell_start < set_s < horizon < cell_start + 10.0
+        plan = compute_contact_plan([orbit], bremen_gs, horizon, 10.0)
+        assert len(plan.passes[0]) == 3
+        expected = scalar_reference_passes(orbit, bremen_gs, horizon)
+        assert [(p.rise_s, p.set_s) for p in plan.passes[0]] == expected
+
+
 class TestMaxPassDistance:
+    def test_equals_dense_sampling_on_bremen(self, bremen_scenario):
+        orbits = bremen_scenario.orbit_specs()
+        gs = bremen_scenario.ground_station()
+        plan = compute_contact_plan(orbits, gs, bremen_scenario.horizon_s,
+                                    bremen_scenario.coarse_step_s)
+        checked = 0
+        for (orbit, j), passes in zip(flatten_constellation(orbits), plan.passes):
+            for p in passes:
+                assert max_pass_distance(p, orbit, j, gs) == dense_max_distance(
+                    p, orbit, j, gs
+                )
+                checked += 1
+        assert checked == 63
+
     def test_endpoints_symmetric_and_dominate_midpoint(self, bremen_gs):
         orbit = OrbitSpec(500e3, math.radians(80.0))
         plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
