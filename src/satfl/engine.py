@@ -4,9 +4,10 @@ scheduling into end-to-end federated training runs.
 The event loop is strictly sequential: events are processed in
 nondecreasing time, ties broken by (kind priority, satellite id, insertion
 order), so identical scenarios and seeds yield bitwise-identical logs.
-Training consumes simulated time but the SGD itself executes at the
-training-complete event; the learning outcome is independent of the
-configured training duration.
+Training consumes simulated time but the SGD itself executes when the
+update's upload completes, from the model snapshot taken at its download,
+so updates that are never uploaded are never trained; the learning outcome
+is independent of the configured training duration.
 """
 
 from __future__ import annotations
@@ -138,7 +139,8 @@ class _Engine:
         self._seq = 0
         # per-cycle in-flight state
         self.cycle_start: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
-        self.trained: dict[tuple[int, int], np.ndarray] = {}
+        # (server epoch, test accuracy) of the last evaluation
+        self.last_eval: tuple[int, float] | None = None
         # sync-policy round state
         self.round_updates: dict[int, np.ndarray] = {}
         self.round_index = 0
@@ -182,11 +184,7 @@ class _Engine:
 
     def _on_dl_complete(self, event: SimEvent) -> None:
         k = event.satellite_id
-        client = self.clients[k]
         snapshot = self.server.params.copy()
-        client.cached_global = snapshot
-        client.download_time_s = event.time_s
-        client.download_epoch = self.server.epoch
         self.cycle_start[(k, event.cycle)] = (snapshot, event.time_s, self.server.epoch)
         if self.scenario.policy == "fedavg_sync":
             self.push(SimEvent(
@@ -195,22 +193,15 @@ class _Engine:
             ))
 
     def _on_train_complete(self, event: SimEvent) -> None:
-        k = event.satellite_id
-        key = (k, event.cycle)
-        start, _, _ = self.cycle_start[key]
-        seed = np.random.SeedSequence([self.scenario.seed, k, event.cycle])
-        self.trained[key] = local_sgd(
-            self.learner, start, self.datasets[k], self.profile, seed
-        )
-        self.clients[k].local_count += 1
-        if self.scenario.policy == "fedavg_sync":
-            self._sync_place_upload(k, event.cycle, event.time_s)
+        # only the sync baseline schedules this event: its upload is placed
+        # once training ends
+        self._sync_place_upload(event.satellite_id, event.cycle, event.time_s)
 
     def _on_ul_complete(self, event: SimEvent) -> None:
         k = event.satellite_id
-        key = (k, event.cycle)
-        new = self.trained.pop(key)
-        start, dl_time, dl_epoch = self.cycle_start.pop(key)
+        start, dl_time, dl_epoch = self.cycle_start.pop((k, event.cycle))
+        seed = np.random.SeedSequence([self.scenario.seed, k, event.cycle])
+        new = local_sgd(self.learner, start, self.datasets[k], self.profile, seed)
         client = self.clients[k]
         if self.scenario.policy == "fedavg_sync":
             rec_epoch = self.server.epoch - dl_epoch
@@ -250,14 +241,19 @@ class _Engine:
         ))
 
     def _on_eval(self, event: SimEvent) -> None:
-        acc = evaluate_accuracy(self.learner, self.server.params, self.test_set)
+        # every aggregation increments the epoch, so an unchanged epoch means
+        # unchanged parameters and the last accuracy still holds
+        epoch = self.server.epoch
+        if self.last_eval is None or self.last_eval[0] != epoch:
+            acc = evaluate_accuracy(self.learner, self.server.params, self.test_set)
+            self.last_eval = (epoch, acc)
         self.rows.append(MetricsRow(
             sim_time_s=event.time_s,
-            global_epoch=self.server.epoch,
+            global_epoch=epoch,
             satellite_id=None,
             epoch_staleness=None,
             time_staleness_s=None,
-            test_accuracy=acc,
+            test_accuracy=self.last_eval[1],
         ))
 
     # ---- async policies ----------------------------------------------
@@ -270,7 +266,6 @@ class _Engine:
         for k, cycles in enumerate(schedule.cycles):
             for ci, cyc in enumerate(cycles):
                 self.push(SimEvent(cyc.dl_complete_s, EventKind.DL_COMPLETE, k, ci))
-                self.push(SimEvent(cyc.train_complete_s, EventKind.TRAIN_COMPLETE, k, ci))
                 self.transmissions.append((k, cyc.dl_start_s, cyc.dl_complete_s))
                 if cyc.ul_complete_s is not None:
                     self.push(SimEvent(cyc.ul_complete_s, EventKind.UL_COMPLETE, k, ci))

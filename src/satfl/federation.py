@@ -7,7 +7,7 @@ one update from every satellite before averaging.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class ServerState:
     params: np.ndarray
     weights: dict[int, float]          # satellite id -> D_k / D
     epoch: int = 0
-    last_upload: dict[int, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         total = sum(self.weights.values())
@@ -32,11 +31,6 @@ class ClientState:
     """Satellite-side training pipeline state."""
 
     satellite_id: int
-    local_count: int = 0
-    cached_global: np.ndarray | None = None
-    download_time_s: float | None = None
-    download_epoch: int | None = None
-    pending_update: np.ndarray | None = None
     prev_upload: np.ndarray | None = None
 
 
@@ -73,7 +67,6 @@ def fedsat_aggregate(server: ServerState, msg: UpdateMessage) -> ServerState:
     alpha = server.weights[msg.satellite_id]
     server.params = server.params - alpha * (msg.prev_params - msg.new_params)
     server.epoch += 1
-    server.last_upload[msg.satellite_id] = msg.new_params
     return server
 
 
@@ -93,8 +86,6 @@ def fedavg_sync_aggregate(
         new += alpha * updates[k]
     server.params = new
     server.epoch += 1
-    for k in server.weights:
-        server.last_upload[k] = updates[k]
     return server
 
 

@@ -55,13 +55,40 @@ def wire_bits(params: np.ndarray) -> int:
     return WIRE_BITS_PER_PARAM * params.size
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, computed in place in z and returned."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
-class LogisticRegressionLearner:
+def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
+    return np.eye(classes)[y]
+
+
+class _SoftmaxLearner:
+    """Loss, flat gradient and prediction of a softmax learner whose
+    `_unpack(params)` gives views of the parameter blocks and whose
+    `_backprop(blocks, X, Y)` gives the mean cross-entropy gradient of each
+    block over the rows of X with one-hot labels Y."""
+
+    def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
+        p = _softmax(self.logits(params, X))
+        return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
+
+    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        g = np.empty_like(params, dtype=float)
+        blocks = self._backprop(self._unpack(params), X, _one_hot(y, self.classes))
+        for view, block in zip(self._unpack(g), blocks):
+            view[...] = block
+        return g
+
+    def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
+        return np.argmax(self.logits(params, X), axis=1)
+
+
+class LogisticRegressionLearner(_SoftmaxLearner):
     """Multinomial logistic regression with bias, cross-entropy loss."""
 
     def __init__(self, classes: int, feature_dim: int):
@@ -83,24 +110,15 @@ class LogisticRegressionLearner:
         W, b = self._unpack(params)
         return X @ W.T + b
 
-    def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        p = _softmax(self.logits(params, X))
-        return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
-
-    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        n = len(y)
-        p = _softmax(self.logits(params, X))
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        gw = p.T @ X
-        gb = p.sum(axis=0)
-        return np.concatenate([gw, gb[:, None]], axis=1).ravel()
-
-    def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(params, X), axis=1)
+    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray):
+        W, b = blocks
+        p = _softmax(X @ W.T + b)
+        p -= Y
+        p /= len(Y)
+        return p.T @ X, np.add.reduce(p, axis=0)
 
 
-class MLPLearner:
+class MLPLearner(_SoftmaxLearner):
     """One-hidden-layer tanh network with softmax output."""
 
     def __init__(self, classes: int, feature_dim: int, hidden: int = 16):
@@ -130,26 +148,15 @@ class MLPLearner:
         W1, b1, W2, b2 = self._unpack(params)
         return np.tanh(X @ W1.T + b1) @ W2.T + b2
 
-    def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        p = _softmax(self.logits(params, X))
-        return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
-
-    def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        W1, b1, W2, b2 = self._unpack(params)
-        n = len(y)
+    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray):
+        W1, b1, W2, b2 = blocks
         a = np.tanh(X @ W1.T + b1)
         p = _softmax(a @ W2.T + b2)
-        p[np.arange(n), y] -= 1.0
-        p /= n
-        gW2 = p.T @ a
-        gb2 = p.sum(axis=0)
-        da = (p @ W2) * (1.0 - a * a)
-        gW1 = da.T @ X
-        gb1 = da.sum(axis=0)
-        return np.concatenate([gW1.ravel(), gb1, gW2.ravel(), gb2])
-
-    def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(params, X), axis=1)
+        p -= Y
+        p /= len(Y)
+        da = p @ W2
+        da *= 1.0 - a * a
+        return da.T @ X, np.add.reduce(da, axis=0), p.T @ a, np.add.reduce(p, axis=0)
 
 
 def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
@@ -187,17 +194,22 @@ def local_sgd(
     """Run local mini-batch SGD and return the updated parameter vector.
 
     Each of the local_iters epochs shuffles the dataset once with the
-    seeded generator and steps through batches of batch_size.
+    seeded generator, gathers the shuffled rows once and steps through
+    batches of batch_size, updating the parameter blocks in place.
     """
     rng = np.random.default_rng(seed)
     w = np.array(start, dtype=float, copy=True)
-    n = data.size
+    blocks = learner._unpack(w)
+    labels = _one_hot(data.labels, learner.classes)
+    n, bs = data.size, profile.batch_size
     for _ in range(profile.local_iters):
         order = rng.permutation(n)
-        for lo in range(0, n, profile.batch_size):
-            idx = order[lo:lo + profile.batch_size]
-            g = learner.gradient(w, data.features[idx], data.labels[idx])
-            w -= profile.eta * g
+        X, Y = data.features[order], labels[order]
+        for lo in range(0, n, bs):
+            grads = learner._backprop(blocks, X[lo:lo + bs], Y[lo:lo + bs])
+            for block, g in zip(blocks, grads):
+                g *= profile.eta
+                block -= g
     return w
 
 
@@ -228,7 +240,9 @@ def partition_non_iid(
         raise ValueError(
             f"dataset labels must lie in [0, {n_labels}) to divide across groups"
         )
-    shards: dict[int, list[int]] = {k: [] for g in groups for k in g}
+    shards: dict[int, list[np.ndarray]] = {
+        k: [np.empty(0, dtype=np.intp)] for g in groups for k in g
+    }
     for g_idx, members in enumerate(groups):
         if not members:
             raise ValueError(f"group {g_idx} has no satellites")
@@ -241,11 +255,12 @@ def partition_non_iid(
                     f"{len(members)} satellites"
                 )
             idx = rng.permutation(idx)
-            for i, sample in enumerate(idx):
-                shards[members[i % len(members)]].append(int(sample))
+            for i, k in enumerate(members):
+                shards[k].append(idx[i::len(members)])
+    rows = {k: np.sort(np.concatenate(v)) for k, v in shards.items()}
     return {
-        k: LocalDataset(dataset.features[sorted(v)], dataset.labels[sorted(v)])
-        for k, v in shards.items()
+        k: LocalDataset(dataset.features[r], dataset.labels[r])
+        for k, r in rows.items()
     }
 
 

@@ -18,6 +18,9 @@ from .link import LinkBudget, linear_to_db, watts_to_dbm
 from .orbital import GroundStation, OrbitSpec
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
+# libyaml's safe loader builds the same documents as the pure-Python one,
+# several times faster; PyYAML ships without it when libyaml is absent
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 @dataclass(frozen=True)
@@ -286,7 +289,7 @@ def scenario_to_dict(s: Scenario) -> dict:
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
     except OSError as exc:

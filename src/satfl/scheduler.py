@@ -55,12 +55,6 @@ class TransmissionSchedule:
 
     cycles: list[list[ScheduledCycle]] = field(default_factory=list)
 
-    def ul_times(self, k: int) -> list[float]:
-        return [c.ul_start_s for c in self.cycles[k] if c.ul_start_s is not None]
-
-    def dl_times(self, k: int) -> list[float]:
-        return [c.dl_start_s for c in self.cycles[k]]
-
 
 def fedsatschedule_decide(
     plan: ContactPlan,

@@ -1,9 +1,10 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from satfl import bundled_scenario_path, load_scenario
+from satfl import bundled_scenario_path, engine, load_scenario
 from satfl.engine import _Engine, compare_runs, run_simulation
 from satfl.errors import ScenarioError
 from satfl.learning import (
@@ -202,6 +203,30 @@ class TestTransmissionsInsidePasses:
             assert any(
                 p.rise_s <= start <= stop <= p.set_s for p in r.plan.passes[k]
             ), (k, start, stop)
+
+
+class TestLearningCalls:
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_train_uploaded_updates_and_evaluate_new_epochs(self, policy, monkeypatch):
+        # only uploaded updates are trained, and an evaluation is computed
+        # only when the global model has changed since the last one
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "local_sgd", counted("sgd", engine.local_sgd))
+        monkeypatch.setattr(engine, "evaluate_accuracy",
+                            counted("eval", engine.evaluate_accuracy))
+        scenario = dataclasses.replace(
+            load_scenario(bundled_scenario_path()), policy=policy
+        )
+        r = run_simulation(scenario)
+        assert calls["sgd"] == len(r.upload_rows()) > 0
+        assert calls["eval"] == len({row.global_epoch for row in r.eval_rows()}) > 1
 
 
 class TestConcurrencyCap:

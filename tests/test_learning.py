@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from satfl.learning import (
     ComputeProfile,
@@ -79,11 +81,17 @@ class TestLosses:
 class _Quadratic:
     """Scalar test learner with loss (w - a)^2, independent of the data."""
 
+    classes = 1
+
     def __init__(self, a):
         self.a = a
 
-    def gradient(self, w, X, y):
-        return 2.0 * (w - self.a)
+    def _unpack(self, w):
+        return (w,)
+
+    def _backprop(self, blocks, X, Y):
+        (w,) = blocks
+        return (2.0 * (w - self.a),)
 
     def loss(self, w, X, y):
         return float((w - self.a) ** 2)
@@ -127,6 +135,76 @@ class TestLocalSgd:
             w = local_sgd(learner, w, data, profile, seed=i)
             losses.append(local_loss(learner, w, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def _reference_softmax(logits):
+    z = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_gradient(learner, params, X, y):
+    """Flat gradient as the learners computed it with per-sample label
+    indexing, before the per-block kernels."""
+    n = len(y)
+    if isinstance(learner, LogisticRegressionLearner):
+        W, b = learner._unpack(params)
+        p = _reference_softmax(X @ W.T + b)
+        p[np.arange(n), y] -= 1.0
+        p /= n
+        return np.concatenate([p.T @ X, p.sum(axis=0)[:, None]], axis=1).ravel()
+    W1, b1, W2, b2 = learner._unpack(params)
+    a = np.tanh(X @ W1.T + b1)
+    p = _reference_softmax(a @ W2.T + b2)
+    p[np.arange(n), y] -= 1.0
+    p /= n
+    da = (p @ W2) * (1.0 - a * a)
+    return np.concatenate([(da.T @ X).ravel(), da.sum(axis=0), (p.T @ a).ravel(),
+                           p.sum(axis=0)])
+
+
+def _reference_sgd(learner, start, data, profile, seed):
+    """local_sgd as a loop that fancy-indexes every batch."""
+    rng = np.random.default_rng(seed)
+    w = np.array(start, dtype=float, copy=True)
+    n = data.size
+    for _ in range(profile.local_iters):
+        order = rng.permutation(n)
+        for lo in range(0, n, profile.batch_size):
+            idx = order[lo:lo + profile.batch_size]
+            g = _reference_gradient(learner, w, data.features[idx], data.labels[idx])
+            w -= profile.eta * g
+    return w
+
+
+class TestLocalSgdMatchesReference:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["logreg", "mlp"]),
+        classes=st.integers(2, 5),
+        dim=st.integers(1, 6),
+        hidden=st.integers(1, 8),
+        n=st.integers(1, 40),
+        batch_size=st.integers(1, 50),
+        local_iters=st.integers(1, 3),
+        eta=st.floats(0.01, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_equal(self, kind, classes, dim, hidden, n, batch_size,
+                           local_iters, eta, seed):
+        rng = np.random.default_rng(seed)
+        learner = make_learner(kind, classes, dim, hidden)
+        data = LocalDataset(rng.standard_normal((n, dim)), rng.integers(0, classes, n))
+        w0 = rng.standard_normal(learner.param_dim)
+        profile = ComputeProfile(eta=eta, batch_size=batch_size, local_iters=local_iters)
+        assert np.array_equal(
+            learner.gradient(w0, data.features, data.labels),
+            _reference_gradient(learner, w0, data.features, data.labels),
+        )
+        assert np.array_equal(
+            local_sgd(learner, w0, data, profile, seed),
+            _reference_sgd(learner, w0, data, profile, seed),
+        )
 
 
 class TestGradients:
@@ -206,6 +284,34 @@ class TestPartition:
         data = self.make(classes=2, per_class=1)
         with pytest.raises(ValueError):
             partition_non_iid(data, [[0, 1, 2]], labels_per_group=2, seed=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+        labels_per_group=st.integers(1, 3),
+        extra=st.integers(0, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_round_robin_reference(self, sizes, labels_per_group, extra, seed):
+        groups, k = [], 0
+        for size in sizes:
+            groups.append(list(range(k, k + size)))
+            k += size
+        data = self.make(classes=labels_per_group * len(groups),
+                         per_class=max(sizes) + extra)
+        # reference: deal each label's shuffled samples one at a time
+        rng = np.random.default_rng(seed)
+        expected = {k: [] for g in groups for k in g}
+        for g_idx, members in enumerate(groups):
+            for label in range(g_idx * labels_per_group, (g_idx + 1) * labels_per_group):
+                idx = rng.permutation(np.flatnonzero(data.labels == label))
+                for i, sample in enumerate(idx):
+                    expected[members[i % len(members)]].append(int(sample))
+        shards = partition_non_iid(data, groups, labels_per_group, seed)
+        assert shards.keys() == expected.keys()
+        for k, rows in expected.items():
+            np.testing.assert_array_equal(shards[k].features, data.features[sorted(rows)])
+            np.testing.assert_array_equal(shards[k].labels, data.labels[sorted(rows)])
 
     def test_deterministic_under_seed(self):
         data = self.make()
