@@ -4,10 +4,15 @@ scheduling into end-to-end federated training runs.
 The event loop is strictly sequential: events are processed in
 nondecreasing time, ties broken by (kind priority, satellite id, insertion
 order), so identical scenarios and seeds yield bitwise-identical logs.
-Training consumes simulated time but the SGD itself executes when the
-update's upload completes, from the model snapshot taken at its download,
-so updates that are never uploaded are never trained; the learning outcome
-is independent of the configured training duration.
+Training consumes simulated time, but the SGD itself runs when its result
+is first read: at the update's upload for the asynchronous policies, at
+the round's aggregation for the synchronous baseline. That first read
+trains, from the model snapshots taken at their downloads, every
+downloaded update whose upload is queued, as one stack per dataset size;
+the others keep their results until their own uploads arrive. Updates that
+are never uploaded or never aggregated are never trained, and the learning
+outcome is independent of the configured training duration and of the
+stacking.
 """
 
 from __future__ import annotations
@@ -137,23 +142,33 @@ class _Engine:
         self.rows: list[MetricsRow] = []
         self.heap: list = []
         self._seq = 0
-        # per-cycle in-flight state
+        # per-cycle in-flight state, keyed by (satellite, cycle): the download
+        # snapshot, time and epoch; the cycles whose UL_COMPLETE is queued;
+        # and the trained updates not yet read
         self.cycle_start: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
+        self.uploads: set[tuple[int, int]] = set()
+        self.trained: dict[tuple[int, int], np.ndarray] = {}
         # (server epoch, test accuracy) of the last evaluation
         self.last_eval: tuple[int, float] | None = None
-        # sync-policy round state
-        self.round_updates: dict[int, np.ndarray] = {}
+        # sync-policy round state: satellite -> cycle uploaded this round
+        self.round_updates: dict[int, int] = {}
         self.round_index = 0
         self.transmissions: list[tuple[int, float, float]] = []  # (sat, start, stop)
 
-    def push(self, event: SimEvent) -> None:
+    def push(self, event: SimEvent) -> bool:
+        """Queue an event inside the horizon; return whether it was queued."""
         if event.time_s > self.scenario.horizon_s:
-            return
+            return False
         sat = event.satellite_id if event.satellite_id is not None else -1
         heapq.heappush(
             self.heap, (event.time_s, int(event.kind), sat, self._seq, event)
         )
         self._seq += 1
+        return True
+
+    def push_upload(self, time_s: float, k: int, cycle: int) -> None:
+        if self.push(SimEvent(time_s, EventKind.UL_COMPLETE, k, cycle)):
+            self.uploads.add((k, cycle))
 
     def push_evals(self) -> None:
         n = int(math.floor(self.scenario.horizon_s / self.scenario.eval_period_s))
@@ -197,15 +212,39 @@ class _Engine:
         # once training ends
         self._sync_place_upload(event.satellite_id, event.cycle, event.time_s)
 
+    def _take(self, key: tuple[int, int]):
+        """Pop cycle key's trained update and its download state (snapshot,
+        time, epoch).
+
+        The first read trains every downloaded cycle whose upload is queued
+        and that is not trained yet: their starts are fixed, so one local_sgd
+        stack per dataset size gives each the bits it would get alone.
+        """
+        if key not in self.trained:
+            by_size: dict[int, list[tuple[int, int]]] = {}
+            for c in self.cycle_start:
+                if c in self.uploads and c not in self.trained:
+                    by_size.setdefault(self.datasets[c[0]].size, []).append(c)
+            for keys in by_size.values():
+                rows = local_sgd(
+                    self.learner,
+                    [self.cycle_start[c][0] for c in keys],
+                    [self.datasets[k] for k, _ in keys],
+                    self.profile,
+                    [np.random.SeedSequence([self.scenario.seed, k, cycle])
+                     for k, cycle in keys],
+                )
+                self.trained.update(zip(keys, rows))
+        return self.trained.pop(key), self.cycle_start.pop(key)
+
     def _on_ul_complete(self, event: SimEvent) -> None:
         k = event.satellite_id
-        start, dl_time, dl_epoch = self.cycle_start.pop((k, event.cycle))
-        seed = np.random.SeedSequence([self.scenario.seed, k, event.cycle])
-        new = local_sgd(self.learner, start, self.datasets[k], self.profile, seed)
+        key = (k, event.cycle)
         client = self.clients[k]
         if self.scenario.policy == "fedavg_sync":
+            _, dl_time, dl_epoch = self.cycle_start[key]
             rec_epoch = self.server.epoch - dl_epoch
-            self.round_updates[k] = new
+            self.round_updates[k] = event.cycle
             self.rows.append(MetricsRow(
                 sim_time_s=event.time_s,
                 global_epoch=self.server.epoch,
@@ -215,11 +254,13 @@ class _Engine:
                 test_accuracy=None,
             ))
             if len(self.round_updates) == len(self.clients):
-                fedavg_sync_aggregate(self.server, self.round_updates)
+                updates = {k: self._take((k, c))[0] for k, c in self.round_updates.items()}
+                fedavg_sync_aggregate(self.server, updates)
                 self.round_updates = {}
                 self.round_index += 1
                 self._sync_start_round(event.time_s)
             return
+        new, (start, dl_time, dl_epoch) = self._take(key)
         prev = client.prev_upload if client.prev_upload is not None else start
         msg = UpdateMessage(
             satellite_id=k,
@@ -268,7 +309,7 @@ class _Engine:
                 self.push(SimEvent(cyc.dl_complete_s, EventKind.DL_COMPLETE, k, ci))
                 self.transmissions.append((k, cyc.dl_start_s, cyc.dl_complete_s))
                 if cyc.ul_complete_s is not None:
-                    self.push(SimEvent(cyc.ul_complete_s, EventKind.UL_COMPLETE, k, ci))
+                    self.push_upload(cyc.ul_complete_s, k, ci)
                     self.transmissions.append((k, cyc.ul_start_s, cyc.ul_complete_s))
 
     # ---- synchronous baseline ----------------------------------------
@@ -304,7 +345,7 @@ class _Engine:
             ul_start = max(p.rise_s, now_s)
             ul_complete = ul_start + self.comm_s[k][i]
             if ul_complete <= p.set_s:
-                self.push(SimEvent(ul_complete, EventKind.UL_COMPLETE, k, cycle))
+                self.push_upload(ul_complete, k, cycle)
                 self.transmissions.append((k, ul_start, ul_complete))
                 return
         # no pass left inside the horizon: the update is never reported

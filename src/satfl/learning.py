@@ -56,10 +56,10 @@ def wire_bits(params: np.ndarray) -> int:
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise softmax, computed in place in z and returned."""
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    """Softmax over the last axis, computed in place in z and returned."""
+    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+    z /= np.add.reduce(z, axis=-1, keepdims=True)
     return z
 
 
@@ -70,8 +70,13 @@ def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
 class _SoftmaxLearner:
     """Loss, flat gradient and prediction of a softmax learner whose
     `_unpack(params)` gives views of the parameter blocks and whose
-    `_backprop(blocks, X, Y)` gives the mean cross-entropy gradient of each
-    block over the rows of X with one-hot labels Y."""
+    `_backprop(blocks, X, Y, grads)` writes into the blocks `grads` the mean
+    cross-entropy gradient of each block over the rows of X with one-hot
+    labels Y; the blocks cover the whole parameter vector.
+
+    Both work on leading stack axes: parameters (..., P) unpack to blocks
+    (..., rows, cols), with biases as (..., 1, c) views, and X (..., n, d)
+    and Y (..., n, c) hold one batch per stacked model."""
 
     def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
         p = _softmax(self.logits(params, X))
@@ -79,13 +84,11 @@ class _SoftmaxLearner:
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         g = np.empty_like(params, dtype=float)
-        blocks = self._backprop(self._unpack(params), X, _one_hot(y, self.classes))
-        for view, block in zip(self._unpack(g), blocks):
-            view[...] = block
+        self._backprop(self._unpack(params), X, _one_hot(y, self.classes), self._unpack(g))
         return g
 
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
-        return np.argmax(self.logits(params, X), axis=1)
+        return np.argmax(self.logits(params, X), axis=-1)
 
 
 class LogisticRegressionLearner(_SoftmaxLearner):
@@ -103,19 +106,21 @@ class LogisticRegressionLearner(_SoftmaxLearner):
         return np.zeros(self.param_dim)
 
     def _unpack(self, params):
-        wb = params.reshape(self.classes, self.feature_dim + 1)
-        return wb[:, :-1], wb[:, -1]
+        wb = params.reshape(params.shape[:-1] + (self.classes, self.feature_dim + 1))
+        return wb[..., :-1], wb[..., None, :, -1]
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         W, b = self._unpack(params)
-        return X @ W.T + b
+        return X @ W.mT + b
 
-    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray):
+    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray, grads) -> None:
         W, b = blocks
-        p = _softmax(X @ W.T + b)
+        gW, gb = grads
+        p = _softmax(X @ W.mT + b)
         p -= Y
-        p /= len(Y)
-        return p.T @ X, np.add.reduce(p, axis=0)
+        p /= Y.shape[-2]
+        np.matmul(p.mT, X, out=gW)
+        np.add.reduce(p, axis=-2, keepdims=True, out=gb)
 
 
 class MLPLearner(_SoftmaxLearner):
@@ -136,27 +141,32 @@ class MLPLearner(_SoftmaxLearner):
 
     def _unpack(self, params):
         h, d, c = self.hidden, self.feature_dim, self.classes
+        lead = params.shape[:-1]
         i = h * d
-        W1 = params[:i].reshape(h, d)
-        b1 = params[i:i + h]
+        W1 = params[..., :i].reshape(lead + (h, d))
+        b1 = params[..., None, i:i + h]
         j = i + h
-        W2 = params[j:j + c * h].reshape(c, h)
-        b2 = params[j + c * h:]
+        W2 = params[..., j:j + c * h].reshape(lead + (c, h))
+        b2 = params[..., None, j + c * h:]
         return W1, b1, W2, b2
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         W1, b1, W2, b2 = self._unpack(params)
-        return np.tanh(X @ W1.T + b1) @ W2.T + b2
+        return np.tanh(X @ W1.mT + b1) @ W2.mT + b2
 
-    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray):
+    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray, grads) -> None:
         W1, b1, W2, b2 = blocks
-        a = np.tanh(X @ W1.T + b1)
-        p = _softmax(a @ W2.T + b2)
+        gW1, gb1, gW2, gb2 = grads
+        a = np.tanh(X @ W1.mT + b1)
+        p = _softmax(a @ W2.mT + b2)
         p -= Y
-        p /= len(Y)
+        p /= Y.shape[-2]
         da = p @ W2
         da *= 1.0 - a * a
-        return da.T @ X, np.add.reduce(da, axis=0), p.T @ a, np.add.reduce(p, axis=0)
+        np.matmul(da.mT, X, out=gW1)
+        np.add.reduce(da, axis=-2, keepdims=True, out=gb1)
+        np.matmul(p.mT, a, out=gW2)
+        np.add.reduce(p, axis=-2, keepdims=True, out=gb2)
 
 
 def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
@@ -186,30 +196,45 @@ def global_loss(learner, params: np.ndarray, datasets: list[LocalDataset]) -> fl
 
 def local_sgd(
     learner,
-    start: np.ndarray,
-    data: LocalDataset,
+    starts,
+    datasets: list[LocalDataset],
     profile: ComputeProfile,
-    seed: int | np.random.SeedSequence,
+    seeds,
 ) -> np.ndarray:
-    """Run local mini-batch SGD and return the updated parameter vector.
+    """Run local mini-batch SGD for a stack of K updates; return (K, P).
 
-    Each of the local_iters epochs shuffles the dataset once with the
-    seeded generator, gathers the shuffled rows once and steps through
-    batches of batch_size, updating the parameter blocks in place.
+    Update i starts from starts[i], trains on datasets[i] and shuffles with
+    a generator seeded by seeds[i]; row i of the result is bitwise what
+    update i gives when trained alone. The datasets must share one size, so
+    that every update steps through the same batch boundaries and the stack
+    pays numpy's per-call cost once per batch for all K updates.
+
+    Each of the local_iters epochs draws every update's permutation, then
+    gathers the shuffled rows one chunk at a time: n // K rows per update,
+    rounded down to a multiple of batch_size (at least one batch), so the
+    stack holds no more rows than one update's whole epoch. Each batch
+    writes the gradient into one (K, P) buffer laid out like the
+    parameters, which are then updated in place.
     """
-    rng = np.random.default_rng(seed)
-    w = np.array(start, dtype=float, copy=True)
-    blocks = learner._unpack(w)
-    labels = _one_hot(data.labels, learner.classes)
-    n, bs = data.size, profile.batch_size
+    n, bs = datasets[0].size, profile.batch_size
+    if any(d.size != n for d in datasets):
+        raise ValueError("stacked datasets must share one size")
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.array(starts, dtype=float)
+    g = np.empty_like(w)
+    blocks, grads = learner._unpack(w), learner._unpack(g)
+    span = max(bs, n // len(datasets) // bs * bs)
     for _ in range(profile.local_iters):
-        order = rng.permutation(n)
-        X, Y = data.features[order], labels[order]
-        for lo in range(0, n, bs):
-            grads = learner._backprop(blocks, X[lo:lo + bs], Y[lo:lo + bs])
-            for block, g in zip(blocks, grads):
+        orders = [rng.permutation(n) for rng in rngs]
+        for lo in range(0, n, span):
+            rows = [order[lo:lo + span] for order in orders]
+            X = np.stack([d.features[r] for d, r in zip(datasets, rows)])
+            labels = np.stack([d.labels[r] for d, r in zip(datasets, rows)])
+            Y = _one_hot(labels, learner.classes)
+            for b in range(0, X.shape[1], bs):
+                learner._backprop(blocks, X[:, b:b + bs], Y[:, b:b + bs], grads)
                 g *= profile.eta
-                block -= g
+                w -= g
     return w
 
 

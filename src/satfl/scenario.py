@@ -8,7 +8,7 @@ learner, compute, scheduler and sim. Values keep their boundary units here
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import yaml
 
@@ -137,152 +137,97 @@ class Scenario:
             self.orbit_specs()
             self.ground_station()
             self.link_budget()
-            if self.train_time_s is None:
-                self.compute_profile()
+            self.compute_profile()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
 
 
-_MISSING = object()
+def _same(*names: str) -> dict[str, str]:
+    return {name: name for name in names}
 
 
-def _get(section: dict, name: str, key: str, default=_MISSING):
-    if key in section:
-        return section[key]
-    if default is not _MISSING:
-        return default
-    raise ScenarioError(f"missing key {key!r} in section {name!r}")
+# YAML section -> key -> Scenario field. Keys a document leaves out take the
+# field's default; keys not listed here are rejected.
+_FIELDS = {
+    "ground_station": {
+        "latitude_deg": "gs_latitude_deg",
+        "longitude_deg": "gs_longitude_deg",
+        "min_elevation_deg": "gs_min_elevation_deg",
+    },
+    "link": _same("power_dbm", "gain_sat_dbi", "gain_gs_dbi", "bandwidth_hz",
+                  "noise_temp_k", "carrier_hz"),
+    "learner": {"kind": "learner_kind", **_same(
+        "classes", "feature_dim", "hidden", "eta", "batch_size", "local_iters",
+        "samples_per_class", "test_samples_per_class", "spread", "labels_per_group",
+    )},
+    "compute": _same("train_time_s", "cycles_per_bit", "cpu_hz"),
+    "scheduler": _same("policy", "strict_online_budget"),
+    "sim": _same("horizon_s", "eval_period_s", "seed", "coarse_step_s",
+                 "model_bits", "max_concurrent_links"),
+}
+# linear-unit link keys accepted at the boundary: key -> (field, conversion);
+# the dB key wins when a document gives both
+_LINEAR_LINK = {
+    "power_w": ("power_dbm", watts_to_dbm),
+    "gain_sat": ("gain_sat_dbi", linear_to_db),
+    "gain_gs": ("gain_gs_dbi", linear_to_db),
+}
+_ALTERNATE = {field: key for key, (field, _) in _LINEAR_LINK.items()}
+_REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
+
+
+def _section(doc: dict, name: str) -> dict:
+    section = doc.get(name, {})
+    if not isinstance(section, dict):
+        raise ScenarioError(f"section {name!r} must be a mapping")
+    return section
 
 
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
-    con = doc.get("constellation", {})
+    for name in doc:
+        if name != "constellation" and name not in _FIELDS:
+            raise ScenarioError(f"unknown section {name!r}")
+    con = _section(doc, "constellation")
+    for key in con:
+        if key != "orbits":
+            raise ScenarioError(f"unknown key constellation.{key}")
     orbits = []
     for i, o in enumerate(con.get("orbits", [])):
         try:
             orbits.append(OrbitConfig(**o))
         except TypeError as exc:
             raise ScenarioError(f"constellation.orbits[{i}]: {exc}") from exc
-    gs = doc.get("ground_station")
-    if gs is None:
-        raise ScenarioError("missing section 'ground_station'")
-    link = doc.get("link")
-    if link is None:
-        raise ScenarioError("missing section 'link'")
 
-    # accept linear-unit alternatives at the boundary
-    if "power_dbm" in link:
-        power_dbm = link["power_dbm"]
-    elif "power_w" in link:
-        power_dbm = watts_to_dbm(link["power_w"])
-    else:
-        raise ScenarioError("link section needs power_dbm or power_w")
-
-    def gain(which):
-        if f"gain_{which}_dbi" in link:
-            return link[f"gain_{which}_dbi"]
-        if f"gain_{which}" in link:
-            return linear_to_db(link[f"gain_{which}"])
-        raise ScenarioError(f"link section needs gain_{which}_dbi or gain_{which}")
-
-    learner = doc.get("learner", {})
-    compute = doc.get("compute", {})
-    scheduler = doc.get("scheduler", {})
-    sim = doc.get("sim", {})
-    try:
-        scenario = Scenario(
-            orbits=orbits,
-            gs_latitude_deg=_get(gs, "ground_station", "latitude_deg"),
-            gs_longitude_deg=_get(gs, "ground_station", "longitude_deg"),
-            gs_min_elevation_deg=_get(gs, "ground_station", "min_elevation_deg"),
-            power_dbm=power_dbm,
-            gain_sat_dbi=gain("sat"),
-            gain_gs_dbi=gain("gs"),
-            bandwidth_hz=_get(link, "link", "bandwidth_hz"),
-            noise_temp_k=_get(link, "link", "noise_temp_k"),
-            carrier_hz=_get(link, "link", "carrier_hz"),
-            learner_kind=learner.get("kind", "logreg"),
-            classes=learner.get("classes", 10),
-            feature_dim=learner.get("feature_dim", 8),
-            hidden=learner.get("hidden", 16),
-            eta=learner.get("eta", 0.1),
-            batch_size=learner.get("batch_size", 10),
-            local_iters=learner.get("local_iters", 1),
-            samples_per_class=learner.get("samples_per_class", 200),
-            test_samples_per_class=learner.get("test_samples_per_class", 100),
-            spread=learner.get("spread", 1.0),
-            labels_per_group=learner.get("labels_per_group"),
-            train_time_s=compute.get("train_time_s", 30.0)
-            if "cycles_per_bit" not in compute else compute.get("train_time_s"),
-            cycles_per_bit=compute.get("cycles_per_bit"),
-            cpu_hz=compute.get("cpu_hz"),
-            policy=scheduler.get("policy", "fedsat"),
-            strict_online_budget=scheduler.get("strict_online_budget", True),
-            horizon_s=sim.get("horizon_s", 86400.0),
-            eval_period_s=sim.get("eval_period_s", 600.0),
-            seed=sim.get("seed", 1),
-            coarse_step_s=sim.get("coarse_step_s", 10.0),
-            model_bits=sim.get("model_bits"),
-            max_concurrent_links=sim.get("max_concurrent_links"),
-        )
-    except TypeError as exc:
-        raise ScenarioError(str(exc)) from exc
+    values = {"orbits": orbits}
+    for name, keys in _FIELDS.items():
+        for key, value in _section(doc, name).items():
+            if key in keys:
+                values[keys[key]] = value
+            elif name == "link" and key in _LINEAR_LINK:
+                field, convert = _LINEAR_LINK[key]
+                values.setdefault(field, convert(value))
+            else:
+                raise ScenarioError(f"unknown key {name}.{key}")
+    if "cycles_per_bit" in values:
+        # a compute model replaces the default training time
+        values.setdefault("train_time_s", None)
+    for name, keys in _FIELDS.items():
+        for key, field in keys.items():
+            if field in _REQUIRED and field not in values:
+                alt = f" or {name}.{_ALTERNATE[field]}" if field in _ALTERNATE else ""
+                raise ScenarioError(f"missing key {name}.{key}{alt}")
+    scenario = Scenario(**values)
     scenario.validate()
     return scenario
 
 
 def scenario_to_dict(s: Scenario) -> dict:
-    doc = {
-        "constellation": {"orbits": [asdict(o) for o in s.orbits]},
-        "ground_station": {
-            "latitude_deg": s.gs_latitude_deg,
-            "longitude_deg": s.gs_longitude_deg,
-            "min_elevation_deg": s.gs_min_elevation_deg,
-        },
-        "link": {
-            "power_dbm": s.power_dbm,
-            "gain_sat_dbi": s.gain_sat_dbi,
-            "gain_gs_dbi": s.gain_gs_dbi,
-            "bandwidth_hz": s.bandwidth_hz,
-            "noise_temp_k": s.noise_temp_k,
-            "carrier_hz": s.carrier_hz,
-        },
-        "learner": {
-            "kind": s.learner_kind,
-            "classes": s.classes,
-            "feature_dim": s.feature_dim,
-            "hidden": s.hidden,
-            "eta": s.eta,
-            "batch_size": s.batch_size,
-            "local_iters": s.local_iters,
-            "samples_per_class": s.samples_per_class,
-            "test_samples_per_class": s.test_samples_per_class,
-            "spread": s.spread,
-        },
-        "compute": {},
-        "scheduler": {
-            "policy": s.policy,
-            "strict_online_budget": s.strict_online_budget,
-        },
-        "sim": {
-            "horizon_s": s.horizon_s,
-            "eval_period_s": s.eval_period_s,
-            "seed": s.seed,
-            "coarse_step_s": s.coarse_step_s,
-        },
-    }
-    if s.labels_per_group is not None:
-        doc["learner"]["labels_per_group"] = s.labels_per_group
-    if s.train_time_s is not None:
-        doc["compute"]["train_time_s"] = s.train_time_s
-    if s.cycles_per_bit is not None:
-        doc["compute"]["cycles_per_bit"] = s.cycles_per_bit
-        doc["compute"]["cpu_hz"] = s.cpu_hz
-    if s.model_bits is not None:
-        doc["sim"]["model_bits"] = s.model_bits
-    if s.max_concurrent_links is not None:
-        doc["sim"]["max_concurrent_links"] = s.max_concurrent_links
+    doc = {"constellation": {"orbits": [asdict(o) for o in s.orbits]}}
+    for name, keys in _FIELDS.items():
+        values = {key: getattr(s, field) for key, field in keys.items()}
+        doc[name] = {key: v for key, v in values.items() if v is not None}
     return doc
 
 

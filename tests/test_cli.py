@@ -150,6 +150,19 @@ class TestErrorPaths:
         assert main(["plan", "--scenario", str(partial),
                      "--out", str(tmp_path / "out")]) == 2
 
+    @pytest.mark.parametrize("section, key", [("sim", "horizon_hours"),
+                                              ("learner", "batchsize")])
+    def test_misspelt_key_exits_2_with_path(self, section, key, scenario_file,
+                                            tmp_path, capsys):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc[section][key] = 6
+        typo = scenario_file.with_name("typo.yaml")
+        typo.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main(["run", "--scenario", str(typo), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"error: unknown key {section}.{key}" in capsys.readouterr().err
+
     def test_infeasible_schedule_exits_2_with_location(self, scenario_file,
                                                        tmp_path, capsys):
         # without the strict budget, fedsatschedule trains online on any

@@ -106,7 +106,7 @@ class TestSingleSatelliteChain:
         )
         for cycle in range(len(uploads)):
             seed = np.random.SeedSequence([scenario.seed, 0, cycle])
-            w = local_sgd(learner, w, data, scenario.compute_profile(), seed)
+            w = local_sgd(learner, [w], [data], scenario.compute_profile(), [seed])[0]
         assert np.max(np.abs(result.final_params - w)) <= 1e-12
 
 
@@ -206,27 +206,93 @@ class TestTransmissionsInsidePasses:
 
 
 class TestLearningCalls:
+    STACKS = {"fedsat": 10, "fedsatschedule": 53, "fedavg_sync": 2}
+
     @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
     def test_train_uploaded_updates_and_evaluate_new_epochs(self, policy, monkeypatch):
-        # only uploaded updates are trained, and an evaluation is computed
+        # only updates whose result is read are trained, stacked across the
+        # in-flight updates whose starts are fixed; an evaluation is computed
         # only when the global model has changed since the last one
         calls = Counter()
+        sgd, evaluate = engine.local_sgd, engine.evaluate_accuracy
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+        def counted_sgd(learner, starts, *args):
+            calls["stacks"] += 1
+            calls["rows"] += len(starts)
+            return sgd(learner, starts, *args)
 
-        monkeypatch.setattr(engine, "local_sgd", counted("sgd", engine.local_sgd))
-        monkeypatch.setattr(engine, "evaluate_accuracy",
-                            counted("eval", engine.evaluate_accuracy))
+        def counted_eval(*args):
+            calls["eval"] += 1
+            return evaluate(*args)
+
+        monkeypatch.setattr(engine, "local_sgd", counted_sgd)
+        monkeypatch.setattr(engine, "evaluate_accuracy", counted_eval)
         scenario = dataclasses.replace(
             load_scenario(bundled_scenario_path()), policy=policy
         )
         r = run_simulation(scenario)
-        assert calls["sgd"] == len(r.upload_rows()) > 0
+        if policy == "fedavg_sync":
+            assert calls["rows"] == r.global_epoch * scenario.satellite_count > 0
+        else:
+            assert calls["rows"] == len(r.upload_rows()) > 0
+        assert calls["stacks"] == self.STACKS[policy]
         assert calls["eval"] == len({row.global_epoch for row in r.eval_rows()}) > 1
+
+
+class TestStackedTraining:
+    """A stacked run gives every update the bits it gets trained alone."""
+
+    def uneven(self, policy):
+        # four satellites in one altitude group: 50 samples per label dealt
+        # round-robin give shards of 52, 52, 48 and 48 rows
+        return small_scenario(
+            orbits=[OrbitConfig(altitude_m=2000e3, inclination_deg=80.0, raan_deg=r)
+                    for r in (0.0, 30.0, 60.0, 90.0)],
+            policy=policy,
+        )
+
+    def run(self, policy, sgd, monkeypatch):
+        """Run the uneven scenario with sgd in place of local_sgd; return the
+        result, every trained row by (satellite, cycle) and the stack sizes."""
+        rows, stacks, downloads = {}, [], {}
+        on_dl = _Engine._on_dl_complete
+
+        def record_download(self, event):
+            downloads[(event.satellite_id, event.cycle)] = self.server.params.copy()
+            on_dl(self, event)
+
+        def recorded(learner, starts, datasets, profile, seeds):
+            out = sgd(learner, starts, datasets, profile, seeds)
+            stacks.append(sorted(d.size for d in datasets))
+            for start, seed, row in zip(starts, seeds, out):
+                _, k, cycle = seed.entropy
+                # a cycle trains from the global model of its own download
+                assert np.array_equal(start, downloads[(k, cycle)])
+                rows[(k, cycle)] = row.copy()
+            return out
+
+        monkeypatch.setattr(_Engine, "_on_dl_complete", record_download)
+        monkeypatch.setattr(engine, "local_sgd", recorded)
+        return run_simulation(self.uneven(policy)), rows, stacks
+
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_matches_one_call_per_update(self, policy, monkeypatch):
+        def one_per_row(learner, starts, datasets, profile, seeds):
+            return np.array([
+                local_sgd(learner, [w], [d], profile, [s])[0]
+                for w, d, s in zip(starts, datasets, seeds)
+            ])
+
+        r, rows, stacks = self.run(policy, local_sgd, monkeypatch)
+        alone, alone_rows, _ = self.run(policy, one_per_row, monkeypatch)
+        assert rows.keys() == alone_rows.keys()
+        for key, row in rows.items():
+            assert np.array_equal(row, alone_rows[key]), key
+        assert r.rows == alone.rows
+        assert np.array_equal(r.final_params, alone.final_params)
+        assert all(len(set(sizes)) == 1 for sizes in stacks)
+        if policy != "fedsatschedule":
+            assert max(map(len, stacks)) > 1
 
 
 class TestConcurrencyCap:

@@ -153,14 +153,14 @@ class TestSequentialSgdEquivalence:
         prev_upload = None
         for m in range(5):
             start = server.params.copy()
-            trained = local_sgd(learner, start, data, profile, seed=m)
+            trained = local_sgd(learner, [start], [data], profile, [m])[0]
             prev = prev_upload if prev_upload is not None else start
             fedsat_aggregate(server, msg(0, prev, trained))
             prev_upload = trained
 
         w = w0.copy()
         for m in range(5):
-            w = local_sgd(learner, w, data, profile, seed=m)
+            w = local_sgd(learner, [w], [data], profile, [m])[0]
 
         assert np.max(np.abs(server.params - w)) <= 1e-12
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satfl.learning import (
@@ -89,9 +89,9 @@ class _Quadratic:
     def _unpack(self, w):
         return (w,)
 
-    def _backprop(self, blocks, X, Y):
-        (w,) = blocks
-        return (2.0 * (w - self.a),)
+    def _backprop(self, blocks, X, Y, grads):
+        (w,), (g,) = blocks, grads
+        g[...] = 2.0 * (w - self.a)
 
     def loss(self, w, X, y):
         return float((w - self.a) ** 2)
@@ -103,13 +103,13 @@ class TestLocalSgd:
         a, w0, eta = 3.0, 1.0, 0.05
         data = LocalDataset(np.zeros((1, 1)), np.zeros(1, dtype=int))
         profile = ComputeProfile(eta=eta, batch_size=1, local_iters=1)
-        w1 = local_sgd(_Quadratic(a), np.array([w0]), data, profile, seed=0)
+        w1 = local_sgd(_Quadratic(a), [np.array([w0])], [data], profile, [0])[0]
         assert w1[0] == pytest.approx(w0 - 2 * eta * (w0 - a))
 
     def test_zero_gradient_fixed_point(self):
         data = LocalDataset(np.zeros((3, 1)), np.zeros(3, dtype=int))
         profile = ComputeProfile(eta=0.1, batch_size=3, local_iters=5)
-        w = local_sgd(_Quadratic(2.0), np.array([2.0]), data, profile, seed=0)
+        w = local_sgd(_Quadratic(2.0), [np.array([2.0])], [data], profile, [0])[0]
         assert w[0] == pytest.approx(2.0)
 
     def test_deterministic_under_seed(self):
@@ -118,11 +118,19 @@ class TestLocalSgd:
         data = LocalDataset(X, y)
         profile = ComputeProfile(eta=0.1, batch_size=5, local_iters=2)
         w0 = learner.init_params()
-        a = local_sgd(learner, w0, data, profile, seed=42)
-        b = local_sgd(learner, w0, data, profile, seed=42)
+        a = local_sgd(learner, [w0], [data], profile, [42])[0]
+        b = local_sgd(learner, [w0], [data], profile, [42])[0]
         np.testing.assert_array_equal(a, b)
-        c = local_sgd(learner, w0, data, profile, seed=43)
+        c = local_sgd(learner, [w0], [data], profile, [43])[0]
         assert not np.array_equal(a, c)
+
+    def test_stack_of_unequal_sizes_rejected(self):
+        learner = LogisticRegressionLearner(4, 3)
+        datasets = [LocalDataset(*small_instance(0, n=12)),
+                    LocalDataset(*small_instance(1, n=11))]
+        profile = ComputeProfile(eta=0.1, batch_size=4)
+        with pytest.raises(ValueError):
+            local_sgd(learner, [learner.init_params()] * 2, datasets, profile, [0, 1])
 
     def test_full_batch_descent_is_monotone(self):
         learner = LogisticRegressionLearner(4, 3)
@@ -132,7 +140,7 @@ class TestLocalSgd:
         w = learner.init_params()
         losses = [local_loss(learner, w, data)]
         for i in range(10):
-            w = local_sgd(learner, w, data, profile, seed=i)
+            w = local_sgd(learner, [w], [data], profile, [i])[0]
             losses.append(local_loss(learner, w, data))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -178,33 +186,52 @@ def _reference_sgd(learner, start, data, profile, seed):
 
 
 class TestLocalSgdMatchesReference:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         kind=st.sampled_from(["logreg", "mlp"]),
         classes=st.integers(2, 5),
         dim=st.integers(1, 6),
         hidden=st.integers(1, 8),
+        k=st.integers(1, 4),
         n=st.integers(1, 40),
         batch_size=st.integers(1, 50),
         local_iters=st.integers(1, 3),
         eta=st.floats(0.01, 1.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_bitwise_equal(self, kind, classes, dim, hidden, n, batch_size,
+    # stacks whose chunks of n // k rows batch_size does not divide, so a
+    # chunk span that is not a multiple of batch_size moves batch boundaries
+    @example(kind="logreg", classes=3, dim=2, hidden=1, k=2, n=21, batch_size=4,
+             local_iters=2, eta=0.5, seed=0)
+    @example(kind="mlp", classes=3, dim=2, hidden=3, k=3, n=31, batch_size=3,
+             local_iters=1, eta=0.5, seed=1)
+    # one-row batches, and a batch larger than the dataset
+    @example(kind="mlp", classes=4, dim=3, hidden=2, k=4, n=9, batch_size=1,
+             local_iters=3, eta=0.2, seed=2)
+    @example(kind="logreg", classes=4, dim=3, hidden=1, k=3, n=10, batch_size=11,
+             local_iters=2, eta=0.2, seed=3)
+    def test_bitwise_equal(self, kind, classes, dim, hidden, k, n, batch_size,
                            local_iters, eta, seed):
+        # every row of a stack of k updates equals that update trained alone
+        # by the per-batch reference loop
         rng = np.random.default_rng(seed)
         learner = make_learner(kind, classes, dim, hidden)
-        data = LocalDataset(rng.standard_normal((n, dim)), rng.integers(0, classes, n))
-        w0 = rng.standard_normal(learner.param_dim)
+        datasets = [LocalDataset(rng.standard_normal((n, dim)),
+                                 rng.integers(0, classes, n)) for _ in range(k)]
+        starts = rng.standard_normal((k, learner.param_dim))
         profile = ComputeProfile(eta=eta, batch_size=batch_size, local_iters=local_iters)
+        data, w0 = datasets[0], starts[0]
         assert np.array_equal(
             learner.gradient(w0, data.features, data.labels),
             _reference_gradient(learner, w0, data.features, data.labels),
         )
-        assert np.array_equal(
-            local_sgd(learner, w0, data, profile, seed),
-            _reference_sgd(learner, w0, data, profile, seed),
-        )
+        stacked = local_sgd(learner, list(starts), datasets, profile,
+                            [np.random.SeedSequence([seed, i]) for i in range(k)])
+        assert stacked.shape == (k, learner.param_dim)
+        for i in range(k):
+            alone = _reference_sgd(learner, starts[i], datasets[i], profile,
+                                   np.random.SeedSequence([seed, i]))
+            assert np.array_equal(stacked[i], alone), i
 
 
 class TestGradients:
@@ -333,7 +360,7 @@ class TestEvaluationAndTask:
         learner = LogisticRegressionLearner(3, 2)
         train, _ = generate_synthetic_task(3, 2, 40, seed=5, spread=0.05)
         profile = ComputeProfile(eta=0.5, batch_size=120, local_iters=300)
-        w = local_sgd(learner, learner.init_params(), train, profile, seed=0)
+        w = local_sgd(learner, [learner.init_params()], [train], profile, [0])[0]
         assert evaluate_accuracy(learner, w, train) == pytest.approx(1.0)
 
     def test_accuracy_in_unit_interval(self):
@@ -362,7 +389,7 @@ class TestEvaluationAndTask:
         learner = LogisticRegressionLearner(10, 8)
         train, test = generate_synthetic_task(10, 8, 100, seed=1, spread=0.02)
         profile = ComputeProfile(eta=0.3, batch_size=50, local_iters=120)
-        w = local_sgd(learner, learner.init_params(), train, profile, seed=0)
+        w = local_sgd(learner, [learner.init_params()], [train], profile, [0])[0]
         assert evaluate_accuracy(learner, w, test) >= 0.99
 
     def test_wire_bits(self):

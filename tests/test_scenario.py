@@ -86,6 +86,40 @@ class TestParsing:
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
 
+    @pytest.mark.parametrize("section, key", [
+        ("sim", "horizon_hours"), ("learner", "batchsize"), ("link", "power_dbw"),
+        ("ground_station", "altitude_m"), ("compute", "cpu_ghz"),
+        ("scheduler", "policies"), ("constellation", "orbit"),
+    ])
+    def test_unknown_key_names_its_path(self, section, key):
+        doc = minimal_doc()
+        doc.setdefault(section, {})[key] = 1
+        with pytest.raises(ScenarioError, match=f"unknown key {section}.{key}"):
+            scenario_from_dict(doc)
+
+    def test_unknown_section_rejected(self):
+        doc = minimal_doc()
+        doc["simulation"] = {"horizon_s": 3600.0}
+        with pytest.raises(ScenarioError, match="simulation"):
+            scenario_from_dict(doc)
+
+    def test_non_mapping_section_rejected(self):
+        doc = minimal_doc()
+        doc["sim"] = [3600.0]
+        with pytest.raises(ScenarioError, match="'sim' must be a mapping"):
+            scenario_from_dict(doc)
+
+    def test_file_round_trip_with_optional_fields(self, tmp_path):
+        doc = minimal_doc()
+        doc["learner"] = {"kind": "mlp", "hidden": 8, "labels_per_group": 10}
+        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
+        doc["sim"] = {"model_bits": 1000, "max_concurrent_links": 2}
+        s = scenario_from_dict(doc)
+        assert s.train_time_s is None
+        path = tmp_path / "scenario.yaml"
+        save_scenario(s, path)
+        assert load_scenario(path) == s
+
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioError):
             scenario_from_dict(["not", "a", "mapping"])
@@ -129,6 +163,14 @@ class TestValidation:
     def test_unknown_learner_kind(self):
         with pytest.raises(ScenarioError):
             self.base(learner_kind="cnn").validate()
+
+    @pytest.mark.parametrize("field, value", [("eta", 2.0), ("batch_size", 0),
+                                              ("local_iters", 0)])
+    def test_sgd_settings_checked_with_fixed_training_time(self, field, value):
+        # local SGD runs under every training-time model, so its settings are
+        # checked at load time, not when the first update trains
+        with pytest.raises(ScenarioError):
+            self.base(**{field: value}).validate()
 
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):
