@@ -12,7 +12,7 @@ from pathlib import Path
 from . import exports
 from .engine import compare_runs, run_simulation
 from .errors import InfeasibleScheduleError, ScenarioError
-from .orbital import compute_contact_plan, flatten_constellation, max_pass_distance
+from .orbital import compute_contact_plan, max_pass_distances
 from .scenario import POLICIES, load_scenario, with_overrides
 
 
@@ -67,11 +67,7 @@ def cmd_plan(args) -> int:
     plan = compute_contact_plan(
         orbits, gs, scenario.horizon_s, scenario.coarse_step_s
     )
-    flat = flatten_constellation(orbits)
-    max_dists = [
-        [max_pass_distance(p, flat[k][0], flat[k][1], gs) for p in plan.passes[k]]
-        for k in range(len(flat))
-    ]
+    max_dists = max_pass_distances(plan, orbits, gs)
     out.mkdir(parents=True, exist_ok=True)
     exports.write_contact_plan_csv(plan, max_dists, out / "contact_plan.csv")
     print(f"contact plan written to {out / 'contact_plan.csv'}")

@@ -46,7 +46,7 @@ from .orbital import (
     ContactPlan,
     compute_contact_plan,
     flatten_constellation,
-    max_pass_distance,
+    max_pass_distances,
 )
 from .scenario import Scenario
 from .scheduler import TransmissionSchedule, extract_schedule
@@ -55,12 +55,10 @@ from .scheduler import TransmissionSchedule, extract_schedule
 class EventKind(enum.IntEnum):
     """Event kinds; the integer value is the same-time processing priority."""
 
-    RISE = 0
-    UL_COMPLETE = 1
-    DL_COMPLETE = 2
-    TRAIN_COMPLETE = 3
-    SET = 4
-    EVAL = 5
+    UL_COMPLETE = 0
+    DL_COMPLETE = 1
+    TRAIN_COMPLETE = 2
+    EVAL = 3
 
 
 @dataclass(frozen=True)
@@ -184,18 +182,12 @@ class _Engine:
 
     def handle_event(self, event: SimEvent) -> None:
         handler = {
-            EventKind.RISE: self._on_boundary,
-            EventKind.SET: self._on_boundary,
             EventKind.DL_COMPLETE: self._on_dl_complete,
             EventKind.TRAIN_COMPLETE: self._on_train_complete,
             EventKind.UL_COMPLETE: self._on_ul_complete,
             EventKind.EVAL: self._on_eval,
         }[event.kind]
         handler(event)
-
-    def _on_boundary(self, event: SimEvent) -> None:
-        if event.satellite_id not in self.clients and self.clients:
-            raise AssertionError(f"event for unknown satellite {event.satellite_id}")
 
     def _on_dl_complete(self, event: SimEvent) -> None:
         k = event.satellite_id
@@ -300,10 +292,6 @@ class _Engine:
     # ---- async policies ----------------------------------------------
 
     def load_schedule(self, schedule: TransmissionSchedule) -> None:
-        for k, passes in enumerate(self.plan.passes):
-            for p in passes:
-                self.push(SimEvent(p.rise_s, EventKind.RISE, k))
-                self.push(SimEvent(p.set_s, EventKind.SET, k))
         for k, cycles in enumerate(schedule.cycles):
             for ci, cyc in enumerate(cycles):
                 self.push(SimEvent(cyc.dl_complete_s, EventKind.DL_COMPLETE, k, ci))
@@ -315,10 +303,6 @@ class _Engine:
     # ---- synchronous baseline ----------------------------------------
 
     def start_sync(self) -> None:
-        for k, passes in enumerate(self.plan.passes):
-            for p in passes:
-                self.push(SimEvent(p.rise_s, EventKind.RISE, k))
-                self.push(SimEvent(p.set_s, EventKind.SET, k))
         if self.clients:
             self._sync_start_round(0.0)
 
@@ -386,8 +370,7 @@ def run_simulation(scenario: Scenario) -> SimResult:
     plan = compute_contact_plan(
         orbits, gs, scenario.horizon_s, scenario.coarse_step_s
     )
-    flat = flatten_constellation(orbits)
-    n_sats = len(flat)
+    n_sats = len(plan.passes)
 
     learner = make_learner(
         scenario.learner_kind, scenario.classes, scenario.feature_dim, scenario.hidden
@@ -420,14 +403,8 @@ def run_simulation(scenario: Scenario) -> SimResult:
     model_bits = scenario.model_bits or wire_bits(params0)
     budget = scenario.link_budget()
 
-    max_dists = [
-        [max_pass_distance(p, flat[k][0], flat[k][1], gs) for p in plan.passes[k]]
-        for k in range(n_sats)
-    ]
-    comm_s = [
-        [pass_comm_time(budget, model_bits, d) for d in max_dists[k]]
-        for k in range(n_sats)
-    ]
+    max_dists = max_pass_distances(plan, orbits, gs)
+    comm_s = [[pass_comm_time(budget, model_bits, d) for d in ds] for ds in max_dists]
 
     if scenario.train_time_s is not None:
         t_l = [scenario.train_time_s] * n_sats

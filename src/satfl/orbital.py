@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,6 +109,58 @@ def flatten_constellation(orbits: list[OrbitSpec]) -> list[tuple[OrbitSpec, int]
     return flat
 
 
+class _OrbitTerms(NamedTuple):
+    """The constants of one satellite's position: Python floats for one
+    satellite, or arrays with one entry per satellite or per evaluation."""
+
+    r: float | np.ndarray
+    n: float | np.ndarray
+    u0: float | np.ndarray
+    co: float | np.ndarray
+    so: float | np.ndarray
+    si: float | np.ndarray
+    so_ci: float | np.ndarray
+    co_ci: float | np.ndarray
+
+    def take(self, k: np.ndarray) -> _OrbitTerms:
+        return _OrbitTerms(*(a[k] for a in self))
+
+
+def _orbit_terms(orbit: OrbitSpec, sat_index: int,
+                 earth: EarthConstants) -> _OrbitTerms:
+    ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
+    co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
+    return _OrbitTerms(
+        r=earth.r_e + orbit.altitude_m,
+        n=2.0 * math.pi / orbital_period(orbit.altitude_m, earth),
+        u0=orbit.initial_arg_latitude_rad
+        + 2.0 * math.pi * sat_index / orbit.satellite_count,
+        co=co, so=so, si=si, so_ci=so * ci, co_ci=co * ci,
+    )
+
+
+def _constellation_terms(orbits: list[OrbitSpec], earth: EarthConstants) -> _OrbitTerms:
+    """Orbit terms of every satellite, indexed by global satellite id."""
+    rows = [_orbit_terms(o, j, earth) for o, j in flatten_constellation(orbits)]
+    table = np.array(rows, dtype=float).reshape(-1, len(_OrbitTerms._fields))
+    return _OrbitTerms(*table.T.copy())
+
+
+def _position(terms: _OrbitTerms, t: float | np.ndarray) -> np.ndarray:
+    """ECI positions from orbit terms; terms and t broadcast elementwise.
+
+    Every caller goes through these float operations, so one satellite's
+    position at one instant has the same bits however it is batched.
+    """
+    u = terms.u0 + terms.n * t
+    cu, su = np.cos(u), np.sin(u)
+    # Rz(raan) @ Rx(i) applied to the in-plane position (r*cu, r*su, 0)
+    x = terms.r * (terms.co * cu - terms.so_ci * su)
+    y = terms.r * (terms.so * cu + terms.co_ci * su)
+    z = terms.r * (terms.si * su)
+    return np.stack([x, y, z], axis=-1)
+
+
 def satellite_position_eci(
     orbit: OrbitSpec,
     sat_index: int,
@@ -120,22 +173,7 @@ def satellite_position_eci(
     """
     if sat_index >= orbit.satellite_count:
         raise ValueError("sat_index out of range for this orbit")
-    t = np.asarray(t, dtype=float)
-    r = earth.r_e + orbit.altitude_m
-    n = 2.0 * math.pi / orbital_period(orbit.altitude_m, earth)
-    u = (
-        orbit.initial_arg_latitude_rad
-        + 2.0 * math.pi * sat_index / orbit.satellite_count
-        + n * t
-    )
-    cu, su = np.cos(u), np.sin(u)
-    ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
-    co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
-    # Rz(raan) @ Rx(i) applied to the in-plane position (r*cu, r*su, 0)
-    x = r * (co * cu - so * ci * su)
-    y = r * (so * cu + co * ci * su)
-    z = r * (si * su)
-    return np.stack([x, y, z], axis=-1)
+    return _position(_orbit_terms(orbit, sat_index, earth), np.asarray(t, dtype=float))
 
 
 def ground_station_position_eci(
@@ -185,25 +223,51 @@ def slant_range(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-def _elevation_at(orbit, sat_index, gs, t, earth):
-    sp = satellite_position_eci(orbit, sat_index, t, earth)
-    gp = ground_station_position_eci(gs, t, earth)
-    return elevation_angle(sp, gp)
+# coarse-scan windows: grid steps per window and the bound's margin (see
+# compute_contact_plan)
+_WINDOW_STEPS = 12
+_WINDOW_MARGIN_RAD = 1e-6
 
 
-def _refine_crossings(orbit, sat_index, gs, t_lo, t_hi, alpha, tol, earth):
+def _candidate_windows(terms, gs, grid, earth):
+    """Window ends (grid indices) and the (satellite, window) mask of the
+    windows whose bound does not rule out a visible grid point.
+
+    Window i spans grid points ends[i]..ends[i + 1]; the last one ends at
+    the horizon and may hold fewer steps.
+    """
+    last = len(grid) - 1
+    ends = np.append(np.arange(0, last, _WINDOW_STEPS), last)
+    t = grid[ends]
+    col = terms.take(np.s_[:, None])
+    sat_dir = _position(col, t) / col.r[..., None]
+    gs_dir = ground_station_position_eci(gs, t, earth) / earth.r_e
+    cos_theta = np.sum(sat_dir * gs_dir, axis=-1)
+    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
+    alpha = gs.min_elevation_rad
+    lam = np.arccos(earth.r_e * math.cos(alpha) / terms.r) - alpha
+    rate = terms.n + earth.omega_e
+    floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate[:, None] * np.diff(t))
+    return ends, floor <= (lam + _WINDOW_MARGIN_RAD)[:, None]
+
+
+def _refine_crossings(terms, gs, t_lo, t_hi, alpha, tol, earth):
     """Bisect the sign change of elevation - alpha inside every bracket
-    [t_lo[i], t_hi[i]] of one satellite at once; return the midpoints.
+    [t_lo[i], t_hi[i]] of satellite terms[i] at once; return the midpoints.
 
     Each step evaluates all brackets in one array call but moves only those
     still wider than tol, so every bracket takes the same steps, with the
     same float operations, as a bisection of that bracket alone.
     """
-    f_lo = _elevation_at(orbit, sat_index, gs, t_lo, earth) - alpha
+    def f(t):
+        gp = ground_station_position_eci(gs, t, earth)
+        return elevation_angle(_position(terms, t), gp) - alpha
+
+    f_lo = f(t_lo)
     active = t_hi - t_lo > tol
     while active.any():
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = _elevation_at(orbit, sat_index, gs, t_mid, earth) - alpha
+        f_mid = f(t_mid)
         move_lo = active & ((f_mid >= 0) == (f_lo >= 0))
         t_lo = np.where(move_lo, t_mid, t_lo)
         f_lo = np.where(move_lo, f_mid, f_lo)
@@ -223,10 +287,23 @@ def compute_contact_plan(
     """Find every pass of every satellite over [0, horizon_s].
 
     A coarse visibility scan on a coarse_step_s grid locates the grid cells
-    holding a rise or set; all crossings of one satellite are then bisected
-    together, each to refine_tol_s (see _refine_crossings). The last cell
-    ends at horizon_s and may be narrower than the step. Passes shorter
-    than coarse_step_s may be missed, hence the step is capped at 10 s.
+    holding a rise or set; all crossings of the constellation are then
+    bisected together, each to refine_tol_s (see _refine_crossings). The
+    last cell ends at horizon_s and may be narrower than the step. Passes
+    shorter than coarse_step_s may be missed, hence the step is capped at
+    10 s.
+
+    The scan evaluates the elevation only where a pass is possible. A
+    satellite at radius r is visible only while the central angle theta
+    between its direction and the station's is at most
+    lam = arccos(r_e cos(alpha) / r) - alpha, and theta changes no faster
+    than n + omega_e (mean motion plus Earth rotation). So on a window of
+    width w whose ends have angles theta_a and theta_b, theta never falls
+    below (theta_a + theta_b - (n + omega_e) w) / 2. Windows of 12 grid
+    steps where that bound exceeds lam + 1e-6 rad hold no visible grid
+    point and are skipped; every other grid point goes through
+    elevation_angle exactly as in a scan of the full grid, so the
+    visibility mask, and with it the plan, is the full scan's to the bit.
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
         raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")
@@ -235,24 +312,34 @@ def compute_contact_plan(
 
     n_steps = int(math.ceil(horizon_s / coarse_step_s))
     grid = np.minimum(np.arange(n_steps + 1) * coarse_step_s, horizon_s)
-    gs_pos = ground_station_position_eci(gs, grid, earth)
     alpha = gs.min_elevation_rad
+    terms = _constellation_terms(orbits, earth)
 
-    plan = ContactPlan(horizon_s=horizon_s)
-    for orbit, j in flatten_constellation(orbits):
-        sat_pos = satellite_position_eci(orbit, j, grid, earth)
-        visible = elevation_angle(sat_pos, gs_pos) >= alpha
-        sat_id = len(plan.passes)
-        if visible[0] or visible[-1]:
-            raise ScenarioError(
-                f"satellite {sat_id} is visible at a horizon endpoint; "
-                "the scan interval must start and end in off-time"
-            )
-        # changes alternate rise (0->1) then set (1->0) since both ends are off
-        changes = np.flatnonzero(np.diff(visible.astype(np.int8)))
-        t = _refine_crossings(orbit, j, gs, grid[changes], grid[changes + 1],
-                              alpha, refine_tol_s, earth)
-        plan.passes.append([Pass(r, s) for r, s in zip(t[0::2], t[1::2])])
+    ends, kept = _candidate_windows(terms, gs, grid, earth)
+    need = np.zeros((len(terms.r), len(grid)), dtype=bool)
+    need[:, :-1] = np.repeat(kept, np.diff(ends), axis=1)
+    need[:, ends[1:]] |= kept
+    sat, point = np.nonzero(need)
+    visible = np.zeros_like(need)
+    t = grid[point]
+    visible[sat, point] = elevation_angle(
+        _position(terms.take(sat), t), ground_station_position_eci(gs, t, earth)
+    ) >= alpha
+
+    refused = np.flatnonzero(visible[:, 0] | visible[:, -1])
+    if refused.size:
+        raise ScenarioError(
+            f"satellite {refused[0]} is visible at a horizon endpoint; "
+            "the scan interval must start and end in off-time"
+        )
+    # row-major: each satellite's changes in time order, alternating rise
+    # (0->1) and set (1->0) since both ends are off
+    sat, cell = np.nonzero(np.diff(visible.astype(np.int8), axis=1))
+    t = _refine_crossings(terms.take(sat), gs, grid[cell], grid[cell + 1],
+                          alpha, refine_tol_s, earth)
+    plan = ContactPlan(horizon_s=horizon_s, passes=[[] for _ in terms.r])
+    for k, r, s in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist()):
+        plan.passes[k].append(Pass(r, s))
     return plan
 
 
@@ -273,3 +360,22 @@ def max_pass_distance(
     sp = satellite_position_eci(orbit, sat_index, times, earth)
     gp = ground_station_position_eci(gs, times, earth)
     return float(np.max(slant_range(sp, gp)))
+
+
+def max_pass_distances(
+    plan: ContactPlan,
+    orbits: list[OrbitSpec],
+    gs: GroundStation,
+    earth: EarthConstants = EARTH,
+) -> list[list[float]]:
+    """max_pass_distance of every pass of the plan, per satellite, priced
+    in one array call over all rise and set instants."""
+    counts = plan.pass_counts()
+    sat = np.repeat(np.arange(len(counts)), counts)
+    t = np.array([(p.rise_s, p.set_s) for ps in plan.passes for p in ps],
+                 dtype=float).reshape(-1)
+    terms = _constellation_terms(orbits, earth).take(np.repeat(sat, 2))
+    d = slant_range(_position(terms, t), ground_station_position_eci(gs, t, earth))
+    dmax = np.maximum(d[0::2], d[1::2]).tolist()
+    bounds = np.cumsum([0] + counts).tolist()
+    return [dmax[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

@@ -129,6 +129,12 @@ class Scenario:
             )
         if self.train_time_s is not None and self.train_time_s <= 0:
             raise ScenarioError("compute.train_time_s must be strictly positive")
+        for key in ("cycles_per_bit", "cpu_hz"):
+            value = getattr(self, key)
+            if value is not None and value <= 0:
+                raise ScenarioError(f"compute.{key} must be strictly positive")
+        if not 0 < self.coarse_step_s <= 10.0:
+            raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
         if self.max_concurrent_links is not None and self.max_concurrent_links < 1:
@@ -140,6 +146,16 @@ class Scenario:
             self.compute_profile()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        # each label is dealt to every satellite of one altitude group
+        groups: dict[float, int] = {}
+        for o in self.orbits:
+            groups[o.altitude_m] = groups.get(o.altitude_m, 0) + o.satellite_count
+        largest = max(groups.values(), default=0)
+        if self.samples_per_class < largest:
+            raise ScenarioError(
+                f"learner.samples_per_class ({self.samples_per_class}) must be at "
+                f"least the largest altitude group ({largest} satellites)"
+            )
 
 
 def _same(*names: str) -> dict[str, str]:

@@ -163,6 +163,43 @@ class TestErrorPaths:
         assert not out.exists()
         assert f"error: unknown key {section}.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("compute", "cycles_per_bit", -5.0),
+        ("compute", "cpu_hz", 0.0),
+        ("sim", "coarse_step_s", 60.0),
+        ("sim", "coarse_step_s", 0.0),
+    ])
+    def test_bad_setting_exits_2_with_path(self, section, key, value,
+                                           scenario_file, tmp_path, capsys):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
+        doc[section][key] = value
+        bad = scenario_file.with_name("bad.yaml")
+        bad.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: {section}.{key} must " in err
+
+    def test_too_few_samples_for_altitude_group_exits_2(self, scenario_file,
+                                                        tmp_path, capsys):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["constellation"]["orbits"][0]["satellite_count"] = 5
+        doc["learner"]["samples_per_class"] = 3
+        few = scenario_file.with_name("few.yaml")
+        few.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(few),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert ("error: learner.samples_per_class (3) must be at least the "
+                "largest altitude group (5 satellites)") in err
+        doc["learner"]["samples_per_class"] = 5
+        few.write_text(yaml.safe_dump(doc))
+        assert main(["plan", "--scenario", str(few),
+                     "--out", str(tmp_path / "out")]) == 0
+
     def test_infeasible_schedule_exits_2_with_location(self, scenario_file,
                                                        tmp_path, capsys):
         # without the strict budget, fedsatschedule trains online on any

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from satfl import orbital
 from satfl.errors import ScenarioError
 from satfl.orbital import (
     EARTH,
@@ -17,6 +18,7 @@ from satfl.orbital import (
     ground_station_position_eci,
     is_visible,
     max_pass_distance,
+    max_pass_distances,
     orbital_period,
     satellite_position_eci,
     slant_range,
@@ -58,6 +60,93 @@ def scalar_reference_passes(orbit, gs, horizon_s, step_s=10.0, tol=0.1):
     t = [scalar_refine_crossing(orbit, 0, gs, grid[i], grid[i + 1], alpha, tol)
          for i in changes]
     return list(zip(t[0::2], t[1::2]))
+
+
+def reference_position(orbit, sat_index, t):
+    """Reference: satellite_position_eci as the full-grid planner had it."""
+    t = np.asarray(t, dtype=float)
+    r = EARTH.r_e + orbit.altitude_m
+    n = 2.0 * math.pi / orbital_period(orbit.altitude_m)
+    u = (
+        orbit.initial_arg_latitude_rad
+        + 2.0 * math.pi * sat_index / orbit.satellite_count
+        + n * t
+    )
+    cu, su = np.cos(u), np.sin(u)
+    ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
+    co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
+    x = r * (co * cu - so * ci * su)
+    y = r * (so * cu + co * ci * su)
+    z = r * (si * su)
+    return np.stack([x, y, z], axis=-1)
+
+
+def reference_elevation(orbit, sat_index, gs, t):
+    return elevation_angle(reference_position(orbit, sat_index, t),
+                           ground_station_position_eci(gs, t))
+
+
+def reference_contact_plan(orbits, gs, horizon_s, step_s=10.0, tol=0.1):
+    """Reference: the full-grid planner, one satellite at a time; returns
+    (rise, set) lists per satellite or raises its ScenarioError."""
+    grid = np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
+                      horizon_s)
+    alpha = gs.min_elevation_rad
+    plan = []
+    for orbit, j in flatten_constellation(orbits):
+        visible = reference_elevation(orbit, j, gs, grid) >= alpha
+        if visible[0] or visible[-1]:
+            raise ScenarioError(
+                f"satellite {len(plan)} is visible at a horizon endpoint; "
+                "the scan interval must start and end in off-time"
+            )
+        changes = np.flatnonzero(np.diff(visible.astype(np.int8)))
+        t_lo, t_hi = grid[changes], grid[changes + 1]
+        f_lo = reference_elevation(orbit, j, gs, t_lo) - alpha
+        active = t_hi - t_lo > tol
+        while active.any():
+            t_mid = 0.5 * (t_lo + t_hi)
+            f_mid = reference_elevation(orbit, j, gs, t_mid) - alpha
+            move_lo = active & ((f_mid >= 0) == (f_lo >= 0))
+            t_lo = np.where(move_lo, t_mid, t_lo)
+            f_lo = np.where(move_lo, f_mid, f_lo)
+            t_hi = np.where(active & ~move_lo, t_mid, t_hi)
+            active = t_hi - t_lo > tol
+        t = 0.5 * (t_lo + t_hi)
+        plan.append(list(zip(t[0::2], t[1::2])))
+    return plan
+
+
+def reference_max_distances(plan, orbits, gs):
+    """Reference: the per-pass endpoint maximum, one call per pass."""
+    dists = []
+    for (orbit, j), passes in zip(flatten_constellation(orbits), plan):
+        dists.append([])
+        for rise, set_ in passes:
+            times = np.array([rise, set_])
+            sp = reference_position(orbit, j, times)
+            gp = ground_station_position_eci(gs, times)
+            dists[-1].append(float(np.max(slant_range(sp, gp))))
+    return dists
+
+
+orbit_specs = st.builds(
+    OrbitSpec,
+    altitude_m=st.floats(200e3, 3000e3),
+    inclination_rad=st.floats(0.0, math.pi),
+    raan_rad=st.floats(0.0, 2 * math.pi),
+    initial_arg_latitude_rad=st.floats(0.0, 2 * math.pi),
+    satellite_count=st.integers(1, 3),
+)
+stations = st.builds(
+    GroundStation,
+    latitude_rad=st.one_of(
+        st.sampled_from([0.0, math.radians(89.9), -math.radians(89.9)]),
+        st.floats(-math.radians(89.9), math.radians(89.9)),
+    ),
+    longitude_rad=st.floats(0.0, 2 * math.pi),
+    min_elevation_rad=st.floats(0.0, math.radians(60.0)),
+)
 
 
 def dense_max_distance(pass_, orbit, sat_index, gs, sample_step_s=1.0):
@@ -298,6 +387,81 @@ class TestBatchedRefinement:
         assert len(plan.passes[0]) == 3
         expected = scalar_reference_passes(orbit, bremen_gs, horizon)
         assert [(p.rise_s, p.set_s) for p in plan.passes[0]] == expected
+
+
+class TestWindowedScan:
+    """The windowed scan and the constellation-wide bisection and pricing
+    give the full-grid planner's bytes."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        orbits=st.lists(orbit_specs, min_size=1, max_size=3),
+        gs=stations,
+        horizon=st.floats(1000.0, 30000.0),
+        step=st.sampled_from([10.0, 7.3]),
+    )
+    def test_equals_full_grid_planner(self, orbits, gs, horizon, step):
+        try:
+            expected = reference_contact_plan(orbits, gs, horizon, step)
+        except ScenarioError as exc:
+            with pytest.raises(ScenarioError) as got:
+                compute_contact_plan(orbits, gs, horizon, step)
+            assert str(got.value) == str(exc)
+            return
+        plan = compute_contact_plan(orbits, gs, horizon, step)
+        assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
+        assert max_pass_distances(plan, orbits, gs) == reference_max_distances(
+            expected, orbits, gs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        orbits=st.lists(orbit_specs, min_size=1, max_size=3),
+        gs=stations,
+        horizon=st.floats(1000.0, 30000.0),
+    )
+    def test_skipped_windows_are_invisible(self, orbits, gs, horizon):
+        # every window the bound skips is below the mask on a 1 s grid,
+        # not only at its coarse grid points
+        grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
+                          horizon)
+        terms = orbital._constellation_terms(orbits, EARTH)
+        ends, kept = orbital._candidate_windows(terms, gs, grid, EARTH)
+        assert ends[0] == 0 and ends[-1] == len(grid) - 1
+        for k, (orbit, j) in enumerate(flatten_constellation(orbits)):
+            for w in np.flatnonzero(~kept[k]):
+                a, b = grid[ends[w]], grid[ends[w + 1]]
+                t = np.append(np.arange(a, b, 1.0), b)
+                assert np.all(reference_elevation(orbit, j, gs, t)
+                              < gs.min_elevation_rad)
+
+    def test_mask_touched_at_horizon_is_refused(self):
+        # A retrograde equatorial orbit over an equatorial station closes
+        # the central angle at exactly n + omega_e, so the bound is tight:
+        # with the satellite reaching the mask at the horizon, the last
+        # window's bound equals the visibility limit up to rounding. The
+        # phases straddle that instant, and each must be refused exactly
+        # when the full grid sees the satellite at the horizon.
+        gs = GroundStation(0.0, 0.0, math.radians(10.0))
+        h, horizon = 500e3, 1195.0
+        r = EARTH.r_e + h
+        lam = math.acos(EARTH.r_e * math.cos(gs.min_elevation_rad) / r) \
+            - gs.min_elevation_rad
+        rate = 2.0 * math.pi / orbital_period(h) + EARTH.omega_e
+        phase = 2.0 * math.pi - lam - rate * horizon
+        refused = 0
+        for k in range(-40, 41):
+            orbit = OrbitSpec(h, math.pi, 0.0, phase + k * 2e-16)
+            try:
+                expected = reference_contact_plan([orbit], gs, horizon)
+            except ScenarioError as exc:
+                refused += 1
+                with pytest.raises(ScenarioError, match="horizon endpoint"):
+                    compute_contact_plan([orbit], gs, horizon)
+                continue
+            plan = compute_contact_plan([orbit], gs, horizon)
+            assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] \
+                == expected
+        assert 0 < refused < 81
 
 
 class TestMaxPassDistance:
