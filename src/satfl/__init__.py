@@ -39,6 +39,7 @@ from .scenario import Scenario, load_scenario, save_scenario, with_overrides
 from .scheduler import (
     Mode,
     TransmissionSchedule,
+    build_sync_schedule,
     effective_online_budget,
     extract_schedule,
     fedsatschedule_decide,

@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     exports.write_contact_plan_csv(
         result.plan, result.max_distances_m, out / "contact_plan.csv"
     )
-    if result.schedule is not None:
+    if scenario.policy != "fedavg_sync":  # the sync schedule is not exported yet
         exports.write_schedule_csv(result.schedule, out / "schedule.csv")
     exports.write_metrics_csv(result, out / "metrics.csv")
     exports.write_run_summary(result, out / "summary.txt")

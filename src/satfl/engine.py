@@ -1,32 +1,39 @@
-"""Deterministic discrete-event loop tying orbits, links, learning and
-scheduling into end-to-end federated training runs.
+"""Deterministic replay of one federated run over a precomputed timeline.
 
-The event loop is strictly sequential: events are processed in
-nondecreasing time, ties broken by (kind priority, satellite id, insertion
-order), so identical scenarios and seeds yield bitwise-identical logs.
-Training consumes simulated time, but the SGD itself runs when its result
-is first read: at the update's upload for the asynchronous policies, at
-the round's aggregation for the synchronous baseline. That first read
-trains, from the model snapshots taken at their downloads, every
-downloaded update whose upload is queued, as one stack per dataset size;
-the others keep their results until their own uploads arrive. Updates that
-are never uploaded or never aggregated are never trained, and the learning
-outcome is independent of the configured training duration and of the
-stacking.
+No policy's timing depends on a learned value, so every download, upload
+and evaluation instant is known before the first SGD step:
+`extract_schedule` places the asynchronous policies' cycles and
+`build_sync_schedule` the synchronous baseline's rounds. The link cap is
+checked on that schedule, before any training. Its download (DL) and upload
+(UL) completions and the evaluation (EVAL) grid are then merged into one
+sorted list of plain (time, kind, satellite, cycle) tuples and replayed in
+one loop. Ties at equal times go UL before DL before EVAL, then by
+satellite, with evaluations as satellite -1, so identical scenarios and
+seeds yield bitwise-identical logs.
+
+A DL snapshots the global model. Training consumes simulated time, but the
+SGD itself runs when its result is first read: at the update's upload for
+the asynchronous policies, at the round's aggregation for the synchronous
+baseline. That first read trains, from the snapshots taken at their
+downloads, every downloaded update whose upload is in the timeline and that
+is not trained yet, as one stack per dataset size; the others keep their
+results until their own uploads arrive. Updates that are never uploaded or
+never aggregated are never trained, and the learning outcome is independent
+of the configured training duration and of the stacking. An EVAL evaluates
+the global model, or reuses the last accuracy while the global epoch is
+unchanged.
 """
 
 from __future__ import annotations
 
-import enum
-import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ScenarioError
 from .federation import (
-    ClientState,
     ServerState,
     UpdateMessage,
     fedavg_sync_aggregate,
@@ -39,38 +46,24 @@ from .learning import (
     local_sgd,
     make_learner,
     partition_non_iid,
+    training_time,
     wire_bits,
 )
 from .link import pass_comm_time
-from .orbital import (
-    ContactPlan,
-    compute_contact_plan,
-    flatten_constellation,
-    max_pass_distances,
-)
+from .orbital import ContactPlan, compute_contact_plan, max_pass_distances
 from .scenario import Scenario
-from .scheduler import TransmissionSchedule, extract_schedule
+from .scheduler import (
+    TransmissionSchedule,
+    build_sync_schedule,
+    check_link_cap,
+    extract_schedule,
+)
+
+# timeline event kinds, valued in their same-time replay order
+UL, DL, EVAL = 0, 1, 2
 
 
-class EventKind(enum.IntEnum):
-    """Event kinds; the integer value is the same-time processing priority."""
-
-    UL_COMPLETE = 0
-    DL_COMPLETE = 1
-    TRAIN_COMPLETE = 2
-    EVAL = 3
-
-
-@dataclass(frozen=True)
-class SimEvent:
-    time_s: float
-    kind: EventKind
-    satellite_id: int | None = None
-    cycle: int | None = None
-
-
-@dataclass(frozen=True)
-class MetricsRow:
+class MetricsRow(NamedTuple):
     sim_time_s: float
     global_epoch: int
     satellite_id: int | None
@@ -84,7 +77,7 @@ class SimResult:
     scenario: Scenario
     plan: ContactPlan
     max_distances_m: list[list[float]]
-    schedule: TransmissionSchedule | None
+    schedule: TransmissionSchedule   # built for every policy
     rows: list[MetricsRow]
     final_params: np.ndarray
     global_epoch: int
@@ -122,241 +115,95 @@ class SimResult:
         return sum(r.epoch_staleness for r in ups) / len(ups)
 
 
-class _Engine:
-    """Single-run state: event heap, server/client state, metrics rows."""
+def _timeline(
+    schedule: TransmissionSchedule, horizon_s: float, eval_period_s: float
+) -> list[tuple[float, int, int, int]]:
+    """Every DL, UL and EVAL instant of a run, in replay order.
 
-    def __init__(self, scenario, plan, learner, datasets, test_set, server,
-                 comm_s, train_time_s):
-        self.scenario = scenario
-        self.plan = plan
-        self.learner = learner
-        self.datasets = datasets
-        self.test_set = test_set
-        self.server = server
-        self.comm_s = comm_s          # comm_s[k][n]: exchange time on pass n
-        self.train_time_s = train_time_s
-        self.profile = scenario.compute_profile()
-        self.clients = {k: ClientState(k) for k in datasets}
-        self.rows: list[MetricsRow] = []
-        self.heap: list = []
-        self._seq = 0
-        # per-cycle in-flight state, keyed by (satellite, cycle): the download
-        # snapshot, time and epoch; the cycles whose UL_COMPLETE is queued;
-        # and the trained updates not yet read
-        self.cycle_start: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
-        self.uploads: set[tuple[int, int]] = set()
-        self.trained: dict[tuple[int, int], np.ndarray] = {}
-        # (server epoch, test accuracy) of the last evaluation
-        self.last_eval: tuple[int, float] | None = None
-        # sync-policy round state: satellite -> cycle uploaded this round
-        self.round_updates: dict[int, int] = {}
-        self.round_index = 0
-        self.transmissions: list[tuple[int, float, float]] = []  # (sat, start, stop)
-
-    def push(self, event: SimEvent) -> bool:
-        """Queue an event inside the horizon; return whether it was queued."""
-        if event.time_s > self.scenario.horizon_s:
-            return False
-        sat = event.satellite_id if event.satellite_id is not None else -1
-        heapq.heappush(
-            self.heap, (event.time_s, int(event.kind), sat, self._seq, event)
-        )
-        self._seq += 1
-        return True
-
-    def push_upload(self, time_s: float, k: int, cycle: int) -> None:
-        if self.push(SimEvent(time_s, EventKind.UL_COMPLETE, k, cycle)):
-            self.uploads.add((k, cycle))
-
-    def push_evals(self) -> None:
-        n = int(math.floor(self.scenario.horizon_s / self.scenario.eval_period_s))
-        for i in range(n + 1):
-            self.push(SimEvent(i * self.scenario.eval_period_s, EventKind.EVAL))
-
-    def run(self) -> None:
-        while self.heap:
-            _, _, _, _, event = heapq.heappop(self.heap)
-            self.handle_event(event)
-
-    # ------------------------------------------------------------------
-
-    def handle_event(self, event: SimEvent) -> None:
-        handler = {
-            EventKind.DL_COMPLETE: self._on_dl_complete,
-            EventKind.TRAIN_COMPLETE: self._on_train_complete,
-            EventKind.UL_COMPLETE: self._on_ul_complete,
-            EventKind.EVAL: self._on_eval,
-        }[event.kind]
-        handler(event)
-
-    def _on_dl_complete(self, event: SimEvent) -> None:
-        k = event.satellite_id
-        snapshot = self.server.params.copy()
-        self.cycle_start[(k, event.cycle)] = (snapshot, event.time_s, self.server.epoch)
-        if self.scenario.policy == "fedavg_sync":
-            self.push(SimEvent(
-                event.time_s + self.train_time_s[k],
-                EventKind.TRAIN_COMPLETE, k, event.cycle,
-            ))
-
-    def _on_train_complete(self, event: SimEvent) -> None:
-        # only the sync baseline schedules this event: its upload is placed
-        # once training ends
-        self._sync_place_upload(event.satellite_id, event.cycle, event.time_s)
-
-    def _take(self, key: tuple[int, int]):
-        """Pop cycle key's trained update and its download state (snapshot,
-        time, epoch).
-
-        The first read trains every downloaded cycle whose upload is queued
-        and that is not trained yet: their starts are fixed, so one local_sgd
-        stack per dataset size gives each the bits it would get alone.
-        """
-        if key not in self.trained:
-            by_size: dict[int, list[tuple[int, int]]] = {}
-            for c in self.cycle_start:
-                if c in self.uploads and c not in self.trained:
-                    by_size.setdefault(self.datasets[c[0]].size, []).append(c)
-            for keys in by_size.values():
-                rows = local_sgd(
-                    self.learner,
-                    [self.cycle_start[c][0] for c in keys],
-                    [self.datasets[k] for k, _ in keys],
-                    self.profile,
-                    [np.random.SeedSequence([self.scenario.seed, k, cycle])
-                     for k, cycle in keys],
-                )
-                self.trained.update(zip(keys, rows))
-        return self.trained.pop(key), self.cycle_start.pop(key)
-
-    def _on_ul_complete(self, event: SimEvent) -> None:
-        k = event.satellite_id
-        key = (k, event.cycle)
-        client = self.clients[k]
-        if self.scenario.policy == "fedavg_sync":
-            _, dl_time, dl_epoch = self.cycle_start[key]
-            rec_epoch = self.server.epoch - dl_epoch
-            self.round_updates[k] = event.cycle
-            self.rows.append(MetricsRow(
-                sim_time_s=event.time_s,
-                global_epoch=self.server.epoch,
-                satellite_id=k,
-                epoch_staleness=rec_epoch,
-                time_staleness_s=event.time_s - dl_time,
-                test_accuracy=None,
-            ))
-            if len(self.round_updates) == len(self.clients):
-                updates = {k: self._take((k, c))[0] for k, c in self.round_updates.items()}
-                fedavg_sync_aggregate(self.server, updates)
-                self.round_updates = {}
-                self.round_index += 1
-                self._sync_start_round(event.time_s)
-            return
-        new, (start, dl_time, dl_epoch) = self._take(key)
-        prev = client.prev_upload if client.prev_upload is not None else start
-        msg = UpdateMessage(
-            satellite_id=k,
-            prev_params=prev,
-            new_params=new,
-            download_time_s=dl_time,
-            download_epoch=dl_epoch,
-        )
-        rec = record_staleness(msg, event.time_s, self.server)
-        fedsat_aggregate(self.server, msg)
-        client.prev_upload = new
-        self.rows.append(MetricsRow(
-            sim_time_s=event.time_s,
-            global_epoch=self.server.epoch,
-            satellite_id=k,
-            epoch_staleness=rec.epoch_staleness,
-            time_staleness_s=rec.time_staleness_s,
-            test_accuracy=None,
-        ))
-
-    def _on_eval(self, event: SimEvent) -> None:
-        # every aggregation increments the epoch, so an unchanged epoch means
-        # unchanged parameters and the last accuracy still holds
-        epoch = self.server.epoch
-        if self.last_eval is None or self.last_eval[0] != epoch:
-            acc = evaluate_accuracy(self.learner, self.server.params, self.test_set)
-            self.last_eval = (epoch, acc)
-        self.rows.append(MetricsRow(
-            sim_time_s=event.time_s,
-            global_epoch=epoch,
-            satellite_id=None,
-            epoch_staleness=None,
-            time_staleness_s=None,
-            test_accuracy=self.last_eval[1],
-        ))
-
-    # ---- async policies ----------------------------------------------
-
-    def load_schedule(self, schedule: TransmissionSchedule) -> None:
-        for k, cycles in enumerate(schedule.cycles):
-            for ci, cyc in enumerate(cycles):
-                self.push(SimEvent(cyc.dl_complete_s, EventKind.DL_COMPLETE, k, ci))
-                self.transmissions.append((k, cyc.dl_start_s, cyc.dl_complete_s))
-                if cyc.ul_complete_s is not None:
-                    self.push_upload(cyc.ul_complete_s, k, ci)
-                    self.transmissions.append((k, cyc.ul_start_s, cyc.ul_complete_s))
-
-    # ---- synchronous baseline ----------------------------------------
-
-    def start_sync(self) -> None:
-        if self.clients:
-            self._sync_start_round(0.0)
-
-    def _sync_start_round(self, now_s: float) -> None:
-        starts = {}
-        for k, passes in enumerate(self.plan.passes):
-            nxt = next(
-                ((i, p) for i, p in enumerate(passes)
-                 if p.rise_s >= now_s and p.rise_s + self.comm_s[k][i] <= p.set_s),
-                None,
-            )
-            if nxt is None:
-                return  # some satellite can never download: no further rounds
-            starts[k] = nxt
-        for k, (i, p) in starts.items():
-            dl_complete = p.rise_s + self.comm_s[k][i]
-            self.push(SimEvent(dl_complete, EventKind.DL_COMPLETE, k, self.round_index))
-            self.transmissions.append((k, p.rise_s, dl_complete))
-
-    def _sync_place_upload(self, k: int, cycle: int, now_s: float) -> None:
-        for i, p in enumerate(self.plan.passes[k]):
-            if p.set_s <= now_s:
-                continue
-            ul_start = max(p.rise_s, now_s)
-            ul_complete = ul_start + self.comm_s[k][i]
-            if ul_complete <= p.set_s:
-                self.push_upload(ul_complete, k, cycle)
-                self.transmissions.append((k, ul_start, ul_complete))
-                return
-        # no pass left inside the horizon: the update is never reported
-
-
-def _altitude_groups(scenario: Scenario) -> list[list[int]]:
-    """Satellite ids grouped by orbit altitude, ascending."""
-    flat = flatten_constellation(scenario.orbit_specs())
-    by_alt: dict[float, list[int]] = {}
-    for k, (orbit, _) in enumerate(flat):
-        by_alt.setdefault(orbit.altitude_m, []).append(k)
-    return [by_alt[a] for a in sorted(by_alt)]
-
-
-def _check_concurrency(transmissions, cap) -> None:
+    Schedule instants lie inside passes, hence inside the horizon; the
+    evaluation grid is cut at the horizon.
+    """
     events = []
-    for _, start, stop in transmissions:
-        events.append((start, 1))
-        events.append((stop, -1))
-    active = 0
-    for t, delta in sorted(events):
-        active += delta
-        if active > cap:
-            raise ScenarioError(
-                f"more than {cap} concurrent links at t={t:.3f} s "
-                "(sim.max_concurrent_links exceeded)"
-            )
+    for k, cycles in enumerate(schedule.cycles):
+        for c, cyc in enumerate(cycles):
+            events.append((cyc.dl_complete_s, DL, k, c))
+            if cyc.ul_complete_s is not None:
+                events.append((cyc.ul_complete_s, UL, k, c))
+    for i in range(math.floor(horizon_s / eval_period_s) + 1):
+        if i * eval_period_s <= horizon_s:
+            events.append((i * eval_period_s, EVAL, -1, i))
+    events.sort()
+    return events
+
+
+def _replay(scenario, learner, datasets, test_set, server, timeline):
+    """Replay a timeline against the server state; return the metrics rows."""
+    profile = scenario.compute_profile()
+    sync = scenario.policy == "fedavg_sync"
+    n_sats = len(datasets)
+    uploaded = {(k, c) for _, kind, k, c in timeline if kind == UL}
+    # per-cycle state keyed by (satellite, cycle): the download's snapshot,
+    # time and epoch; and the trained updates not yet read
+    started: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
+    trained: dict[tuple[int, int], np.ndarray] = {}
+    prev_upload: dict[int, np.ndarray] = {}
+    rows: list[MetricsRow] = []
+    eval_epoch, accuracy = None, None
+    arrived = 0  # uploads of the current sync round
+
+    def take(key):
+        """Pop a cycle's trained update and its download state.
+
+        An untrained cycle is trained together with every other started,
+        untrained cycle whose upload is in the timeline: their starts are
+        fixed, so one local_sgd stack per dataset size gives each the bits
+        it would get alone."""
+        if key not in trained:
+            by_size: dict[int, list[tuple[int, int]]] = {}
+            for c in started:
+                if c in uploaded and c not in trained:
+                    by_size.setdefault(datasets[c[0]].size, []).append(c)
+            for keys in by_size.values():
+                trained.update(zip(keys, local_sgd(
+                    learner,
+                    [started[c][0] for c in keys],
+                    [datasets[k] for k, _ in keys],
+                    profile,
+                    [np.random.SeedSequence([scenario.seed, k, c]) for k, c in keys],
+                )))
+        return trained.pop(key), started.pop(key)
+
+    for t, kind, k, c in timeline:
+        if kind == DL:
+            started[(k, c)] = (server.params.copy(), t, server.epoch)
+        elif kind == EVAL:
+            # every aggregation increments the epoch, so an unchanged epoch
+            # means unchanged parameters and the last accuracy still holds
+            if eval_epoch != server.epoch:
+                eval_epoch = server.epoch
+                accuracy = evaluate_accuracy(learner, server.params, test_set)
+            rows.append(MetricsRow(t, eval_epoch, None, None, None, accuracy))
+        elif sync:
+            _, dl_time, dl_epoch = started[(k, c)]
+            rows.append(MetricsRow(
+                t, server.epoch, k, server.epoch - dl_epoch, t - dl_time, None
+            ))
+            arrived += 1
+            if arrived == n_sats:  # round c is complete
+                fedavg_sync_aggregate(
+                    server, {j: take((j, c))[0] for j in range(n_sats)}
+                )
+                arrived = 0
+        else:
+            new, (start, dl_time, dl_epoch) = take((k, c))
+            msg = UpdateMessage(k, prev_upload.get(k, start), new, dl_time, dl_epoch)
+            rec = record_staleness(msg, t, server)
+            fedsat_aggregate(server, msg)
+            prev_upload[k] = new
+            rows.append(MetricsRow(
+                t, server.epoch, k, rec.epoch_staleness, rec.time_staleness_s, None
+            ))
+    return rows
 
 
 def run_simulation(scenario: Scenario) -> SimResult:
@@ -385,13 +232,7 @@ def run_simulation(scenario: Scenario) -> SimResult:
     )
 
     if n_sats > 0:
-        groups = _altitude_groups(scenario)
-        lpg = scenario.labels_per_group or scenario.classes // len(groups)
-        if lpg * len(groups) != scenario.classes:
-            raise ScenarioError(
-                f"{scenario.classes} labels cannot be divided as "
-                f"{lpg} per group across {len(groups)} altitude groups"
-            )
+        groups, lpg = scenario.label_split()
         datasets = partition_non_iid(train, groups, lpg, scenario.seed)
         total = sum(d.size for d in datasets.values())
         weights = {k: d.size / total for k, d in datasets.items()}
@@ -410,40 +251,32 @@ def run_simulation(scenario: Scenario) -> SimResult:
         t_l = [scenario.train_time_s] * n_sats
     else:
         profile = scenario.compute_profile()
-        from .learning import training_time
         t_l = [
             training_time(profile, 32.0 * datasets[k].size * scenario.feature_dim)
             for k in range(n_sats)
         ]
 
     server = ServerState(params0.copy(), weights)
-    engine = _Engine(
-        scenario, plan, learner, datasets, test, server, comm_s, t_l
-    )
-    engine.push_evals()
-
-    schedule = None
-    if scenario.policy in ("fedsat", "fedsatschedule"):
+    if scenario.policy == "fedavg_sync":
+        schedule = build_sync_schedule(plan, t_l, comm_s, comm_s)
+    else:
         schedule = extract_schedule(
             plan, scenario.policy, t_l, comm_s, comm_s,
             strict_online_budget=scenario.strict_online_budget,
         )
-        engine.load_schedule(schedule)
-        if scenario.max_concurrent_links is not None:
-            _check_concurrency(engine.transmissions, scenario.max_concurrent_links)
-    else:
-        engine.start_sync()
-
-    engine.run()
-    if scenario.policy == "fedavg_sync" and scenario.max_concurrent_links is not None:
-        _check_concurrency(engine.transmissions, scenario.max_concurrent_links)
+    if scenario.max_concurrent_links is not None:
+        check_link_cap(schedule, scenario.max_concurrent_links)
+    rows = _replay(
+        scenario, learner, datasets, test, server,
+        _timeline(schedule, scenario.horizon_s, scenario.eval_period_s),
+    )
 
     return SimResult(
         scenario=scenario,
         plan=plan,
         max_distances_m=max_dists,
         schedule=schedule,
-        rows=engine.rows,
+        rows=rows,
         final_params=server.params,
         global_epoch=server.epoch,
     )

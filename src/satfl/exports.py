@@ -6,62 +6,51 @@ produce byte-identical files.
 
 from __future__ import annotations
 
-import csv
-
 from .engine import SimResult
 from .orbital import ContactPlan
 from .scheduler import TransmissionSchedule
+
+# Rows end in "\r\n", as in the csv module's default dialect; no field ever
+# needs quoting.
+_PLAN_ROW = "%d,%d,%.6f,%.6f,%.6f,%.3f\r\n"
+_EVAL_ROW = "%.6f,%d,,,,%.6f\r\n"
+_UPLOAD_ROW = "%.6f,%d,%d,%d,%.6f,\r\n"
 
 
 def _f(x, digits=6):
     return "" if x is None else f"{x:.{digits}f}"
 
 
+def _write(path, header: str, lines: list[str]) -> None:
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\r\n" + "".join(lines))
+
+
 def write_contact_plan_csv(
     plan: ContactPlan, max_distances_m: list[list[float]], path
 ) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(
-            ["satellite_id", "pass_index", "rise_s", "set_s", "duration_s",
-             "max_distance_m"]
-        )
-        for k, passes in enumerate(plan.passes):
-            for n, p in enumerate(passes):
-                w.writerow([
-                    k, n, _f(p.rise_s), _f(p.set_s), _f(p.duration_s),
-                    _f(max_distances_m[k][n], 3),
-                ])
+    _write(path, "satellite_id,pass_index,rise_s,set_s,duration_s,max_distance_m", [
+        _PLAN_ROW % (k, n, p.rise_s, p.set_s, p.duration_s, dist)
+        for k, passes in enumerate(plan.passes)
+        for n, (p, dist) in enumerate(zip(passes, max_distances_m[k], strict=True))
+    ])
 
 
 def write_schedule_csv(schedule: TransmissionSchedule, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["satellite_id", "pass_index", "decision", "dl_time_s", "ul_time_s"])
-        for cycles in schedule.cycles:
-            for c in cycles:
-                w.writerow([
-                    c.satellite_id, c.dl_pass, c.mode.value,
-                    _f(c.dl_start_s), _f(c.ul_start_s),
-                ])
+    _write(path, "satellite_id,pass_index,decision,dl_time_s,ul_time_s", [
+        f"{c.satellite_id},{c.dl_pass},{c.mode.value},{c.dl_start_s:.6f},"
+        f"{_f(c.ul_start_s)}\r\n"
+        for cycles in schedule.cycles for c in cycles
+    ])
 
 
 def write_metrics_csv(result: SimResult, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([
-            "sim_time_s", "global_epoch", "satellite_id", "epoch_staleness",
-            "time_staleness_s", "test_accuracy",
-        ])
-        for r in result.rows:
-            w.writerow([
-                _f(r.sim_time_s),
-                r.global_epoch,
-                "" if r.satellite_id is None else r.satellite_id,
-                "" if r.epoch_staleness is None else r.epoch_staleness,
-                _f(r.time_staleness_s),
-                _f(r.test_accuracy),
-            ])
+    # evaluation rows carry only an accuracy, upload rows only staleness
+    _write(path, "sim_time_s,global_epoch,satellite_id,epoch_staleness,"
+                 "time_staleness_s,test_accuracy", [
+        _EVAL_ROW % (r[0], r[1], r[5]) if r[2] is None else _UPLOAD_ROW % r[:5]
+        for r in result.rows
+    ])
 
 
 def run_summary_lines(result: SimResult) -> list[str]:
@@ -95,16 +84,10 @@ def write_comparison_csv(table: list[dict], path) -> None:
         "policy", "threshold_accuracy", "time_to_threshold_s", "final_accuracy",
         "mean_time_staleness_s", "mean_epoch_staleness", "global_epochs",
     ]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(cols)
-        for row in table:
-            w.writerow([
-                row["policy"],
-                _f(row["threshold_accuracy"]),
-                _f(row["time_to_threshold_s"]),
-                _f(row["final_accuracy"]),
-                _f(row["mean_time_staleness_s"]),
-                _f(row["mean_epoch_staleness"]),
-                row["global_epochs"],
-            ])
+    _write(path, ",".join(cols), [
+        f"{row['policy']},{_f(row['threshold_accuracy'])},"
+        f"{_f(row['time_to_threshold_s'])},{_f(row['final_accuracy'])},"
+        f"{_f(row['mean_time_staleness_s'])},{_f(row['mean_epoch_staleness'])},"
+        f"{row['global_epochs']}\r\n"
+        for row in table
+    ])

@@ -26,14 +26,6 @@ class ServerState:
             raise ValueError(f"aggregation weights must sum to 1, got {total}")
 
 
-@dataclass
-class ClientState:
-    """Satellite-side training pipeline state."""
-
-    satellite_id: int
-    prev_upload: np.ndarray | None = None
-
-
 @dataclass(frozen=True)
 class UpdateMessage:
     """One completed local update arriving at the ground station."""

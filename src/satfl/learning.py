@@ -310,7 +310,8 @@ def generate_synthetic_task(
     spread scales the per-class noise; small spread makes the task linearly
     separable. Deterministic under seed; train and test draws are disjoint.
     """
-    if classes < 2 or feature_dim < 1 or samples_per_class < 1:
+    if (classes < 2 or feature_dim < 1 or samples_per_class < 1
+            or (test_samples_per_class is not None and test_samples_per_class < 1)):
         raise ValueError("sizes must be positive (classes >= 2)")
     rng = np.random.default_rng(seed)
     centers = rng.standard_normal((classes, feature_dim))

@@ -146,16 +146,46 @@ class Scenario:
             self.compute_profile()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
+        for key, least in (("classes", 2), ("feature_dim", 1),
+                           ("samples_per_class", 1)):
+            if getattr(self, key) < least:
+                raise ScenarioError(f"learner.{key} must be at least {least}")
+        if self.test_samples_per_class is not None and self.test_samples_per_class < 1:
+            raise ScenarioError("learner.test_samples_per_class must be at least 1 when set")
         # each label is dealt to every satellite of one altitude group
-        groups: dict[float, int] = {}
-        for o in self.orbits:
-            groups[o.altitude_m] = groups.get(o.altitude_m, 0) + o.satellite_count
-        largest = max(groups.values(), default=0)
+        groups, _ = self.label_split(every_label=False)
+        largest = max(map(len, groups), default=0)
         if self.samples_per_class < largest:
             raise ScenarioError(
                 f"learner.samples_per_class ({self.samples_per_class}) must be at "
                 f"least the largest altitude group ({largest} satellites)"
             )
+
+    def label_split(self, every_label: bool = True) -> tuple[list[list[int]], int]:
+        """Satellite ids grouped by orbit altitude, ascending, and the number
+        of labels each group holds; group g holds labels [g*lpg, (g+1)*lpg).
+
+        Raises when a group would hold a label beyond learner.classes, and,
+        with every_label, when some label is left to no group: training
+        deals every label, the contact plan deals none.
+        """
+        by_alt: dict[float, list[int]] = {}
+        k = 0
+        for o in self.orbits:
+            by_alt.setdefault(o.altitude_m, []).extend(range(k, k + o.satellite_count))
+            k += o.satellite_count
+        groups = [by_alt[a] for a in sorted(by_alt)]
+        if not groups:
+            return [], 0
+        lpg = self.labels_per_group or self.classes // len(groups)
+        dealt = lpg * len(groups)
+        if dealt > self.classes or (every_label and dealt != self.classes):
+            raise ScenarioError(
+                f"{self.classes} labels cannot be divided as {lpg} per group "
+                f"across {len(groups)} altitude groups "
+                "(learner.classes / learner.labels_per_group)"
+            )
+        return groups, lpg
 
 
 def _same(*names: str) -> dict[str, str]:

@@ -1,11 +1,14 @@
-"""Per-pass download/upload placement for the scheduling policies.
+"""Per-pass download/upload placement for every policy.
 
 Both asynchronous policies share the same cycle structure: during a pass
 the satellite uploads its pending update, decides where the next update
 will be trained, and either downloads immediately (training in the coming
 off-time) or defers the download to the next pass (training inside it).
 The baseline policy always trains offline; the scheduling policy defers
-whenever the next pass is long enough to hold the whole update.
+whenever the next pass is long enough to hold the whole update. The
+synchronous baseline runs lockstep rounds instead (`build_sync_schedule`).
+No policy's timing depends on a learned value, so each schedule is complete
+before the first SGD step.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleScheduleError
+from .errors import InfeasibleScheduleError, ScenarioError
 from .link import LinkBudget, pass_comm_time
 from .orbital import ContactPlan, Pass
 
@@ -195,3 +198,72 @@ def _place_upload(passes, ul_comm, first_pass, train_complete):
             return q, ul_start, ul_complete
         q += 1
     return None, None, None
+
+
+def build_sync_schedule(
+    plan: ContactPlan,
+    train_time_s: list[float],
+    dl_comm_s: list[list[float]],
+    ul_comm_s: list[list[float]],
+) -> TransmissionSchedule:
+    """Lockstep rounds of the synchronous baseline; cycle r is round r.
+
+    Round 0 starts at t=0 and round r when the last upload of round r-1
+    lands. In each round every satellite downloads at the rise of its first
+    pass from then on that fits the exchange, trains, and uploads in the
+    first pass that fits after training. The schedule ends before the first
+    round in which some satellite cannot download, or after the first round
+    in which some upload finds no pass (those cycles keep no upload fields).
+    Passes lie inside the horizon, so every placed instant does too.
+    """
+    schedule = TransmissionSchedule([[] for _ in plan.passes])
+    start = 0.0
+    while plan.passes:
+        dl_passes = []
+        for k, passes in enumerate(plan.passes):
+            i = next((i for i, p in enumerate(passes)
+                      if p.rise_s >= start and p.rise_s + dl_comm_s[k][i] <= p.set_s),
+                     None)
+            if i is None:
+                return schedule
+            dl_passes.append(i)
+        ends = []
+        for k, i in enumerate(dl_passes):
+            dl_start = plan.passes[k][i].rise_s
+            dl_complete = dl_start + dl_comm_s[k][i]
+            train_complete = dl_complete + train_time_s[k]
+            q, ul_start, ul_complete = _place_upload(
+                plan.passes[k], ul_comm_s[k], i, train_complete
+            )
+            schedule.cycles[k].append(ScheduledCycle(
+                satellite_id=k, mode=Mode.TRAIN_OFFLINE, decision_pass=i,
+                dl_pass=i, dl_start_s=dl_start, dl_complete_s=dl_complete,
+                train_complete_s=train_complete,
+                ul_pass=q, ul_start_s=ul_start, ul_complete_s=ul_complete,
+            ))
+            ends.append(ul_complete)
+        if None in ends:
+            return schedule
+        start = max(ends)
+    return schedule
+
+
+def check_link_cap(schedule: TransmissionSchedule, cap: int) -> None:
+    """Refuse a schedule that ever holds more than cap exchanges at once.
+
+    An exchange ending at the instant another starts does not overlap it.
+    """
+    edges = []
+    for cycles in schedule.cycles:
+        for c in cycles:
+            edges += ((c.dl_start_s, 1), (c.dl_complete_s, -1))
+            if c.ul_complete_s is not None:
+                edges += ((c.ul_start_s, 1), (c.ul_complete_s, -1))
+    active = 0
+    for t, delta in sorted(edges):
+        active += delta
+        if active > cap:
+            raise ScenarioError(
+                f"more than {cap} concurrent links at t={t:.3f} s "
+                "(sim.max_concurrent_links exceeded)"
+            )

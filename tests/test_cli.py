@@ -1,6 +1,7 @@
 import yaml
 import pytest
 
+from satfl import bundled_scenario_path, engine
 from satfl.cli import main
 
 
@@ -87,7 +88,7 @@ class TestRun:
     def test_policy_override(self, scenario_file, tmp_path):
         out = tmp_path / "sync"
         assert self.run(scenario_file, out, ["--policy", "fedavg_sync"]) == 0
-        # the synchronous baseline has no precomputed schedule to export
+        # the synchronous baseline builds a schedule but does not export it
         assert not (out / "schedule.csv").exists()
         assert (out / "metrics.csv").exists()
 
@@ -199,6 +200,74 @@ class TestErrorPaths:
         few.write_text(yaml.safe_dump(doc))
         assert main(["plan", "--scenario", str(few),
                      "--out", str(tmp_path / "out")]) == 0
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    def test_label_split_checked_at_load(self, command, tmp_path, capsys):
+        # the bundled constellation has two altitude groups of 5 labels each
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["learner"]["classes"] = 3
+        bad = tmp_path / "labels.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert ("error: 3 labels cannot be divided as 5 per group across 2 "
+                "altitude groups (learner.classes / learner.labels_per_group)"
+                ) in capsys.readouterr().err
+
+    def test_undealt_labels_refused_by_run_only(self, scenario_file, tmp_path,
+                                                capsys):
+        # training deals every label; the contact plan deals none, so plan
+        # accepts a split that leaves labels to no group
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["learner"]["labels_per_group"] = 2
+        short = scenario_file.with_name("short.yaml")
+        short.write_text(yaml.safe_dump(doc))
+        assert main(["plan", "--scenario", str(short),
+                     "--out", str(tmp_path / "plan")]) == 0
+        assert main(["run", "--scenario", str(short),
+                     "--out", str(tmp_path / "run")]) == 2
+        assert ("error: 4 labels cannot be divided as 2 per group across 1 "
+                "altitude groups") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("constellation", ["one orbit", "empty"])
+    @pytest.mark.parametrize("key, value, least", [
+        ("classes", 1, 2),
+        ("feature_dim", 0, 1),
+        ("samples_per_class", 0, 1),
+        ("test_samples_per_class", 0, 1),
+    ])
+    def test_task_size_exits_2_with_path(self, key, value, least, constellation,
+                                         command, scenario_file, tmp_path, capsys):
+        doc = yaml.safe_load(scenario_file.read_text())
+        if constellation == "empty":
+            doc["constellation"]["orbits"] = []
+        doc["learner"][key] = value
+        bad = scenario_file.with_name("size.yaml")
+        bad.write_text(yaml.safe_dump(doc))
+        assert main([command, "--scenario", str(bad),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: learner.{key} must be at least {least}" in err
+
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_link_cap_refused_before_training(self, policy, scenario_file,
+                                              tmp_path, capsys, monkeypatch):
+        # two satellites on one orbit share every pass, so one link is too few
+        calls = []
+        monkeypatch.setattr(engine, "local_sgd", lambda *args: calls.append(args))
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["constellation"]["orbits"] *= 2
+        doc["sim"].update(max_concurrent_links=1, horizon_s=43200.0)
+        doc["scheduler"] = {"policy": policy}
+        pair = scenario_file.with_name("pair.yaml")
+        pair.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(pair),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("concurrent links at t=" in capsys.readouterr().err)
+        assert calls == []
 
     def test_infeasible_schedule_exits_2_with_location(self, scenario_file,
                                                        tmp_path, capsys):

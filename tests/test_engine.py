@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 from collections import Counter
 
@@ -5,7 +6,7 @@ import numpy as np
 import pytest
 
 from satfl import bundled_scenario_path, engine, load_scenario
-from satfl.engine import _Engine, compare_runs, run_simulation
+from satfl.engine import compare_runs, run_simulation
 from satfl.errors import ScenarioError
 from satfl.learning import (
     generate_synthetic_task,
@@ -19,7 +20,7 @@ from satfl.orbital import (
     satellite_position_eci,
 )
 from satfl.scenario import OrbitConfig, Scenario, with_overrides
-from satfl.scheduler import Mode
+from satfl.scheduler import Mode, ScheduledCycle, TransmissionSchedule
 
 
 def small_scenario(**overrides):
@@ -181,28 +182,31 @@ class TestSyncBaseline:
 
 class TestTransmissionsInsidePasses:
     @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
-    def test_large_model_exchanges_fit_own_passes(self, policy, monkeypatch):
+    def test_large_model_exchanges_fit_own_passes(self, policy):
         # at 5e8 bits an exchange takes longer than some Bremen passes, so
         # every policy has to skip those passes rather than overrun them
-        engines = []
-        run = _Engine.run
-
-        def capture(self):
-            engines.append(self)
-            run(self)
-
-        monkeypatch.setattr(_Engine, "run", capture)
         scenario = dataclasses.replace(
             load_scenario(bundled_scenario_path()), policy=policy, model_bits=500_000_000
         )
         r = run_simulation(scenario)
         assert r.global_epoch >= 1
-        transmissions = engines[0].transmissions
+        transmissions = []
+        for k, cycles in enumerate(r.schedule.cycles):
+            for c in cycles:
+                assert c.satellite_id == k
+                transmissions.append((k, c.dl_start_s, c.dl_complete_s))
+                if c.ul_complete_s is not None:
+                    transmissions.append((k, c.ul_start_s, c.ul_complete_s))
         assert transmissions
         for k, start, stop in transmissions:
             assert any(
                 p.rise_s <= start <= stop <= p.set_s for p in r.plan.passes[k]
             ), (k, start, stop)
+        # every replayed upload is one of those exchanges
+        uploads = {(k, stop) for k, _, stop in transmissions}
+        assert len(r.upload_rows()) > 0
+        for row in r.upload_rows():
+            assert (row.satellite_id, row.sim_time_s) in uploads
 
 
 class TestLearningCalls:
@@ -253,27 +257,54 @@ class TestStackedTraining:
 
     def run(self, policy, sgd, monkeypatch):
         """Run the uneven scenario with sgd in place of local_sgd; return the
-        result, every trained row by (satellite, cycle) and the stack sizes."""
-        rows, stacks, downloads = {}, [], {}
-        on_dl = _Engine._on_dl_complete
+        result, every trained row by (satellite, cycle) and the stack sizes.
 
-        def record_download(self, event):
-            downloads[(event.satellite_id, event.cycle)] = self.server.params.copy()
-            on_dl(self, event)
+        Each row's start must be the global model at its cycle's download:
+        the model after the aggregations that land at or before the download
+        completes (an upload at the same instant is replayed first)."""
+        rows, stacks, starts, models = {}, [], {}, []
 
-        def recorded(learner, starts, datasets, profile, seeds):
-            out = sgd(learner, starts, datasets, profile, seeds)
+        def recorded(learner, start_models, datasets, profile, seeds):
+            out = sgd(learner, start_models, datasets, profile, seeds)
             stacks.append(sorted(d.size for d in datasets))
-            for start, seed, row in zip(starts, seeds, out):
+            for start, seed, row in zip(start_models, seeds, out):
                 _, k, cycle = seed.entropy
-                # a cycle trains from the global model of its own download
-                assert np.array_equal(start, downloads[(k, cycle)])
+                starts[(k, cycle)] = start.copy()
                 rows[(k, cycle)] = row.copy()
             return out
 
-        monkeypatch.setattr(_Engine, "_on_dl_complete", record_download)
+        def watched(aggregate):
+            def wrapper(server, update):
+                if not models:
+                    models.append(server.params.copy())
+                aggregate(server, update)
+                models.append(server.params.copy())
+            return wrapper
+
         monkeypatch.setattr(engine, "local_sgd", recorded)
-        return run_simulation(self.uneven(policy)), rows, stacks
+        monkeypatch.setattr(engine, "fedsat_aggregate", watched(engine.fedsat_aggregate))
+        monkeypatch.setattr(engine, "fedavg_sync_aggregate",
+                            watched(engine.fedavg_sync_aggregate))
+        r = run_simulation(self.uneven(policy))
+
+        ups = r.upload_rows()
+        if policy == "fedavg_sync":
+            # round e aggregates when the last of its uploads lands
+            n = r.scenario.satellite_count
+            landed = [max(u.sim_time_s for u in ups if u.global_epoch == e)
+                      for e in range(r.global_epoch)]
+            assert all(sum(u.global_epoch == e for u in ups) == n
+                       for e in range(r.global_epoch))
+        else:
+            landed = [u.sim_time_s for u in ups]
+        assert len(models) == r.global_epoch + 1
+        assert starts
+        for (k, cycle), start in starts.items():
+            dl_time = r.schedule.cycles[k][cycle].dl_complete_s
+            epoch = bisect.bisect_right(landed, dl_time)
+            # a cycle trains from the global model of its own download
+            assert np.array_equal(start, models[epoch]), (k, cycle)
+        return r, rows, stacks
 
     @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
     def test_matches_one_call_per_update(self, policy, monkeypatch):
@@ -293,6 +324,36 @@ class TestStackedTraining:
         assert all(len(set(sizes)) == 1 for sizes in stacks)
         if policy != "fedsatschedule":
             assert max(map(len, stacks)) > 1
+
+
+class TestTimeline:
+    def test_ties_go_upload_download_evaluation_then_satellite(self):
+        def cycle(k, dl_complete, ul_complete=None):
+            return ScheduledCycle(
+                satellite_id=k, mode=Mode.TRAIN_OFFLINE, decision_pass=0,
+                dl_pass=0, dl_start_s=dl_complete - 10.0, dl_complete_s=dl_complete,
+                train_complete_s=dl_complete + 30.0,
+                ul_pass=None if ul_complete is None else 0,
+                ul_start_s=None if ul_complete is None else ul_complete - 10.0,
+                ul_complete_s=ul_complete,
+            )
+
+        # at t=600 s satellites 2 and 0 upload, satellite 1 downloads and the
+        # model is evaluated
+        schedule = TransmissionSchedule([
+            [cycle(0, 10.0, 600.0)], [cycle(1, 600.0)], [cycle(2, 20.0, 600.0)],
+        ])
+        timeline = engine._timeline(schedule, 1200.0, 600.0)
+        assert timeline == [
+            (0.0, engine.EVAL, -1, 0),
+            (10.0, engine.DL, 0, 0),
+            (20.0, engine.DL, 2, 0),
+            (600.0, engine.UL, 0, 0),
+            (600.0, engine.UL, 2, 0),
+            (600.0, engine.DL, 1, 0),
+            (600.0, engine.EVAL, -1, 1),
+            (1200.0, engine.EVAL, -1, 2),
+        ]
 
 
 class TestConcurrencyCap:

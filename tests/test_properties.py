@@ -1,0 +1,153 @@
+"""Properties of whole runs over random small constellations.
+
+Every policy runs on the same drawn constellation. A run may be refused:
+when a satellite is visible at a horizon endpoint (the contact plan cannot
+bound that pass), or when the schedule needs more concurrent links than
+sim.max_concurrent_links allows. Both refusals are accepted outcomes and
+are asserted by their message; the second must come before any training.
+"""
+
+from unittest import mock
+
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from satfl import engine
+from satfl.engine import run_simulation
+from satfl.errors import ScenarioError
+from satfl.scenario import OrbitConfig, Scenario
+
+POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
+ENDPOINT = "is visible at a horizon endpoint"
+CAP = "(sim.max_concurrent_links exceeded)"
+
+orbits = st.lists(
+    st.builds(
+        OrbitConfig,
+        altitude_m=st.sampled_from([500e3, 1200e3, 2000e3]),
+        inclination_deg=st.floats(45.0, 100.0),
+        raan_deg=st.floats(0.0, 360.0),
+        initial_arg_latitude_deg=st.floats(0.0, 360.0),
+        satellite_count=st.integers(1, 2),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def scenario(orbit_list, policy, **draws):
+    groups = len({o.altitude_m for o in orbit_list})
+    return Scenario(
+        orbits=orbit_list,
+        gs_latitude_deg=draws["latitude"],
+        gs_longitude_deg=8.8,
+        gs_min_elevation_deg=10.0,
+        power_dbm=40.0,
+        gain_sat_dbi=6.98,
+        gain_gs_dbi=6.98,
+        bandwidth_hz=20e6,
+        noise_temp_k=290.0,
+        carrier_hz=2.4e9,
+        classes=2 * groups,
+        feature_dim=3,
+        samples_per_class=12,
+        test_samples_per_class=5,
+        train_time_s=draws["train_time_s"],
+        policy=policy,
+        horizon_s=draws["horizon_s"],
+        eval_period_s=1800.0,
+        seed=draws["seed"],
+        model_bits=draws["model_bits"],
+        max_concurrent_links=draws["cap"],
+    )
+
+
+def peak_links(schedule):
+    """Most exchanges open at once; an exchange is open on [start, stop)."""
+    spans = [
+        span for cycles in schedule.cycles for c in cycles
+        for span in ((c.dl_start_s, c.dl_complete_s), (c.ul_start_s, c.ul_complete_s))
+        if span[0] is not None
+    ]
+    return max((sum(a <= t < b for a, b in spans) for t, _ in spans), default=0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    orbit_list=orbits,
+    twin=st.booleans(),
+    latitude=st.floats(-60.0, 60.0),
+    horizon_s=st.sampled_from([21600.0, 43200.0]),
+    train_time_s=st.sampled_from([30.0, 300.0, 4000.0]),
+    model_bits=st.sampled_from([None, 200_000_000]),
+    cap=st.sampled_from([None, 1, 2]),
+    seed=st.integers(0, 3),
+)
+def test_run_properties(orbit_list, twin, **draws):
+    if twin:
+        # a satellite on the same orbit as the first shares all its passes
+        orbit_list = orbit_list + orbit_list[:1]
+    for policy in POLICIES:
+        trained = []
+
+        def counted(learner, starts, *args, _sgd=engine.local_sgd):
+            trained.append(len(starts))
+            return _sgd(learner, starts, *args)
+
+        with mock.patch.object(engine, "local_sgd", counted):
+            try:
+                r = run_simulation(scenario(orbit_list, policy, **draws))
+            except ScenarioError as exc:
+                assert ENDPOINT in str(exc) or CAP in str(exc), str(exc)
+                if CAP in str(exc):
+                    assert draws["cap"] is not None
+                    assert trained == []
+                event(f"{policy}: refused, {'cap' if CAP in str(exc) else 'endpoint'}")
+                continue
+        event(f"{policy}: ran, {'no upload' if not r.global_epoch else 'trained'}")
+        check_run(r, policy, draws["cap"])
+
+
+def check_run(r, policy, cap):
+    n_sats = r.scenario.satellite_count
+    assert len(r.schedule.cycles) == n_sats
+    exchanges = set()
+    for k, cycles in enumerate(r.schedule.cycles):
+        passes = r.plan.passes[k]
+        free = 0.0
+        for i, c in enumerate(cycles):
+            assert c.satellite_id == k
+            # every exchange lies inside the pass it names, of its own satellite
+            p = passes[c.dl_pass]
+            assert p.rise_s <= c.dl_start_s <= c.dl_complete_s <= p.set_s
+            # cycles never overlap: each starts after the last one's upload
+            assert free <= c.dl_start_s
+            assert c.dl_complete_s <= c.train_complete_s
+            if c.ul_complete_s is None:
+                # an update without an upload ends its satellite's schedule
+                assert i == len(cycles) - 1
+                break
+            q = passes[c.ul_pass]
+            assert q.rise_s <= c.ul_start_s <= c.ul_complete_s <= q.set_s
+            assert c.train_complete_s <= c.ul_start_s
+            free = c.ul_complete_s
+            exchanges.add((k, c.ul_complete_s))
+    if cap is not None:
+        assert peak_links(r.schedule) <= cap
+
+    ups = r.upload_rows()
+    # every replayed upload is a scheduled one, and every scheduled one is replayed
+    assert sorted((u.satellite_id, u.sim_time_s) for u in ups) == sorted(exchanges)
+    for u in ups:
+        assert u.time_staleness_s >= 0.0
+        assert u.epoch_staleness >= 0
+    if policy == "fedavg_sync":
+        for e in range(r.global_epoch):
+            assert sorted(u.satellite_id for u in ups if u.global_epoch == e) == list(
+                range(n_sats)
+            )
+        # an unfinished last round reports each satellite at most once
+        tail = [u.satellite_id for u in ups if u.global_epoch == r.global_epoch]
+        assert len(tail) == len(set(tail)) < n_sats
+    else:
+        assert [u.global_epoch for u in ups] == list(range(1, len(ups) + 1))

@@ -1,10 +1,12 @@
 import pytest
 
-from satfl.errors import InfeasibleScheduleError
+from satfl.errors import InfeasibleScheduleError, ScenarioError
 from satfl.link import LinkBudget, pass_comm_time
 from satfl.orbital import ContactPlan, Pass
 from satfl.scheduler import (
     Mode,
+    build_sync_schedule,
+    check_link_cap,
     effective_online_budget,
     extract_schedule,
     fedsat_decide,
@@ -233,3 +235,77 @@ class TestPolicyAgreement:
         sched = extract_schedule(plan, "fedsat", [60.0, 60.0], dls, uls)
         assert sched.cycles[0] == []
         assert len(sched.cycles[1]) >= 1
+
+
+class TestSyncSchedule:
+    def test_round_starts_when_last_upload_lands(self):
+        plan = make_plan([
+            [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0), (9000.0, 9300.0)],
+            [(100.0, 400.0), (2000.0, 2300.0), (6000.0, 6300.0), (9500.0, 9800.0)],
+        ])
+        dls, uls = uniform_comm(plan)
+        sched = build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+        # rounds end at 180, 2080, 6080 and 9580 s; sat 0's pass 1 rises
+        # before round 2 starts, so round 2 waits for its pass 2
+        assert [c.dl_start_s for c in sched.cycles[0]] == [0.0, 1000.0, 5000.0, 9000.0]
+        assert [c.dl_start_s for c in sched.cycles[1]] == [100.0, 2000.0, 6000.0, 9500.0]
+        for k in (0, 1):
+            for c in sched.cycles[k]:
+                assert c.satellite_id == k and c.mode is Mode.TRAIN_OFFLINE
+                assert c.dl_complete_s == c.dl_start_s + 10.0
+                assert c.train_complete_s == c.dl_complete_s + 60.0
+                assert c.ul_pass == c.dl_pass
+                assert (c.ul_start_s, c.ul_complete_s) == (
+                    c.train_complete_s, c.train_complete_s + 10.0)
+
+    def test_exchanges_skip_passes_they_do_not_fit(self):
+        plan = make_plan([[(0.0, 5.0), (1000.0, 1300.0), (1350.0, 1415.0),
+                           (3000.0, 3300.0)]])
+        dls, uls = uniform_comm(plan)
+        (c,) = build_sync_schedule(plan, [400.0], dls, uls).cycles[0]
+        # pass 0 is shorter than the download; training outlasts pass 1 and
+        # its upload does not fit in what is left of pass 2
+        assert (c.dl_pass, c.dl_start_s) == (1, 1000.0)
+        assert (c.ul_pass, c.ul_start_s) == (3, 3000.0)
+
+    def test_missing_upload_ends_the_schedule(self):
+        plan = make_plan([
+            [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0)],
+            [(100.0, 400.0)],
+        ])
+        dls, uls = uniform_comm(plan)
+        sched = build_sync_schedule(plan, [60.0, 600.0], dls, uls)
+        (c0,), (c1,) = sched.cycles
+        assert c0.ul_pass == 0
+        assert c1.ul_pass is None and c1.ul_start_s is None and c1.ul_complete_s is None
+
+    def test_satellite_without_download_pass_ends_the_schedule(self):
+        plan = make_plan([
+            [(0.0, 300.0), (1000.0, 1300.0)],
+            [(100.0, 400.0)],
+        ])
+        dls, uls = uniform_comm(plan)
+        sched = build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+        assert [len(cycles) for cycles in sched.cycles] == [1, 1]
+        assert build_sync_schedule(make_plan([[], [(0.0, 300.0)]]), [60.0] * 2,
+                                   [[], [10.0]], [[], [10.0]]).cycles == [[], []]
+
+    def test_empty_constellation(self):
+        assert build_sync_schedule(make_plan([]), [], [], []).cycles == []
+
+
+class TestLinkCap:
+    def schedule(self, second_rise):
+        plan = make_plan([[(0.0, 300.0)], [(second_rise, second_rise + 300.0)]])
+        dls, uls = uniform_comm(plan)
+        return build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+
+    def test_touching_exchanges_do_not_overlap(self):
+        # sat 0 downloads on [0, 10]; sat 1 starts the instant it ends
+        check_link_cap(self.schedule(10.0), 1)
+
+    def test_overlap_refused_with_its_instant(self):
+        with pytest.raises(ScenarioError, match=r"more than 1 concurrent links "
+                           r"at t=5\.000 s \(sim\.max_concurrent_links exceeded\)"):
+            check_link_cap(self.schedule(5.0), 1)
+        check_link_cap(self.schedule(5.0), 2)
