@@ -10,7 +10,7 @@ from importlib import resources
 
 from .engine import SimResult, compare_runs, run_simulation
 from .errors import InfeasibleScheduleError, LinkUnavailableError, ScenarioError
-from .federation import ServerState, UpdateMessage, fedavg_sync_aggregate, fedsat_aggregate
+from .federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     ComputeProfile,
     LocalDataset,
@@ -40,9 +40,7 @@ from .scheduler import (
     Mode,
     TransmissionSchedule,
     build_sync_schedule,
-    effective_online_budget,
     extract_schedule,
-    fedsatschedule_decide,
 )
 
 __version__ = "0.1.0"

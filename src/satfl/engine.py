@@ -2,10 +2,9 @@
 
 No policy's timing depends on a learned value, so every download, upload
 and evaluation instant is known before the first SGD step:
-`extract_schedule` places the asynchronous policies' cycles and
-`build_sync_schedule` the synchronous baseline's rounds. The link cap is
-checked on that schedule, before any training. Its download (DL) and upload
-(UL) completions and the evaluation (EVAL) grid are then merged into one
+`extract_schedule` places every policy's cycles. The link cap is checked
+on that schedule, before any training. Its download (DL) and upload (UL)
+completions and the evaluation (EVAL) grid are then merged into one
 sorted list of plain (time, kind, satellite, cycle) tuples and replayed in
 one loop. Ties at equal times go UL before DL before EVAL, then by
 satellite, with evaluations as satellite -1, so identical scenarios and
@@ -33,13 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScenarioError
-from .federation import (
-    ServerState,
-    UpdateMessage,
-    fedavg_sync_aggregate,
-    fedsat_aggregate,
-    record_staleness,
-)
+from .federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     evaluate_accuracy,
     generate_synthetic_task,
@@ -52,12 +45,7 @@ from .learning import (
 from .link import pass_comm_time
 from .orbital import ContactPlan, compute_contact_plan, max_pass_distances
 from .scenario import Scenario
-from .scheduler import (
-    TransmissionSchedule,
-    build_sync_schedule,
-    check_link_cap,
-    extract_schedule,
-)
+from .scheduler import TransmissionSchedule, check_link_cap, extract_schedule
 
 # timeline event kinds, valued in their same-time replay order
 UL, DL, EVAL = 0, 1, 2
@@ -102,17 +90,15 @@ class SimResult:
                 return r.sim_time_s
         return None
 
-    def mean_time_staleness_s(self) -> float | None:
+    def _upload_mean(self, field: str) -> float | None:
         ups = self.upload_rows()
-        if not ups:
-            return None
-        return sum(r.time_staleness_s for r in ups) / len(ups)
+        return sum(getattr(r, field) for r in ups) / len(ups) if ups else None
+
+    def mean_time_staleness_s(self) -> float | None:
+        return self._upload_mean("time_staleness_s")
 
     def mean_epoch_staleness(self) -> float | None:
-        ups = self.upload_rows()
-        if not ups:
-            return None
-        return sum(r.epoch_staleness for r in ups) / len(ups)
+        return self._upload_mean("epoch_staleness")
 
 
 def _timeline(
@@ -183,26 +169,23 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
                 eval_epoch = server.epoch
                 accuracy = evaluate_accuracy(learner, server.params, test_set)
             rows.append(MetricsRow(t, eval_epoch, None, None, None, accuracy))
-        elif sync:
-            _, dl_time, dl_epoch = started[(k, c)]
-            rows.append(MetricsRow(
-                t, server.epoch, k, server.epoch - dl_epoch, t - dl_time, None
-            ))
-            arrived += 1
-            if arrived == n_sats:  # round c is complete
-                fedavg_sync_aggregate(
-                    server, {j: take((j, c))[0] for j in range(n_sats)}
-                )
-                arrived = 0
         else:
-            new, (start, dl_time, dl_epoch) = take((k, c))
-            msg = UpdateMessage(k, prev_upload.get(k, start), new, dl_time, dl_epoch)
-            rec = record_staleness(msg, t, server)
-            fedsat_aggregate(server, msg)
-            prev_upload[k] = new
-            rows.append(MetricsRow(
-                t, server.epoch, k, rec.epoch_staleness, rec.time_staleness_s, None
-            ))
+            # the age of the model the update was trained from; an
+            # asynchronous upload is logged with the epoch its aggregation makes
+            _, dl_time, dl_epoch = started[(k, c)]
+            rows.append(MetricsRow(t, server.epoch + (not sync), k,
+                                   server.epoch - dl_epoch, t - dl_time, None))
+            if sync:
+                arrived += 1
+                if arrived == n_sats:  # round c is complete
+                    fedavg_sync_aggregate(
+                        server, {j: take((j, c))[0] for j in range(n_sats)}
+                    )
+                    arrived = 0
+            else:
+                new, (start, _, _) = take((k, c))
+                fedsat_aggregate(server, k, prev_upload.get(k, start), new)
+                prev_upload[k] = new
     return rows
 
 
@@ -241,7 +224,7 @@ def run_simulation(scenario: Scenario) -> SimResult:
 
     init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))
     params0 = learner.init_params(init_rng)
-    model_bits = scenario.model_bits or wire_bits(params0)
+    model_bits = wire_bits(params0) if scenario.model_bits is None else scenario.model_bits
     budget = scenario.link_budget()
 
     max_dists = max_pass_distances(plan, orbits, gs)
@@ -257,13 +240,10 @@ def run_simulation(scenario: Scenario) -> SimResult:
         ]
 
     server = ServerState(params0.copy(), weights)
-    if scenario.policy == "fedavg_sync":
-        schedule = build_sync_schedule(plan, t_l, comm_s, comm_s)
-    else:
-        schedule = extract_schedule(
-            plan, scenario.policy, t_l, comm_s, comm_s,
-            strict_online_budget=scenario.strict_online_budget,
-        )
+    schedule = extract_schedule(
+        plan, scenario.policy, t_l, comm_s, comm_s,
+        strict_online_budget=scenario.strict_online_budget,
+    )
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
     rows = _replay(

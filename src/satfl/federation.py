@@ -26,38 +26,24 @@ class ServerState:
             raise ValueError(f"aggregation weights must sum to 1, got {total}")
 
 
-@dataclass(frozen=True)
-class UpdateMessage:
-    """One completed local update arriving at the ground station."""
-
-    satellite_id: int
-    prev_params: np.ndarray
-    new_params: np.ndarray
-    download_time_s: float
-    download_epoch: int
-
-
-@dataclass(frozen=True)
-class StalenessRecord:
-    satellite_id: int
-    upload_time_s: float
-    time_staleness_s: float
-    epoch_staleness: int
-
-
-def fedsat_aggregate(server: ServerState, msg: UpdateMessage) -> ServerState:
+def fedsat_aggregate(
+    server: ServerState,
+    satellite_id: int,
+    prev_params: np.ndarray,
+    new_params: np.ndarray,
+) -> ServerState:
     """Asynchronous update: w <- w - alpha_k * (prev - new); epoch += 1.
 
     On a satellite's first upload, prev_params is the global model it first
     downloaded, which makes the single-satellite case reduce to plain
     sequential SGD.
     """
-    if msg.satellite_id not in server.weights:
-        raise ValueError(f"satellite {msg.satellite_id} is not registered")
-    if msg.prev_params.shape != server.params.shape:
+    if satellite_id not in server.weights:
+        raise ValueError(f"satellite {satellite_id} is not registered")
+    if prev_params.shape != server.params.shape:
         raise ValueError("update dimension does not match the global model")
-    alpha = server.weights[msg.satellite_id]
-    server.params = server.params - alpha * (msg.prev_params - msg.new_params)
+    alpha = server.weights[satellite_id]
+    server.params = server.params - alpha * (prev_params - new_params)
     server.epoch += 1
     return server
 
@@ -80,14 +66,3 @@ def fedavg_sync_aggregate(
     server.epoch += 1
     return server
 
-
-def record_staleness(
-    msg: UpdateMessage, now_s: float, server: ServerState
-) -> StalenessRecord:
-    """Age of the model the update was computed from, in time and epochs."""
-    return StalenessRecord(
-        satellite_id=msg.satellite_id,
-        upload_time_s=now_s,
-        time_staleness_s=now_s - msg.download_time_s,
-        epoch_staleness=server.epoch - msg.download_epoch,
-    )

@@ -137,8 +137,6 @@ class Scenario:
             raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
-        if self.max_concurrent_links is not None and self.max_concurrent_links < 1:
-            raise ScenarioError("sim.max_concurrent_links must be >= 1 when set")
         try:
             self.orbit_specs()
             self.ground_station()
@@ -146,12 +144,14 @@ class Scenario:
             self.compute_profile()
         except ValueError as exc:
             raise ScenarioError(str(exc)) from exc
-        for key, least in (("classes", 2), ("feature_dim", 1),
-                           ("samples_per_class", 1)):
-            if getattr(self, key) < least:
-                raise ScenarioError(f"learner.{key} must be at least {least}")
-        if self.test_samples_per_class is not None and self.test_samples_per_class < 1:
-            raise ScenarioError("learner.test_samples_per_class must be at least 1 when set")
+        for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
+                           ("learner.samples_per_class", 1), ("learner.hidden", 1),
+                           ("learner.test_samples_per_class", 1),
+                           ("learner.labels_per_group", 1), ("sim.seed", 0),
+                           ("sim.model_bits", 1), ("sim.max_concurrent_links", 1)):
+            value = getattr(self, key.partition(".")[2])
+            if value is not None and value < least:
+                raise ScenarioError(f"{key} must be at least {least}")
         # each label is dealt to every satellite of one altitude group
         groups, _ = self.label_split(every_label=False)
         largest = max(map(len, groups), default=0)
@@ -177,7 +177,8 @@ class Scenario:
         groups = [by_alt[a] for a in sorted(by_alt)]
         if not groups:
             return [], 0
-        lpg = self.labels_per_group or self.classes // len(groups)
+        lpg = (self.classes // len(groups) if self.labels_per_group is None
+               else self.labels_per_group)
         dealt = lpg * len(groups)
         if dealt > self.classes or (every_label and dealt != self.classes):
             raise ScenarioError(
@@ -220,6 +221,21 @@ _LINEAR_LINK = {
 }
 _ALTERNATE = {field: key for key, (field, _) in _LINEAR_LINK.items()}
 _REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
+# field annotations, strings under postponed evaluation (e.g. "int | None"),
+# and the Python types each accepts; bool is an int to Python, so only a bool
+# field takes a bool
+_TYPES = {f.name: f.type for cls in (Scenario, OrbitConfig) for f in fields(cls)}
+_ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+
+
+def _check_type(key: str, value, annotation: str) -> None:
+    kind, _, optional = annotation.partition(" | ")
+    if value is None and optional or (
+        isinstance(value, _ACCEPTS[kind]) and isinstance(value, bool) == (kind == "bool")
+    ):
+        return
+    raise ScenarioError(f"{key} must be of type {annotation.replace('None', 'null')}, "
+                        f"got {value!r}")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -245,14 +261,18 @@ def scenario_from_dict(doc: dict) -> Scenario:
             orbits.append(OrbitConfig(**o))
         except TypeError as exc:
             raise ScenarioError(f"constellation.orbits[{i}]: {exc}") from exc
+        for key, value in o.items():
+            _check_type(f"constellation.orbits[{i}].{key}", value, _TYPES[key])
 
     values = {"orbits": orbits}
     for name, keys in _FIELDS.items():
         for key, value in _section(doc, name).items():
             if key in keys:
+                _check_type(f"{name}.{key}", value, _TYPES[keys[key]])
                 values[keys[key]] = value
             elif name == "link" and key in _LINEAR_LINK:
                 field, convert = _LINEAR_LINK[key]
+                _check_type(f"{name}.{key}", value, _TYPES[field])
                 values.setdefault(field, convert(value))
             else:
                 raise ScenarioError(f"unknown key {name}.{key}")
@@ -301,15 +321,10 @@ def with_overrides(
     horizon_s: float | None = None,
 ) -> Scenario:
     """Copy of a scenario with CLI-style overrides applied and revalidated."""
-    updates = {}
-    if seed is not None:
-        updates["seed"] = seed
-    if policy is not None:
-        updates["policy"] = policy
-    if train_time_s is not None:
-        updates["train_time_s"] = train_time_s
-    if horizon_s is not None:
-        updates["horizon_s"] = horizon_s
+    updates = {key: value for key, value in (
+        ("seed", seed), ("policy", policy), ("train_time_s", train_time_s),
+        ("horizon_s", horizon_s),
+    ) if value is not None}
     out = replace(scenario, **updates) if updates else scenario
     out.validate()
     return out

@@ -1,14 +1,19 @@
-"""Per-pass download/upload placement for every policy.
+"""Download/upload placement for every policy, before any training.
 
-Both asynchronous policies share the same cycle structure: during a pass
-the satellite uploads its pending update, decides where the next update
-will be trained, and either downloads immediately (training in the coming
-off-time) or defers the download to the next pass (training inside it).
-The baseline policy always trains offline; the scheduling policy defers
-whenever the next pass is long enough to hold the whole update. The
-synchronous baseline runs lockstep rounds instead (`build_sync_schedule`).
-No policy's timing depends on a learned value, so each schedule is complete
-before the first SGD step.
+Every exchange goes in the first pass, from a given one on, that holds it
+when it starts at max(rise, the instant it is ready) (`_first_fit`).
+
+When an asynchronous satellite is free during pass p, it decides where its
+next update is trained. Offline, it downloads in p (when the download misses
+p, it decides again at p + 1), trains in the off-time and uploads in the
+first later pass that fits. Online, it downloads at the rise of pass p + 1,
+then trains and uploads inside that pass, or the schedule is infeasible.
+`fedsat` always trains offline. `fedsatschedule` trains online unless the
+budget is shorter than the training time (a tie goes online): the next
+pass's duration, minus that pass's DL and then UL times under
+`strict_online_budget`. With no next pass, it trains offline. `fedavg_sync`
+runs lockstep rounds (`build_sync_schedule`). No policy's timing depends on
+a learned value, so `extract_schedule` serves all three.
 """
 
 from __future__ import annotations
@@ -17,19 +22,12 @@ import enum
 from dataclasses import dataclass, field
 
 from .errors import InfeasibleScheduleError, ScenarioError
-from .link import LinkBudget, pass_comm_time
-from .orbital import ContactPlan, Pass
+from .orbital import ContactPlan
 
 
 class Mode(enum.Enum):
     TRAIN_OFFLINE = "TRAIN_OFFLINE"
     TRAIN_ONLINE = "TRAIN_ONLINE"
-
-
-@dataclass(frozen=True)
-class PassDecision:
-    pass_index: int
-    mode: Mode
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class ScheduledCycle:
 
     satellite_id: int
     mode: Mode
-    decision_pass: int
     dl_pass: int
     dl_start_s: float
     dl_complete_s: float
@@ -59,52 +56,23 @@ class TransmissionSchedule:
     cycles: list[list[ScheduledCycle]] = field(default_factory=list)
 
 
-def fedsatschedule_decide(
-    plan: ContactPlan,
-    k: int,
-    pass_index: int,
-    train_time_s: float,
-    online_budget_s: float | None = None,
-) -> PassDecision:
-    """Decide, during a pass, where the next update is trained.
-
-    Offline iff the next pass is strictly shorter than the training time
-    (a tie goes online); the comparison uses the raw next-pass duration
-    unless a stricter online budget is supplied. With no next pass inside
-    the horizon, offline is the only feasible option.
-    """
-    passes = plan.passes[k]
-    if pass_index + 1 >= len(passes):
-        return PassDecision(pass_index, Mode.TRAIN_OFFLINE)
-    budget = (
-        online_budget_s
-        if online_budget_s is not None
-        else passes[pass_index + 1].duration_s
-    )
-    mode = Mode.TRAIN_OFFLINE if budget < train_time_s else Mode.TRAIN_ONLINE
-    return PassDecision(pass_index, mode)
+def _first_fit(passes, comm, first, t):
+    """First pass q >= first where max(rise_q, t) + comm[q] <= set_q, as
+    (q, start, end); (None, None, None) when no pass fits."""
+    for q in range(first, len(passes)):
+        start = max(passes[q].rise_s, t)
+        if start + comm[q] <= passes[q].set_s:
+            return q, start, start + comm[q]
+    return None, None, None
 
 
-def fedsat_decide(plan: ContactPlan, k: int, pass_index: int) -> PassDecision:
-    """Baseline policy: always download now and train in the off-time."""
-    return PassDecision(pass_index, Mode.TRAIN_OFFLINE)
-
-
-def effective_online_budget(
-    pass_: Pass,
-    max_distance_m: float,
-    budget: LinkBudget,
-    model_bits: float,
-    ul_budget: LinkBudget | None = None,
-) -> float:
-    """Pass duration minus the DL and UL exchange times at worst range.
-
-    Negative means the pass cannot host a full in-pass cycle even before
-    accounting for training.
-    """
-    dl = pass_comm_time(budget, model_bits, max_distance_m)
-    ul = pass_comm_time(ul_budget or budget, model_bits, max_distance_m)
-    return pass_.duration_s - dl - ul
+def _cycle(k, mode, passes, ul_comm, download, train_time_s, first_ul):
+    """The cycle that trains after a placed download and uploads in the
+    first pass from first_ul on that fits."""
+    dl_pass, dl_start, dl_complete = download
+    train_complete = dl_complete + train_time_s
+    return ScheduledCycle(k, mode, dl_pass, dl_start, dl_complete, train_complete,
+                          *_first_fit(passes, ul_comm, first_ul, train_complete))
 
 
 def extract_schedule(
@@ -115,89 +83,50 @@ def extract_schedule(
     ul_comm_s: list[list[float]],
     strict_online_budget: bool = True,
 ) -> TransmissionSchedule:
-    """Turn per-pass decisions into concrete DL/UL instants.
+    """Concrete DL/UL instants of every satellite under policy.
 
     dl_comm_s[k][n] / ul_comm_s[k][n] are the exchange times for satellite
     k's n-th pass, computed from that pass's longest distance. policy is
-    "fedsat" or "fedsatschedule".
+    "fedsat", "fedsatschedule" or "fedavg_sync".
     """
+    if policy == "fedavg_sync":
+        return build_sync_schedule(plan, train_time_s, dl_comm_s, ul_comm_s)
     if policy not in ("fedsat", "fedsatschedule"):
-        raise ValueError(f"unknown async policy: {policy!r}")
+        raise ValueError(f"unknown policy: {policy!r}")
     schedule = TransmissionSchedule()
     for k, passes in enumerate(plan.passes):
+        dl, ul, t_l = dl_comm_s[k], ul_comm_s[k], train_time_s[k]
         cycles: list[ScheduledCycle] = []
-        t_l = train_time_s[k]
-        p = 0
-        free_time = passes[0].rise_s if passes else 0.0
+        p, free = 0, 0.0
         while p < len(passes):
-            if policy == "fedsat":
-                mode = Mode.TRAIN_OFFLINE
-            else:
-                online_budget = None
-                if strict_online_budget and p + 1 < len(passes):
-                    online_budget = (
-                        passes[p + 1].duration_s
-                        - dl_comm_s[k][p + 1]
-                        - ul_comm_s[k][p + 1]
-                    )
-                mode = fedsatschedule_decide(plan, k, p, t_l, online_budget).mode
-
-            if mode is Mode.TRAIN_OFFLINE:
-                dl_start = max(passes[p].rise_s, free_time)
-                dl_complete = dl_start + dl_comm_s[k][p]
-                if dl_complete > passes[p].set_s:
-                    # exchange no longer fits in this pass; idle until the next
-                    p += 1
-                    if p < len(passes):
-                        free_time = passes[p].rise_s
-                    continue
-                train_complete = dl_complete + t_l
-                q, ul_start, ul_complete = _place_upload(
-                    passes, ul_comm_s[k], p + 1, train_complete
-                )
-                cycles.append(ScheduledCycle(
-                    satellite_id=k, mode=mode, decision_pass=p,
-                    dl_pass=p, dl_start_s=dl_start, dl_complete_s=dl_complete,
-                    train_complete_s=train_complete,
-                    ul_pass=q, ul_start_s=ul_start, ul_complete_s=ul_complete,
-                ))
-                if q is None:
-                    break
-                p = q
-                free_time = ul_complete
-            else:
+            online = policy == "fedsatschedule" and p + 1 < len(passes)
+            if online:
+                budget = passes[p + 1].duration_s
+                if strict_online_budget:
+                    budget = budget - dl[p + 1] - ul[p + 1]
+                online = not budget < t_l
+            if online:
                 q = p + 1
-                dl_start = passes[q].rise_s
-                dl_complete = dl_start + dl_comm_s[k][q]
-                train_complete = dl_complete + t_l
-                ul_start = train_complete
-                ul_complete = ul_start + ul_comm_s[k][q]
-                if ul_complete > passes[q].set_s:
+                rise = passes[q].rise_s
+                c = _cycle(k, Mode.TRAIN_ONLINE, passes, ul,
+                           (q, rise, rise + dl[q]), t_l, q)
+                if c.ul_pass != q:
                     raise InfeasibleScheduleError(
-                        k, q, ul_complete - passes[q].set_s
+                        k, q, c.train_complete_s + ul[q] - passes[q].set_s
                     )
-                cycles.append(ScheduledCycle(
-                    satellite_id=k, mode=mode, decision_pass=p,
-                    dl_pass=q, dl_start_s=dl_start, dl_complete_s=dl_complete,
-                    train_complete_s=train_complete,
-                    ul_pass=q, ul_start_s=ul_start, ul_complete_s=ul_complete,
-                ))
-                p = q
-                free_time = ul_complete
+            else:
+                download = _first_fit(passes, dl, p, free)
+                if download[0] != p:
+                    # the download misses this pass; decide again at the next
+                    p += 1
+                    continue
+                c = _cycle(k, Mode.TRAIN_OFFLINE, passes, ul, download, t_l, p + 1)
+            cycles.append(c)
+            if c.ul_pass is None:
+                break
+            p, free = c.ul_pass, c.ul_complete_s
         schedule.cycles.append(cycles)
     return schedule
-
-
-def _place_upload(passes, ul_comm, first_pass, train_complete):
-    """First pass at or after first_pass that can hold the upload."""
-    q = first_pass
-    while q < len(passes):
-        ul_start = max(passes[q].rise_s, train_complete)
-        ul_complete = ul_start + ul_comm[q]
-        if ul_complete <= passes[q].set_s:
-            return q, ul_start, ul_complete
-        q += 1
-    return None, None, None
 
 
 def build_sync_schedule(
@@ -219,29 +148,21 @@ def build_sync_schedule(
     schedule = TransmissionSchedule([[] for _ in plan.passes])
     start = 0.0
     while plan.passes:
-        dl_passes = []
+        downloads = []
         for k, passes in enumerate(plan.passes):
-            i = next((i for i, p in enumerate(passes)
-                      if p.rise_s >= start and p.rise_s + dl_comm_s[k][i] <= p.set_s),
-                     None)
-            if i is None:
+            # from a pass rising at or after start, max() keeps the rise
+            first = next((i for i, p in enumerate(passes) if p.rise_s >= start),
+                         len(passes))
+            download = _first_fit(passes, dl_comm_s[k], first, start)
+            if download[0] is None:
                 return schedule
-            dl_passes.append(i)
-        ends = []
-        for k, i in enumerate(dl_passes):
-            dl_start = plan.passes[k][i].rise_s
-            dl_complete = dl_start + dl_comm_s[k][i]
-            train_complete = dl_complete + train_time_s[k]
-            q, ul_start, ul_complete = _place_upload(
-                plan.passes[k], ul_comm_s[k], i, train_complete
-            )
-            schedule.cycles[k].append(ScheduledCycle(
-                satellite_id=k, mode=Mode.TRAIN_OFFLINE, decision_pass=i,
-                dl_pass=i, dl_start_s=dl_start, dl_complete_s=dl_complete,
-                train_complete_s=train_complete,
-                ul_pass=q, ul_start_s=ul_start, ul_complete_s=ul_complete,
+            downloads.append(download)
+        for k, download in enumerate(downloads):
+            schedule.cycles[k].append(_cycle(
+                k, Mode.TRAIN_OFFLINE, plan.passes[k], ul_comm_s[k], download,
+                train_time_s[k], download[0],
             ))
-            ends.append(ul_complete)
+        ends = [cycles[-1].ul_complete_s for cycles in schedule.cycles]
         if None in ends:
             return schedule
         start = max(ends)

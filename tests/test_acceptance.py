@@ -22,12 +22,12 @@ from satfl.orbital import (
     orbital_period,
 )
 from satfl.scenario import load_scenario, with_overrides
-from satfl.scheduler import Mode, fedsatschedule_decide
+from satfl.scheduler import Mode
 
 from conftest import brute_force_passes
 from test_engine import small_scenario
 from test_orbital import T_500_KM, T_2000_KM
-from test_scheduler import make_plan
+from test_scheduler import first_mode, make_plan
 
 
 def report(criterion, ok, detail):
@@ -103,7 +103,7 @@ def test_criterion_4_decision_truth_table():
     for duration in (60.0, 300.0, 600.0, 1800.0):
         for t_l in (30.0, 900.0, 1800.0):
             plan = make_plan([[(0.0, 100.0), (1000.0, 1000.0 + duration)]])
-            mode = fedsatschedule_decide(plan, 0, 0, t_l).mode
+            mode = first_mode(plan, t_l)
             expected = (
                 Mode.TRAIN_OFFLINE if duration < t_l else Mode.TRAIN_ONLINE
             )

@@ -252,6 +252,68 @@ class TestErrorPaths:
         assert "internal error" not in err
         assert f"error: learner.{key} must be at least {least}" in err
 
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("key, literal, expected", [
+        ("sim.horizon_s", "abc", "float"),
+        ("sim.eval_period_s", "1e-9", "float"),  # a string to YAML 1.1
+        ("learner.batch_size", "2.5", "int"),
+        ("learner.classes", "true", "int"),
+        ("sim.seed", "1.5", "int"),
+        ("scheduler.strict_online_budget", '"no"', "bool"),
+        ("scheduler.strict_online_budget", "1", "bool"),
+        ("scheduler.policy", "3", "str"),
+        ("sim.max_concurrent_links", "1.5", "int | null"),
+        ("sim.model_bits", "2.0e+5", "int | null"),
+        ("link.power_w", "ten", "float"),
+        ("constellation.orbits[0].altitude_m", "high", "float"),
+        ("constellation.orbits[0].satellite_count", "false", "int"),
+    ])
+    def test_value_type_exits_2_with_path(self, key, literal, expected, command,
+                                          tmp_path, capsys):
+        # the bundled scenario, with one value of the wrong type
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        section, *_, field = key.split(".")
+        target = doc[section] if section != "constellation" else (
+            doc["constellation"]["orbits"][0])
+        target[field] = yaml.safe_load(literal)
+        bad = tmp_path / "typed.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: {key} must be of type {expected}, got " in err
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("key, value, least", [
+        ("sim.model_bits", 0, 1),
+        ("learner.labels_per_group", 0, 1),
+        ("learner.hidden", 0, 1),
+        ("sim.seed", -3, 0),
+        ("--seed", -1, 0),
+    ])
+    def test_no_silent_default(self, key, value, least, command, scenario_file,
+                               tmp_path, capsys):
+        # zero or negative values that once fell back to a default or failed
+        # only in run
+        doc = yaml.safe_load(scenario_file.read_text())
+        extra = []
+        if key == "--seed":
+            extra, key = ["--seed", str(value)], "sim.seed"
+        else:
+            section, field = key.split(".")
+            doc.setdefault(section, {})[field] = value
+            if field == "hidden":
+                doc["learner"]["kind"] = "mlp"
+        bad = scenario_file.with_name("zero.yaml")
+        bad.write_text(yaml.safe_dump(doc))
+        assert main([command, "--scenario", str(bad),
+                     "--out", str(tmp_path / "out"), *extra]) == 2
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: {key} must be at least {least}" in err
+
     @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
     def test_link_cap_refused_before_training(self, policy, scenario_file,
                                               tmp_path, capsys, monkeypatch):

@@ -274,10 +274,10 @@ class TestStackedTraining:
             return out
 
         def watched(aggregate):
-            def wrapper(server, update):
+            def wrapper(server, *update):
                 if not models:
                     models.append(server.params.copy())
-                aggregate(server, update)
+                aggregate(server, *update)
                 models.append(server.params.copy())
             return wrapper
 
@@ -330,7 +330,7 @@ class TestTimeline:
     def test_ties_go_upload_download_evaluation_then_satellite(self):
         def cycle(k, dl_complete, ul_complete=None):
             return ScheduledCycle(
-                satellite_id=k, mode=Mode.TRAIN_OFFLINE, decision_pass=0,
+                satellite_id=k, mode=Mode.TRAIN_OFFLINE,
                 dl_pass=0, dl_start_s=dl_complete - 10.0, dl_complete_s=dl_complete,
                 train_complete_s=dl_complete + 30.0,
                 ul_pass=None if ul_complete is None else 0,

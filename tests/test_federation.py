@@ -4,13 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from satfl.federation import (
-    ServerState,
-    UpdateMessage,
-    fedavg_sync_aggregate,
-    fedsat_aggregate,
-    record_staleness,
-)
+from satfl.federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
 from satfl.learning import ComputeProfile, LocalDataset, LogisticRegressionLearner, local_sgd
 
 
@@ -18,16 +12,15 @@ def make_server(params, weights):
     return ServerState(params=np.asarray(params, dtype=float), weights=weights)
 
 
-def msg(k, prev, new, dl_time=0.0, dl_epoch=0):
-    return UpdateMessage(k, np.asarray(prev, float), np.asarray(new, float),
-                         dl_time, dl_epoch)
+def upload(server, k, prev, new):
+    return fedsat_aggregate(server, k, np.asarray(prev, float), np.asarray(new, float))
 
 
 class TestFedsatAggregate:
     def test_zero_delta_is_identity(self):
         server = make_server([1.0, -2.0], {0: 1.0})
         before = server.params.copy()
-        fedsat_aggregate(server, msg(0, [3.0, 4.0], [3.0, 4.0]))
+        upload(server, 0, [3.0, 4.0], [3.0, 4.0])
         np.testing.assert_array_equal(server.params, before)
         assert server.epoch == 1
 
@@ -36,24 +29,24 @@ class TestFedsatAggregate:
         w = np.array([0.5, -1.5, 2.0])
         new = np.array([1.0, 0.0, 1.0])
         server = make_server(w.copy(), {0: 1.0})
-        fedsat_aggregate(server, msg(0, w.copy(), new))
+        upload(server, 0, w.copy(), new)
         np.testing.assert_allclose(server.params, new, atol=1e-15)
 
     def test_half_weight_hand_example(self):
         # hand evaluation: w=(1,1), prev=(1,1), new=(0,0), alpha=0.5 -> (0.5,0.5)
         server = make_server([1.0, 1.0], {0: 0.5, 1: 0.5})
-        fedsat_aggregate(server, msg(0, [1.0, 1.0], [0.0, 0.0]))
+        upload(server, 0, [1.0, 1.0], [0.0, 0.0])
         np.testing.assert_allclose(server.params, [0.5, 0.5])
 
     def test_unregistered_satellite_rejected(self):
         server = make_server([1.0], {0: 1.0})
         with pytest.raises(ValueError):
-            fedsat_aggregate(server, msg(7, [1.0], [2.0]))
+            upload(server, 7, [1.0], [2.0])
 
     def test_dimension_mismatch_rejected(self):
         server = make_server([1.0, 2.0], {0: 1.0})
         with pytest.raises(ValueError):
-            fedsat_aggregate(server, msg(0, [1.0], [2.0]))
+            upload(server, 0, [1.0], [2.0])
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -67,8 +60,8 @@ class TestFedsatAggregate:
         delta = d_q.astype(np.float64) / 2**20
         server = make_server(w.copy(), {0: 0.5, 1: 0.5})
         zero = np.zeros(4)
-        fedsat_aggregate(server, msg(0, delta.copy(), zero))
-        fedsat_aggregate(server, msg(0, zero, delta.copy()))
+        upload(server, 0, delta.copy(), zero)
+        upload(server, 0, zero, delta.copy())
         np.testing.assert_array_equal(server.params, w)
 
     @settings(max_examples=50, deadline=None)
@@ -79,15 +72,15 @@ class TestFedsatAggregate:
     def test_delta_then_inverse_restores_within_rounding(self, w, delta):
         server = make_server(w.copy(), {0: 0.3, 1: 0.7})
         zero = np.zeros(4)
-        fedsat_aggregate(server, msg(0, delta.copy(), zero))
-        fedsat_aggregate(server, msg(0, zero, delta.copy()))
+        upload(server, 0, delta.copy(), zero)
+        upload(server, 0, zero, delta.copy())
         np.testing.assert_allclose(server.params, w, rtol=0, atol=1e-14)
 
     def test_counter_discipline(self):
         server = make_server([0.0], {0: 0.5, 1: 0.5})
         uploads = 0
         for k in (0, 1, 0, 1, 1):
-            fedsat_aggregate(server, msg(k, [1.0], [0.5]))
+            upload(server, k, [1.0], [0.5])
             uploads += 1
         assert server.epoch == uploads
 
@@ -118,28 +111,6 @@ class TestFedavgSyncAggregate:
             fedavg_sync_aggregate(server, {0: np.array([1.0])})
 
 
-class TestStaleness:
-    def test_same_pass_no_interleaving(self):
-        server = make_server([0.0], {0: 1.0})
-        m = msg(0, [0.0], [1.0], dl_time=100.0, dl_epoch=server.epoch)
-        rec = record_staleness(m, 130.0, server)
-        assert rec.epoch_staleness == 0
-        assert rec.time_staleness_s == pytest.approx(30.0)
-
-    def test_time_staleness_nonnegative(self):
-        server = make_server([0.0], {0: 1.0})
-        rec = record_staleness(msg(0, [0.0], [1.0], dl_time=5.0), 5.0, server)
-        assert rec.time_staleness_s >= 0.0
-
-    def test_epoch_staleness_counts_interleaved_aggregations(self):
-        server = make_server([0.0], {0: 0.5, 1: 0.5})
-        m = msg(0, [0.0], [1.0], dl_time=0.0, dl_epoch=server.epoch)
-        fedsat_aggregate(server, msg(1, [0.0], [1.0]))
-        fedsat_aggregate(server, msg(1, [1.0], [2.0]))
-        rec = record_staleness(m, 50.0, server)
-        assert rec.epoch_staleness == 2
-
-
 class TestSequentialSgdEquivalence:
     def test_single_satellite_chain(self):
         # m aggregated uploads == m chained local trainings
@@ -155,7 +126,7 @@ class TestSequentialSgdEquivalence:
             start = server.params.copy()
             trained = local_sgd(learner, [start], [data], profile, [m])[0]
             prev = prev_upload if prev_upload is not None else start
-            fedsat_aggregate(server, msg(0, prev, trained))
+            upload(server, 0, prev, trained)
             prev_upload = trained
 
         w = w0.copy()

@@ -111,7 +111,7 @@ def test_run_properties(orbit_list, twin, **draws):
 def check_run(r, policy, cap):
     n_sats = r.scenario.satellite_count
     assert len(r.schedule.cycles) == n_sats
-    exchanges = set()
+    exchanges = {}
     for k, cycles in enumerate(r.schedule.cycles):
         passes = r.plan.passes[k]
         free = 0.0
@@ -131,16 +131,25 @@ def check_run(r, policy, cap):
             assert q.rise_s <= c.ul_start_s <= c.ul_complete_s <= q.set_s
             assert c.train_complete_s <= c.ul_start_s
             free = c.ul_complete_s
-            exchanges.add((k, c.ul_complete_s))
+            exchanges[(k, c.ul_complete_s)] = c
     if cap is not None:
         assert peak_links(r.schedule) <= cap
 
     ups = r.upload_rows()
     # every replayed upload is a scheduled one, and every scheduled one is replayed
     assert sorted((u.satellite_id, u.sim_time_s) for u in ups) == sorted(exchanges)
-    for u in ups:
-        assert u.time_staleness_s >= 0.0
-        assert u.epoch_staleness >= 0
+    for i, u in enumerate(ups):
+        c = exchanges[(u.satellite_id, u.sim_time_s)]
+        assert u.time_staleness_s == c.ul_complete_s - c.dl_complete_s >= 0.0
+        if policy == "fedavg_sync":
+            # a round downloads after the last one's aggregation
+            assert u.epoch_staleness == 0
+        else:
+            # uploads replayed after the download; one at the download's
+            # instant is replayed before it
+            assert u.epoch_staleness == sum(
+                v.sim_time_s > c.dl_complete_s for v in ups[:i]
+            )
     if policy == "fedavg_sync":
         for e in range(r.global_epoch):
             assert sorted(u.satellite_id for u in ups if u.global_epoch == e) == list(

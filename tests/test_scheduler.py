@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from satfl.errors import InfeasibleScheduleError, ScenarioError
@@ -7,10 +9,7 @@ from satfl.scheduler import (
     Mode,
     build_sync_schedule,
     check_link_cap,
-    effective_online_budget,
     extract_schedule,
-    fedsat_decide,
-    fedsatschedule_decide,
 )
 
 
@@ -25,65 +24,79 @@ def uniform_comm(plan, dl=10.0, ul=10.0):
     return dls, uls
 
 
+def first_mode(plan, t_l, dls=None, uls=None, policy="fedsatschedule"):
+    """Mode of satellite 0's first cycle; exchanges take no time unless
+    given, so the strict online budget is the raw next-pass duration."""
+    zero_dls, zero_uls = uniform_comm(plan, dl=0.0, ul=0.0)
+    sched = extract_schedule(plan, policy, [t_l], dls or zero_dls, uls or zero_uls)
+    return sched.cycles[0][0].mode
+
+
 class TestDecisionRule:
     @pytest.mark.parametrize("duration", [60.0, 300.0, 600.0, 1800.0])
     @pytest.mark.parametrize("t_l", [30.0, 900.0, 1800.0])
     def test_offline_iff_next_pass_shorter_than_training(self, duration, t_l):
         plan = make_plan([[(0.0, 100.0), (1000.0, 1000.0 + duration)]])
-        decision = fedsatschedule_decide(plan, 0, 0, t_l)
         expected = Mode.TRAIN_OFFLINE if duration < t_l else Mode.TRAIN_ONLINE
-        assert decision.mode is expected
+        assert first_mode(plan, t_l) is expected
 
     def test_tie_goes_online(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
-        assert fedsatschedule_decide(plan, 0, 0, 600.0).mode is Mode.TRAIN_ONLINE
+        assert first_mode(plan, 600.0) is Mode.TRAIN_ONLINE
 
     def test_no_next_pass_falls_back_offline(self):
         plan = make_plan([[(0.0, 100.0)]])
-        assert fedsatschedule_decide(plan, 0, 0, 1.0).mode is Mode.TRAIN_OFFLINE
+        assert first_mode(plan, 1.0) is Mode.TRAIN_OFFLINE
 
     def test_explicit_budget_overrides_duration(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 2000.0)]])
-        # the raw duration (1000 s) would go online for t_l = 900 s
-        assert fedsatschedule_decide(plan, 0, 0, 900.0).mode is Mode.TRAIN_ONLINE
-        assert (
-            fedsatschedule_decide(plan, 0, 0, 900.0, online_budget_s=800.0).mode
-            is Mode.TRAIN_OFFLINE
-        )
+        # the raw duration (1000 s) would go online for t_l = 900 s; the
+        # strict budget takes the next pass's exchanges off it, not this one's
+        assert first_mode(plan, 900.0) is Mode.TRAIN_ONLINE
+        assert first_mode(plan, 900.0, [[500.0, 0.0]], [[500.0, 0.0]]) is (
+            Mode.TRAIN_ONLINE)
+        assert first_mode(plan, 900.0, [[0.0, 100.0]], [[0.0, 100.0]]) is (
+            Mode.TRAIN_OFFLINE)
 
     def test_baseline_always_offline(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 9000.0)]])
-        for p in range(2):
-            assert fedsat_decide(plan, 0, p).mode is Mode.TRAIN_OFFLINE
+        dls, uls = uniform_comm(plan, dl=0.0, ul=0.0)
+        sched = extract_schedule(plan, "fedsat", [1.0], dls, uls)
+        assert len(sched.cycles[0]) == 2
+        assert all(c.mode is Mode.TRAIN_OFFLINE for c in sched.cycles[0])
 
 
 class TestEffectiveOnlineBudget:
+    """Under strict_online_budget the decision compares the training time
+    with the next pass's duration minus its DL and UL times."""
+
     def budget(self):
         return LinkBudget.from_db_units(40.0, 6.98, 6.98, 20e6, 290.0, 2.4e9)
 
     def test_subtracts_both_exchanges(self):
-        b = self.budget()
-        p = Pass(0.0, 600.0)
-        bits = 32.0 * 90
-        exchange = pass_comm_time(b, bits, 1.5e6)
-        assert effective_online_budget(p, 1.5e6, b, bits) == pytest.approx(
-            600.0 - 2 * exchange
-        )
+        exchange = pass_comm_time(self.budget(), 32.0 * 90, 1.5e6)
+        plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
+        dls, uls = uniform_comm(plan, dl=exchange, ul=exchange)
+        effective = 600.0 - 2 * exchange
+        assert first_mode(plan, effective - 1e-6, dls, uls) is Mode.TRAIN_ONLINE
+        assert first_mode(plan, effective + 1e-6, dls, uls) is Mode.TRAIN_OFFLINE
 
     def test_can_be_negative(self):
-        b = self.budget()
-        p = Pass(0.0, 0.001)
-        assert effective_online_budget(p, 2.5e6, b, 32.0 * 1e6) < 0.0
+        # a next pass shorter than its exchanges holds no in-pass cycle,
+        # however short the training
+        exchange = pass_comm_time(self.budget(), 32.0 * 1e6, 2.5e6)
+        plan = make_plan([[(0.0, 100.0), (1000.0, 1000.001)]])
+        dls, uls = uniform_comm(plan, dl=exchange, ul=exchange)
+        assert first_mode(plan, math.ulp(0.0), dls, uls) is Mode.TRAIN_OFFLINE
 
     def test_asymmetric_uplink(self):
-        b = self.budget()
-        half = LinkBudget(b.power_w / 2, b.gain_sat, b.gain_gs,
-                          b.bandwidth_hz, b.noise_temp_k, b.carrier_hz)
-        p = Pass(0.0, 600.0)
-        bits = 32.0 * 90
-        sym = effective_online_budget(p, 1.5e6, b, bits)
-        asym = effective_online_budget(p, 1.5e6, b, bits, ul_budget=half)
-        assert asym < sym
+        # a slower uplink shrinks the budget below a training time that the
+        # symmetric link leaves room for
+        plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
+        dls, sym = uniform_comm(plan, dl=10.0, ul=10.0)
+        _, slow = uniform_comm(plan, ul=20.0)
+        assert first_mode(plan, 575.0, dls, sym) is Mode.TRAIN_ONLINE
+        assert first_mode(plan, 575.0, dls, slow) is Mode.TRAIN_OFFLINE
 
 
 class TestExtractScheduleOffline:
@@ -222,6 +235,12 @@ class TestPolicyAgreement:
             base_age = base.ul_complete_s - base.dl_start_s
             sched_age = sched.ul_complete_s - sched.dl_start_s
             assert sched_age < base_age
+
+    def test_sync_policy_builds_the_sync_schedule(self):
+        plan = make_plan([[(0.0, 300.0), (1000.0, 1300.0)], [(100.0, 400.0)]])
+        dls, uls = uniform_comm(plan)
+        assert (extract_schedule(plan, "fedavg_sync", [60.0, 60.0], dls, uls)
+                == build_sync_schedule(plan, [60.0, 60.0], dls, uls))
 
     def test_unknown_policy_rejected(self):
         plan = make_plan([[(0.0, 200.0)]])
