@@ -1,6 +1,6 @@
 """Command-line front end: plan passes, run experiments, compare policies.
 
-Exit codes: 0 success, 2 scenario error or infeasible schedule, 1 internal error.
+Exit codes: 0 success, 2 scenario, schedule or link error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from pathlib import Path
 
 from . import exports
 from .engine import compare_runs, run_simulation
-from .errors import InfeasibleScheduleError, ScenarioError
+from .errors import InfeasibleScheduleError, LinkUnavailableError, ScenarioError
 from .orbital import compute_contact_plan, max_pass_distances
 from .scenario import POLICIES, load_scenario, with_overrides
 
@@ -122,7 +122,7 @@ def main(argv=None) -> int:
     handlers = {"plan": cmd_plan, "run": cmd_run, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, InfeasibleScheduleError) as exc:
+    except (ScenarioError, InfeasibleScheduleError, LinkUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

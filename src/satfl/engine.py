@@ -44,7 +44,7 @@ from .learning import (
 )
 from .link import pass_comm_time
 from .orbital import ContactPlan, compute_contact_plan, max_pass_distances
-from .scenario import Scenario
+from .scenario import Scenario, with_overrides
 from .scheduler import TransmissionSchedule, check_link_cap, extract_schedule
 
 # timeline event kinds, valued in their same-time replay order
@@ -265,29 +265,20 @@ def run_simulation(scenario: Scenario) -> SimResult:
 def compare_runs(
     scenario: Scenario,
     policies: list[str],
-    threshold: float | None = None,
 ) -> tuple[dict[str, SimResult], list[dict]]:
     """Run the same scenario under several policies and tabulate outcomes.
 
-    All runs share the scenario seed; their contact plans are verified to
-    be identical. The accuracy threshold defaults to the midpoint between
-    the first policy's initial and final accuracy.
+    All runs share the scenario seed, hence the contact plan. The accuracy
+    threshold is the midpoint between the first policy's initial and final
+    accuracy.
     """
     if len(policies) < 2:
         raise ScenarioError("compare needs at least two policies")
-    from .scenario import with_overrides
-
     results: dict[str, SimResult] = {}
     for policy in policies:
         results[policy] = run_simulation(with_overrides(scenario, policy=policy))
-
     reference = results[policies[0]]
-    for policy in policies[1:]:
-        if results[policy].plan.passes != reference.plan.passes:
-            raise ScenarioError("contact plans differ between compared runs")
-
-    if threshold is None:
-        threshold = 0.5 * (reference.initial_accuracy + reference.final_accuracy)
+    threshold = 0.5 * (reference.initial_accuracy + reference.final_accuracy)
 
     table = []
     for policy in policies:

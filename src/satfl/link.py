@@ -78,17 +78,15 @@ class LinkBudget:
         )
 
 
-def path_loss(distance_m: float, carrier_hz: float, c: float = EARTH.c) -> float:
+def path_loss(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss as a linear factor: (4 pi f d / c)^2."""
     if distance_m <= 0:
         raise ValueError("distance must be strictly positive")
-    return (4.0 * math.pi * carrier_hz * distance_m / c) ** 2
+    return (4.0 * math.pi * carrier_hz * distance_m / EARTH.c) ** 2
 
 
-def snr(budget: LinkBudget, distance_m: float, visible: bool = True) -> float:
-    """Linear SNR of the link; zero whenever the satellite is out of view."""
-    if not visible:
-        return 0.0
+def snr(budget: LinkBudget, distance_m: float) -> float:
+    """Linear SNR of the link to a satellite in view at distance_m."""
     loss = path_loss(distance_m, budget.carrier_hz)
     return budget.power_w * budget.gain_sat * budget.gain_gs / (
         budget.noise_power_w * loss
@@ -102,18 +100,16 @@ def data_rate(budget: LinkBudget, snr_linear: float) -> float:
     return budget.bandwidth_hz * math.log2(1.0 + snr_linear)
 
 
-def comm_time(
-    model_bits: float, rate_bps: float, distance_m: float, c: float = EARTH.c
-) -> float:
+def comm_time(model_bits: float, rate_bps: float, distance_m: float) -> float:
     """Transmission plus propagation time for one model exchange."""
     if rate_bps <= 0:
         raise LinkUnavailableError(
             "cannot exchange model parameters over a zero-rate link"
         )
-    return model_bits / rate_bps + distance_m / c
+    return model_bits / rate_bps + distance_m / EARTH.c
 
 
 def pass_comm_time(budget: LinkBudget, model_bits: float, max_distance_m: float) -> float:
     """Exchange time for one pass, using the pass's longest distance."""
-    rate = data_rate(budget, snr(budget, max_distance_m, visible=True))
+    rate = data_rate(budget, snr(budget, max_distance_m))
     return comm_time(model_bits, rate, max_distance_m)

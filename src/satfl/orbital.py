@@ -23,11 +23,6 @@ class EarthConstants:
     omega_e: float = 7.2921159e-5  # sidereal rotation rate [rad/s]
     c: float = 299792458.0         # speed of light [m/s]
 
-    def __post_init__(self):
-        for name in ("r_e", "mu", "omega_e", "c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
-
 
 EARTH = EarthConstants()
 
@@ -80,23 +75,18 @@ class Pass:
 class ContactPlan:
     """Per-satellite ordered pass lists over a simulation horizon."""
 
-    horizon_s: float
     passes: list[list[Pass]] = field(default_factory=list)
-
-    @property
-    def satellite_count(self) -> int:
-        return len(self.passes)
 
     def pass_counts(self) -> list[int]:
         return [len(p) for p in self.passes]
 
 
-def orbital_period(altitude_m: float, earth: EarthConstants = EARTH) -> float:
+def orbital_period(altitude_m: float) -> float:
     """Period of a circular orbit at the given altitude, in seconds."""
     if altitude_m < 0:
         raise ValueError("altitude must be non-negative")
-    r = earth.r_e + altitude_m
-    v = math.sqrt(earth.mu / r)
+    r = EARTH.r_e + altitude_m
+    v = math.sqrt(EARTH.mu / r)
     return 2.0 * math.pi * r / v
 
 
@@ -126,22 +116,21 @@ class _OrbitTerms(NamedTuple):
         return _OrbitTerms(*(a[k] for a in self))
 
 
-def _orbit_terms(orbit: OrbitSpec, sat_index: int,
-                 earth: EarthConstants) -> _OrbitTerms:
+def _orbit_terms(orbit: OrbitSpec, sat_index: int) -> _OrbitTerms:
     ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
     co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
     return _OrbitTerms(
-        r=earth.r_e + orbit.altitude_m,
-        n=2.0 * math.pi / orbital_period(orbit.altitude_m, earth),
+        r=EARTH.r_e + orbit.altitude_m,
+        n=2.0 * math.pi / orbital_period(orbit.altitude_m),
         u0=orbit.initial_arg_latitude_rad
         + 2.0 * math.pi * sat_index / orbit.satellite_count,
         co=co, so=so, si=si, so_ci=so * ci, co_ci=co * ci,
     )
 
 
-def _constellation_terms(orbits: list[OrbitSpec], earth: EarthConstants) -> _OrbitTerms:
+def _constellation_terms(orbits: list[OrbitSpec]) -> _OrbitTerms:
     """Orbit terms of every satellite, indexed by global satellite id."""
-    rows = [_orbit_terms(o, j, earth) for o, j in flatten_constellation(orbits)]
+    rows = [_orbit_terms(o, j) for o, j in flatten_constellation(orbits)]
     table = np.array(rows, dtype=float).reshape(-1, len(_OrbitTerms._fields))
     return _OrbitTerms(*table.T.copy())
 
@@ -165,7 +154,6 @@ def satellite_position_eci(
     orbit: OrbitSpec,
     sat_index: int,
     t: float | np.ndarray,
-    earth: EarthConstants = EARTH,
 ) -> np.ndarray:
     """ECI position of one satellite of an orbit at time(s) t.
 
@@ -173,19 +161,19 @@ def satellite_position_eci(
     """
     if sat_index >= orbit.satellite_count:
         raise ValueError("sat_index out of range for this orbit")
-    return _position(_orbit_terms(orbit, sat_index, earth), np.asarray(t, dtype=float))
+    return _position(_orbit_terms(orbit, sat_index), np.asarray(t, dtype=float))
 
 
 def ground_station_position_eci(
-    gs: GroundStation, t: float | np.ndarray, earth: EarthConstants = EARTH
+    gs: GroundStation, t: float | np.ndarray
 ) -> np.ndarray:
     """ECI position of the rotating ground station at time(s) t."""
     t = np.asarray(t, dtype=float)
-    lon = gs.longitude_rad + earth.omega_e * t
+    lon = gs.longitude_rad + EARTH.omega_e * t
     clat = math.cos(gs.latitude_rad)
-    x = earth.r_e * clat * np.cos(lon)
-    y = earth.r_e * clat * np.sin(lon)
-    z = earth.r_e * math.sin(gs.latitude_rad) * np.ones_like(np.asarray(lon))
+    x = EARTH.r_e * clat * np.cos(lon)
+    y = EARTH.r_e * clat * np.sin(lon)
+    z = EARTH.r_e * math.sin(gs.latitude_rad) * np.ones_like(np.asarray(lon))
     return np.stack([x, y, np.broadcast_to(z, np.shape(x))], axis=-1)
 
 
@@ -223,13 +211,19 @@ def slant_range(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarray:
     return float(d) if d.ndim == 0 else d
 
 
-# coarse-scan windows: grid steps per window and the bound's margin (see
-# compute_contact_plan)
+# coarse-scan windows: grid steps per window and the bound's margin; the
+# bracket width at which bisection stops (see compute_contact_plan)
 _WINDOW_STEPS = 12
 _WINDOW_MARGIN_RAD = 1e-6
+_REFINE_TOL_S = 0.1
 
 
-def _candidate_windows(terms, gs, grid, earth):
+def _visible(terms, gs, t):
+    """is_visible of satellites terms at times t; both broadcast elementwise."""
+    return is_visible(_position(terms, t), gs, ground_station_position_eci(gs, t))
+
+
+def _candidate_windows(terms, gs, grid):
     """Window ends (grid indices) and the (satellite, window) mask of the
     windows whose bound does not rule out a visible grid point.
 
@@ -241,38 +235,34 @@ def _candidate_windows(terms, gs, grid, earth):
     t = grid[ends]
     col = terms.take(np.s_[:, None])
     sat_dir = _position(col, t) / col.r[..., None]
-    gs_dir = ground_station_position_eci(gs, t, earth) / earth.r_e
+    gs_dir = ground_station_position_eci(gs, t) / EARTH.r_e
     cos_theta = np.sum(sat_dir * gs_dir, axis=-1)
     theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
     alpha = gs.min_elevation_rad
-    lam = np.arccos(earth.r_e * math.cos(alpha) / terms.r) - alpha
-    rate = terms.n + earth.omega_e
+    lam = np.arccos(EARTH.r_e * math.cos(alpha) / terms.r) - alpha
+    rate = terms.n + EARTH.omega_e
     floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate[:, None] * np.diff(t))
     return ends, floor <= (lam + _WINDOW_MARGIN_RAD)[:, None]
 
 
-def _refine_crossings(terms, gs, t_lo, t_hi, alpha, tol, earth):
-    """Bisect the sign change of elevation - alpha inside every bracket
-    [t_lo[i], t_hi[i]] of satellite terms[i] at once; return the midpoints.
+def _refine_crossings(terms, gs, t_lo, t_hi):
+    """Bisect the visibility change inside every bracket [t_lo[i], t_hi[i]]
+    of satellite terms[i] at once; return the midpoints.
 
     Each step evaluates all brackets in one array call but moves only those
-    still wider than tol, so every bracket takes the same steps, with the
-    same float operations, as a bisection of that bracket alone.
+    still wider than _REFINE_TOL_S, so every bracket takes the same steps,
+    with the same float operations, as a bisection of that bracket alone.
+    t_lo only moves to an instant with its own visibility, so that
+    visibility is evaluated once.
     """
-    def f(t):
-        gp = ground_station_position_eci(gs, t, earth)
-        return elevation_angle(_position(terms, t), gp) - alpha
-
-    f_lo = f(t_lo)
-    active = t_hi - t_lo > tol
+    v_lo = _visible(terms, gs, t_lo)
+    active = t_hi - t_lo > _REFINE_TOL_S
     while active.any():
         t_mid = 0.5 * (t_lo + t_hi)
-        f_mid = f(t_mid)
-        move_lo = active & ((f_mid >= 0) == (f_lo >= 0))
+        move_lo = active & (_visible(terms, gs, t_mid) == v_lo)
         t_lo = np.where(move_lo, t_mid, t_lo)
-        f_lo = np.where(move_lo, f_mid, f_lo)
         t_hi = np.where(active & ~move_lo, t_mid, t_hi)
-        active = t_hi - t_lo > tol
+        active = t_hi - t_lo > _REFINE_TOL_S
     return 0.5 * (t_lo + t_hi)
 
 
@@ -281,17 +271,15 @@ def compute_contact_plan(
     gs: GroundStation,
     horizon_s: float,
     coarse_step_s: float = 10.0,
-    refine_tol_s: float = 0.1,
-    earth: EarthConstants = EARTH,
 ) -> ContactPlan:
     """Find every pass of every satellite over [0, horizon_s].
 
     A coarse visibility scan on a coarse_step_s grid locates the grid cells
     holding a rise or set; all crossings of the constellation are then
-    bisected together, each to refine_tol_s (see _refine_crossings). The
-    last cell ends at horizon_s and may be narrower than the step. Passes
-    shorter than coarse_step_s may be missed, hence the step is capped at
-    10 s.
+    bisected together until each bracket is at most _REFINE_TOL_S = 0.1 s
+    wide (see _refine_crossings). The last cell ends at horizon_s and may be
+    narrower than the step. Passes shorter than coarse_step_s may be missed,
+    hence the step is capped at 10 s.
 
     The scan evaluates the elevation only where a pass is possible. A
     satellite at radius r is visible only while the central angle theta
@@ -302,7 +290,7 @@ def compute_contact_plan(
     below (theta_a + theta_b - (n + omega_e) w) / 2. Windows of 12 grid
     steps where that bound exceeds lam + 1e-6 rad hold no visible grid
     point and are skipped; every other grid point goes through
-    elevation_angle exactly as in a scan of the full grid, so the
+    is_visible exactly as in a scan of the full grid, so the
     visibility mask, and with it the plan, is the full scan's to the bit.
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
@@ -312,19 +300,15 @@ def compute_contact_plan(
 
     n_steps = int(math.ceil(horizon_s / coarse_step_s))
     grid = np.minimum(np.arange(n_steps + 1) * coarse_step_s, horizon_s)
-    alpha = gs.min_elevation_rad
-    terms = _constellation_terms(orbits, earth)
+    terms = _constellation_terms(orbits)
 
-    ends, kept = _candidate_windows(terms, gs, grid, earth)
+    ends, kept = _candidate_windows(terms, gs, grid)
     need = np.zeros((len(terms.r), len(grid)), dtype=bool)
     need[:, :-1] = np.repeat(kept, np.diff(ends), axis=1)
     need[:, ends[1:]] |= kept
     sat, point = np.nonzero(need)
     visible = np.zeros_like(need)
-    t = grid[point]
-    visible[sat, point] = elevation_angle(
-        _position(terms.take(sat), t), ground_station_position_eci(gs, t, earth)
-    ) >= alpha
+    visible[sat, point] = _visible(terms.take(sat), gs, grid[point])
 
     refused = np.flatnonzero(visible[:, 0] | visible[:, -1])
     if refused.size:
@@ -335,9 +319,8 @@ def compute_contact_plan(
     # row-major: each satellite's changes in time order, alternating rise
     # (0->1) and set (1->0) since both ends are off
     sat, cell = np.nonzero(np.diff(visible.astype(np.int8), axis=1))
-    t = _refine_crossings(terms.take(sat), gs, grid[cell], grid[cell + 1],
-                          alpha, refine_tol_s, earth)
-    plan = ContactPlan(horizon_s=horizon_s, passes=[[] for _ in terms.r])
+    t = _refine_crossings(terms.take(sat), gs, grid[cell], grid[cell + 1])
+    plan = ContactPlan(passes=[[] for _ in terms.r])
     for k, r, s in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist()):
         plan.passes[k].append(Pass(r, s))
     return plan
@@ -348,7 +331,6 @@ def max_pass_distance(
     orbit: OrbitSpec,
     sat_index: int,
     gs: GroundStation,
-    earth: EarthConstants = EARTH,
 ) -> float:
     """Longest slant range over one pass: the larger of the ranges at its
     rise and set instants.
@@ -357,8 +339,8 @@ def max_pass_distance(
     over a contiguous pass the elevation is lowest at its two ends.
     """
     times = np.array([pass_.rise_s, pass_.set_s])
-    sp = satellite_position_eci(orbit, sat_index, times, earth)
-    gp = ground_station_position_eci(gs, times, earth)
+    sp = satellite_position_eci(orbit, sat_index, times)
+    gp = ground_station_position_eci(gs, times)
     return float(np.max(slant_range(sp, gp)))
 
 
@@ -366,7 +348,6 @@ def max_pass_distances(
     plan: ContactPlan,
     orbits: list[OrbitSpec],
     gs: GroundStation,
-    earth: EarthConstants = EARTH,
 ) -> list[list[float]]:
     """max_pass_distance of every pass of the plan, per satellite, priced
     in one array call over all rise and set instants."""
@@ -374,8 +355,8 @@ def max_pass_distances(
     sat = np.repeat(np.arange(len(counts)), counts)
     t = np.array([(p.rise_s, p.set_s) for ps in plan.passes for p in ps],
                  dtype=float).reshape(-1)
-    terms = _constellation_terms(orbits, earth).take(np.repeat(sat, 2))
-    d = slant_range(_position(terms, t), ground_station_position_eci(gs, t, earth))
+    terms = _constellation_terms(orbits).take(np.repeat(sat, 2))
+    d = slant_range(_position(terms, t), ground_station_position_eci(gs, t))
     dmax = np.maximum(d[0::2], d[1::2]).tolist()
     bounds = np.cumsum([0] + counts).tolist()
     return [dmax[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

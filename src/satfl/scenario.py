@@ -8,13 +8,14 @@ learner, compute, scheduler and sim. Values keep their boundary units here
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import yaml
 
 from .errors import ScenarioError
 from .learning import ComputeProfile
-from .link import LinkBudget, linear_to_db, watts_to_dbm
+from .link import LinkBudget, db_to_linear, linear_to_db, watts_to_dbm
 from .orbital import GroundStation, OrbitSpec
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
@@ -30,6 +31,15 @@ class OrbitConfig:
     raan_deg: float = 0.0
     initial_arg_latitude_deg: float = 0.0
     satellite_count: int = 1
+
+    def spec(self) -> OrbitSpec:
+        return OrbitSpec(
+            altitude_m=self.altitude_m,
+            inclination_rad=math.radians(self.inclination_deg),
+            raan_rad=math.radians(self.raan_deg),
+            initial_arg_latitude_rad=math.radians(self.initial_arg_latitude_deg),
+            satellite_count=self.satellite_count,
+        )
 
 
 @dataclass
@@ -70,16 +80,7 @@ class Scenario:
     # ---- domain object factories -------------------------------------
 
     def orbit_specs(self) -> list[OrbitSpec]:
-        return [
-            OrbitSpec(
-                altitude_m=o.altitude_m,
-                inclination_rad=math.radians(o.inclination_deg),
-                raan_rad=math.radians(o.raan_deg),
-                initial_arg_latitude_rad=math.radians(o.initial_arg_latitude_deg),
-                satellite_count=o.satellite_count,
-            )
-            for o in self.orbits
-        ]
+        return [o.spec() for o in self.orbits]
 
     def ground_station(self) -> GroundStation:
         return GroundStation(
@@ -116,10 +117,20 @@ class Scenario:
             raise ScenarioError(
                 f"scheduler policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        if self.horizon_s <= 0:
-            raise ScenarioError("sim.horizon_s must be strictly positive")
-        if self.eval_period_s <= 0:
-            raise ScenarioError("sim.eval_period_s must be strictly positive")
+        # a float field takes only finite numbers; abs() <= max is false for
+        # nan, inf and ints beyond the float range
+        floats = [(_KEYS[f.name], getattr(self, f.name)) for f in fields(self)
+                  if f.type.startswith("float")]
+        floats += [(f"constellation.orbits[{i}].{f.name}", getattr(o, f.name))
+                   for i, o in enumerate(self.orbits) for f in fields(o) if f.type == "float"]
+        for key, value in floats:
+            if value is not None and not abs(value) <= sys.float_info.max:
+                raise ScenarioError(f"{key} must be a finite number, got {value!r}")
+        for key in ("sim.horizon_s", "sim.eval_period_s", "compute.train_time_s",
+                    "compute.cycles_per_bit", "compute.cpu_hz"):
+            value = getattr(self, key.partition(".")[2])
+            if value is not None and value <= 0:
+                raise ScenarioError(f"{key} must be strictly positive")
         if self.train_time_s is None and (
             self.cycles_per_bit is None or self.cpu_hz is None
         ):
@@ -127,23 +138,17 @@ class Scenario:
                 "either compute.train_time_s or compute.{cycles_per_bit, cpu_hz} "
                 "must be given"
             )
-        if self.train_time_s is not None and self.train_time_s <= 0:
-            raise ScenarioError("compute.train_time_s must be strictly positive")
-        for key in ("cycles_per_bit", "cpu_hz"):
-            value = getattr(self, key)
-            if value is not None and value <= 0:
-                raise ScenarioError(f"compute.{key} must be strictly positive")
         if not 0 < self.coarse_step_s <= 10.0:
             raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
-        try:
-            self.orbit_specs()
-            self.ground_station()
-            self.link_budget()
-            self.compute_profile()
-        except ValueError as exc:
-            raise ScenarioError(str(exc)) from exc
+        for key in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
+            _named(f"link.{key}", db_to_linear, getattr(self, key))
+        for i, o in enumerate(self.orbits):
+            _named(f"constellation.orbits[{i}]", o.spec)
+        for section, build in (("ground_station", self.ground_station),
+                               ("link", self.link_budget), ("learner", self.compute_profile)):
+            _named(section, build)
         for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
                            ("learner.samples_per_class", 1), ("learner.hidden", 1),
                            ("learner.test_samples_per_class", 1),
@@ -189,6 +194,17 @@ class Scenario:
         return groups, lpg
 
 
+def _named(key: str, fn, *args):
+    """fn(*args), a ValueError or float overflow raised as a ScenarioError
+    naming the scenario key or section it came from."""
+    try:
+        return fn(*args)
+    except OverflowError as exc:
+        raise ScenarioError(f"{key} is out of range") from exc
+    except ValueError as exc:
+        raise ScenarioError(f"{key}: {exc}") from exc
+
+
 def _same(*names: str) -> dict[str, str]:
     return {name: name for name in names}
 
@@ -219,7 +235,9 @@ _LINEAR_LINK = {
     "gain_sat": ("gain_sat_dbi", linear_to_db),
     "gain_gs": ("gain_gs_dbi", linear_to_db),
 }
-_ALTERNATE = {field: key for key, (field, _) in _LINEAR_LINK.items()}
+_ALTERNATE = {field: f"link.{key}" for key, (field, _) in _LINEAR_LINK.items()}
+_KEYS = {field: f"{name}.{key}" for name, keys in _FIELDS.items()
+         for key, field in keys.items()}
 _REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
 # field annotations, strings under postponed evaluation (e.g. "int | None"),
 # and the Python types each accepts; bool is an int to Python, so only a bool
@@ -230,12 +248,10 @@ _ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str}
 
 def _check_type(key: str, value, annotation: str) -> None:
     kind, _, optional = annotation.partition(" | ")
-    if value is None and optional or (
-        isinstance(value, _ACCEPTS[kind]) and isinstance(value, bool) == (kind == "bool")
-    ):
-        return
-    raise ScenarioError(f"{key} must be of type {annotation.replace('None', 'null')}, "
-                        f"got {value!r}")
+    if not (value is None and optional or isinstance(value, _ACCEPTS[kind])
+            and isinstance(value, bool) == (kind == "bool")):
+        raise ScenarioError(f"{key} must be of type {annotation.replace('None', 'null')}, "
+                            f"got {value!r}")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -273,17 +289,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
             elif name == "link" and key in _LINEAR_LINK:
                 field, convert = _LINEAR_LINK[key]
                 _check_type(f"{name}.{key}", value, _TYPES[field])
-                values.setdefault(field, convert(value))
+                values.setdefault(field, _named(f"{name}.{key}", convert, value))
             else:
                 raise ScenarioError(f"unknown key {name}.{key}")
     if "cycles_per_bit" in values:
         # a compute model replaces the default training time
         values.setdefault("train_time_s", None)
-    for name, keys in _FIELDS.items():
-        for key, field in keys.items():
-            if field in _REQUIRED and field not in values:
-                alt = f" or {name}.{_ALTERNATE[field]}" if field in _ALTERNATE else ""
-                raise ScenarioError(f"missing key {name}.{key}{alt}")
+    for field, key in _KEYS.items():
+        if field in _REQUIRED and field not in values:
+            alt = f" or {_ALTERNATE[field]}" if field in _ALTERNATE else ""
+            raise ScenarioError(f"missing key {key}{alt}")
     scenario = Scenario(**values)
     scenario.validate()
     return scenario

@@ -132,6 +132,33 @@ class TestCompare:
                      "--policies", "fedsat,magic"]) == 2
 
 
+# scenario values (key=YAML literal) and flags that exit 2 at load, with the
+# message naming their key
+BAD_VALUES = [
+    ("link.power_w=0.0", "link.power_w: power must be strictly positive"),
+    ("link.gain_sat=-1.0", "link.gain_sat: only positive quantities have a dB value"),
+    ("link.power_dbm=5000", "link.power_dbm is out of range"),
+    ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
+    ("sim.horizon_s=.inf", "sim.horizon_s must be a finite number, got inf"),
+    ("sim.eval_period_s=.nan", "sim.eval_period_s must be a finite number, got nan"),
+    ("compute.train_time_s=.nan",
+     "compute.train_time_s must be a finite number, got nan"),
+    ("learner.spread=.nan", "learner.spread must be a finite number, got nan"),
+    ("link.bandwidth_hz=.nan", "link.bandwidth_hz must be a finite number, got nan"),
+    ("constellation.orbits[0].altitude_m=.nan",
+     "constellation.orbits[0].altitude_m must be a finite number, got nan"),
+    ("--tl nan", "compute.train_time_s must be a finite number, got nan"),
+    ("--tl inf", "compute.train_time_s must be a finite number, got inf"),
+    ("--horizon inf", "sim.horizon_s must be a finite number, got inf"),
+    ("constellation.orbits[0].altitude_m=-5.0",
+     "constellation.orbits[0]: altitude must be strictly positive"),
+    ("ground_station.latitude_deg=95",
+     "ground_station: latitude must lie in [-pi/2, pi/2]"),
+    ("learner.eta=2.0", "learner: eta must lie in (0, 1]"),
+    ("learner.batch_size=0", "learner: batch_size and local_iters must be >= 1"),
+]
+
+
 class TestErrorPaths:
     def test_malformed_scenario_exits_2_without_output(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -346,3 +373,42 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert "error: satellite 0, pass 1: transmission overruns the pass by" in err
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("edit, message", BAD_VALUES,
+                             ids=[edit for edit, _ in BAD_VALUES])
+    def test_bad_value_exits_2_with_path(self, edit, message, command, tmp_path,
+                                         capsys):
+        # the bundled scenario with one value set (a linear link key replaces
+        # its dB key), or with one flag given
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        flags = edit.split() if edit.startswith("--") else []
+        if not flags:
+            key, literal = edit.split("=")
+            section, *_, field = key.split(".")
+            target = doc[section] if section != "constellation" else (
+                doc["constellation"]["orbits"][0])
+            target.pop({"power_w": "power_dbm", "gain_sat": "gain_sat_dbi"}.get(field),
+                       None)
+            target[field] = yaml.safe_load(literal)
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out), *flags]) == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        assert f"error: {message}" in err
+
+    @pytest.mark.parametrize("command", ["run", "compare"])
+    def test_zero_rate_link_exits_2(self, command, tmp_path, capsys):
+        # at -250 dBm every pass's SNR vanishes next to 1 in double precision,
+        # so each exchange is priced at zero rate
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["link"]["power_dbm"] = -250.0
+        weak = tmp_path / "weak.yaml"
+        weak.write_text(yaml.safe_dump(doc))
+        assert main([command, "--scenario", str(weak),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert ("error: cannot exchange model parameters over a zero-rate link"
+                in capsys.readouterr().err)

@@ -58,9 +58,6 @@ class TestPathLoss:
 
 
 class TestSnr:
-    def test_invisible_is_zero(self, reference_budget):
-        assert snr(reference_budget, 1e6, visible=False) == 0.0
-
     def test_golden_chain(self, reference_budget):
         assert snr(reference_budget, 1.69e6) == pytest.approx(
             GOLDEN_SNR_1690KM, rel=1e-12

@@ -424,8 +424,8 @@ class TestWindowedScan:
         # not only at its coarse grid points
         grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
                           horizon)
-        terms = orbital._constellation_terms(orbits, EARTH)
-        ends, kept = orbital._candidate_windows(terms, gs, grid, EARTH)
+        terms = orbital._constellation_terms(orbits)
+        ends, kept = orbital._candidate_windows(terms, gs, grid)
         assert ends[0] == 0 and ends[-1] == len(grid) - 1
         for k, (orbit, j) in enumerate(flatten_constellation(orbits)):
             for w in np.flatnonzero(~kept[k]):

@@ -1,4 +1,5 @@
 import dataclasses
+import re
 
 import pytest
 
@@ -175,6 +176,19 @@ class TestValidation:
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):
             self.base(max_concurrent_links=0).validate()
+
+    @pytest.mark.parametrize("field, value, key", [
+        ("horizon_s", float("nan"), "sim.horizon_s"),
+        ("eval_period_s", float("-inf"), "sim.eval_period_s"),
+        ("spread", 10**400, "learner.spread"),
+        ("cpu_hz", float("inf"), "compute.cpu_hz"),
+        ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=float("nan"))],
+         "constellation.orbits[0].inclination_deg"),
+    ], ids=["nan", "-inf", "int-beyond-float", "inf", "orbit"])
+    def test_float_fields_must_be_finite(self, field, value, key):
+        # a Scenario built in Python meets the same rule as a scenario file
+        with pytest.raises(ScenarioError, match=re.escape(f"{key} must be a finite number")):
+            self.base(**{field: value}).validate()
 
 
 class TestBundledScenario:

@@ -13,9 +13,8 @@ from satfl.scheduler import (
 )
 
 
-def make_plan(pass_lists, horizon_s=20000.0):
-    passes = [[Pass(r, s) for r, s in sats] for sats in pass_lists]
-    return ContactPlan(horizon_s=horizon_s, passes=passes)
+def make_plan(pass_lists):
+    return ContactPlan(passes=[[Pass(r, s) for r, s in sats] for sats in pass_lists])
 
 
 def uniform_comm(plan, dl=10.0, ul=10.0):
