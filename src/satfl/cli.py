@@ -1,6 +1,6 @@
 """Command-line front end: plan passes, run experiments, compare policies.
 
-Exit codes: 0 success, 2 scenario, schedule or link error, 1 internal error.
+Exit codes: 0 success, 2 scenario or link error, 1 internal error.
 """
 
 from __future__ import annotations
@@ -10,9 +10,8 @@ import sys
 from pathlib import Path
 
 from . import exports
-from .engine import compare_runs, run_simulation
-from .errors import InfeasibleScheduleError, LinkUnavailableError, ScenarioError
-from .orbital import compute_contact_plan, max_pass_distances
+from .engine import compare_runs, plan_and_price, run_simulation
+from .errors import LinkUnavailableError, ScenarioError
 from .scenario import POLICIES, load_scenario, with_overrides
 
 
@@ -60,14 +59,8 @@ def _load(args, policy=None):
 
 
 def cmd_plan(args) -> int:
-    scenario = _load(args)
+    plan, max_dists, _ = plan_and_price(_load(args))
     out = Path(args.out)
-    orbits = scenario.orbit_specs()
-    gs = scenario.ground_station()
-    plan = compute_contact_plan(
-        orbits, gs, scenario.horizon_s, scenario.coarse_step_s
-    )
-    max_dists = max_pass_distances(plan, orbits, gs)
     out.mkdir(parents=True, exist_ok=True)
     exports.write_contact_plan_csv(plan, max_dists, out / "contact_plan.csv")
     print(f"contact plan written to {out / 'contact_plan.csv'}")
@@ -122,7 +115,7 @@ def main(argv=None) -> int:
     handlers = {"plan": cmd_plan, "run": cmd_run, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, InfeasibleScheduleError, LinkUnavailableError) as exc:
+    except (ScenarioError, LinkUnavailableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

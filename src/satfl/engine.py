@@ -3,24 +3,24 @@
 No policy's timing depends on a learned value, so every download, upload
 and evaluation instant is known before the first SGD step:
 `extract_schedule` places every policy's cycles. The link cap is checked
-on that schedule, before any training. Its download (DL) and upload (UL)
-completions and the evaluation (EVAL) grid are then merged into one
-sorted list of plain (time, kind, satellite, cycle) tuples and replayed in
-one loop. Ties at equal times go UL before DL before EVAL, then by
-satellite, with evaluations as satellite -1, so identical scenarios and
-seeds yield bitwise-identical logs.
+on that schedule, before any training. Its upload (UL) completions, the
+download (DL) completions of the cycles that upload, and the evaluation
+(EVAL) grid are then merged into one sorted list of plain (time, kind,
+satellite, cycle) tuples and replayed in one loop. Ties at equal times go
+UL before DL before EVAL, then by satellite, with evaluations as
+satellite -1, so identical scenarios and seeds yield bitwise-identical
+logs.
 
 A DL snapshots the global model. Training consumes simulated time, but the
 SGD itself runs when its result is first read: at the update's upload for
 the asynchronous policies, at the round's aggregation for the synchronous
 baseline. That first read trains, from the snapshots taken at their
-downloads, every downloaded update whose upload is in the timeline and that
-is not trained yet, as one stack per dataset size; the others keep their
-results until their own uploads arrive. Updates that are never uploaded or
-never aggregated are never trained, and the learning outcome is independent
-of the configured training duration and of the stacking. An EVAL evaluates
-the global model, or reuses the last accuracy while the global epoch is
-unchanged.
+downloads, every downloaded update that is not trained yet, as one stack
+per dataset size; the others keep their results until their own uploads
+arrive. Updates that are never uploaded or never aggregated are never
+trained, and the learning outcome is independent of the configured
+training duration and of the stacking. An EVAL evaluates the global
+model, or reuses the last accuracy while the global epoch is unchanged.
 """
 
 from __future__ import annotations
@@ -34,13 +34,12 @@ import numpy as np
 from .errors import ScenarioError
 from .federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
+    WIRE_BITS_PER_PARAM,
     evaluate_accuracy,
     generate_synthetic_task,
     local_sgd,
-    make_learner,
     partition_non_iid,
     training_time,
-    wire_bits,
 )
 from .link import pass_comm_time
 from .orbital import ContactPlan, compute_contact_plan, max_pass_distances
@@ -106,15 +105,15 @@ def _timeline(
 ) -> list[tuple[float, int, int, int]]:
     """Every DL, UL and EVAL instant of a run, in replay order.
 
-    Schedule instants lie inside passes, hence inside the horizon; the
-    evaluation grid is cut at the horizon.
+    A cycle whose upload is dropped gets no DL either: its snapshot would
+    never be read. Schedule instants lie inside passes, hence inside the
+    horizon; the evaluation grid is cut at the horizon.
     """
     events = []
     for k, cycles in enumerate(schedule.cycles):
         for c, cyc in enumerate(cycles):
-            events.append((cyc.dl_complete_s, DL, k, c))
             if cyc.ul_complete_s is not None:
-                events.append((cyc.ul_complete_s, UL, k, c))
+                events += ((cyc.dl_complete_s, DL, k, c), (cyc.ul_complete_s, UL, k, c))
     for i in range(math.floor(horizon_s / eval_period_s) + 1):
         if i * eval_period_s <= horizon_s:
             events.append((i * eval_period_s, EVAL, -1, i))
@@ -127,7 +126,6 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     profile = scenario.compute_profile()
     sync = scenario.policy == "fedavg_sync"
     n_sats = len(datasets)
-    uploaded = {(k, c) for _, kind, k, c in timeline if kind == UL}
     # per-cycle state keyed by (satellite, cycle): the download's snapshot,
     # time and epoch; and the trained updates not yet read
     started: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
@@ -141,13 +139,13 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
         """Pop a cycle's trained update and its download state.
 
         An untrained cycle is trained together with every other started,
-        untrained cycle whose upload is in the timeline: their starts are
-        fixed, so one local_sgd stack per dataset size gives each the bits
-        it would get alone."""
+        untrained cycle (only cycles with an upload are started): their
+        starts are fixed, so one local_sgd stack per dataset size gives each
+        the bits it would get alone."""
         if key not in trained:
             by_size: dict[int, list[tuple[int, int]]] = {}
             for c in started:
-                if c in uploaded and c not in trained:
+                if c not in trained:
                     by_size.setdefault(datasets[c[0]].size, []).append(c)
             for keys in by_size.values():
                 trained.update(zip(keys, local_sgd(
@@ -189,22 +187,38 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     return rows
 
 
+def plan_and_price(
+    scenario: Scenario,
+) -> tuple[ContactPlan, list[list[float]], list[list[float]]]:
+    """Stages 1-2 of a run: the contact plan, each pass's longest distance,
+    and each pass's model exchange time at that distance.
+
+    The model is scenario.model_bits long, else WIRE_BITS_PER_PARAM bits per
+    parameter of the scenario's learner. A zero-rate link raises
+    LinkUnavailableError.
+    """
+    orbits = scenario.orbit_specs()
+    gs = scenario.ground_station()
+    plan = compute_contact_plan(
+        orbits, gs, scenario.horizon_s, scenario.coarse_step_s
+    )
+    max_dists = max_pass_distances(plan, orbits, gs)
+    model_bits = scenario.model_bits or WIRE_BITS_PER_PARAM * scenario.learner().param_dim
+    budget = scenario.link_budget()
+    comm_s = [[pass_comm_time(budget, model_bits, d) for d in ds] for ds in max_dists]
+    return plan, max_dists, comm_s
+
+
 def run_simulation(scenario: Scenario) -> SimResult:
     """Execute one full scenario and return its metrics log.
 
     Identical scenarios and seeds produce bitwise-identical results.
     """
     scenario.validate()
-    orbits = scenario.orbit_specs()
-    gs = scenario.ground_station()
-    plan = compute_contact_plan(
-        orbits, gs, scenario.horizon_s, scenario.coarse_step_s
-    )
+    plan, max_dists, comm_s = plan_and_price(scenario)
     n_sats = len(plan.passes)
 
-    learner = make_learner(
-        scenario.learner_kind, scenario.classes, scenario.feature_dim, scenario.hidden
-    )
+    learner = scenario.learner()
     train, test = generate_synthetic_task(
         scenario.classes,
         scenario.feature_dim,
@@ -224,11 +238,6 @@ def run_simulation(scenario: Scenario) -> SimResult:
 
     init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))
     params0 = learner.init_params(init_rng)
-    model_bits = wire_bits(params0) if scenario.model_bits is None else scenario.model_bits
-    budget = scenario.link_budget()
-
-    max_dists = max_pass_distances(plan, orbits, gs)
-    comm_s = [[pass_comm_time(budget, model_bits, d) for d in ds] for ds in max_dists]
 
     if scenario.train_time_s is not None:
         t_l = [scenario.train_time_s] * n_sats
@@ -240,10 +249,7 @@ def run_simulation(scenario: Scenario) -> SimResult:
         ]
 
     server = ServerState(params0.copy(), weights)
-    schedule = extract_schedule(
-        plan, scenario.policy, t_l, comm_s, comm_s,
-        strict_online_budget=scenario.strict_online_budget,
-    )
+    schedule = extract_schedule(plan, scenario.policy, t_l, comm_s, comm_s)
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
     rows = _replay(

@@ -8,19 +8,3 @@ class ScenarioError(ValueError):
 class LinkUnavailableError(ValueError):
     """Raised when a model exchange is requested over a zero-rate link."""
 
-
-class InfeasibleScheduleError(RuntimeError):
-    """Raised when a transmission cannot be placed inside any pass.
-
-    Carries the satellite, pass index and deficit so callers can report
-    exactly where the schedule broke.
-    """
-
-    def __init__(self, satellite_id: int, pass_index: int, deficit_s: float):
-        self.satellite_id = satellite_id
-        self.pass_index = pass_index
-        self.deficit_s = deficit_s
-        super().__init__(
-            f"satellite {satellite_id}, pass {pass_index}: "
-            f"transmission overruns the pass by {deficit_s:.3f} s"
-        )

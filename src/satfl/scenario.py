@@ -14,7 +14,7 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 import yaml
 
 from .errors import ScenarioError
-from .learning import ComputeProfile
+from .learning import ComputeProfile, make_learner
 from .link import LinkBudget, db_to_linear, linear_to_db, watts_to_dbm
 from .orbital import GroundStation, OrbitSpec
 
@@ -69,7 +69,6 @@ class Scenario:
     cycles_per_bit: float | None = None
     cpu_hz: float | None = None
     policy: str = "fedsat"
-    strict_online_budget: bool = True
     horizon_s: float = 86400.0
     eval_period_s: float = 600.0
     seed: int = 1
@@ -99,6 +98,9 @@ class Scenario:
             carrier_hz=self.carrier_hz,
         )
 
+    def learner(self):
+        return make_learner(self.learner_kind, self.classes, self.feature_dim, self.hidden)
+
     def compute_profile(self) -> ComputeProfile:
         return ComputeProfile(
             eta=self.eta,
@@ -113,19 +115,17 @@ class Scenario:
         return sum(o.satellite_count for o in self.orbits)
 
     def validate(self) -> None:
+        # types and finiteness first: the checks below compare the values
+        values = [(_KEYS[f.name], getattr(self, f.name), f.type)
+                  for f in fields(self) if f.name != "orbits"]
+        values += [(f"constellation.orbits[{i}].{f.name}", getattr(o, f.name), f.type)
+                   for i, o in enumerate(self.orbits) for f in fields(o)]
+        for key, value, annotation in values:
+            _check_value(key, value, annotation)
         if self.policy not in POLICIES:
             raise ScenarioError(
                 f"scheduler policy must be one of {POLICIES}, got {self.policy!r}"
             )
-        # a float field takes only finite numbers; abs() <= max is false for
-        # nan, inf and ints beyond the float range
-        floats = [(_KEYS[f.name], getattr(self, f.name)) for f in fields(self)
-                  if f.type.startswith("float")]
-        floats += [(f"constellation.orbits[{i}].{f.name}", getattr(o, f.name))
-                   for i, o in enumerate(self.orbits) for f in fields(o) if f.type == "float"]
-        for key, value in floats:
-            if value is not None and not abs(value) <= sys.float_info.max:
-                raise ScenarioError(f"{key} must be a finite number, got {value!r}")
         for key in ("sim.horizon_s", "sim.eval_period_s", "compute.train_time_s",
                     "compute.cycles_per_bit", "compute.cpu_hz"):
             value = getattr(self, key.partition(".")[2])
@@ -195,14 +195,18 @@ class Scenario:
 
 
 def _named(key: str, fn, *args):
-    """fn(*args), a ValueError or float overflow raised as a ScenarioError
-    naming the scenario key or section it came from."""
+    """fn(*args), a ValueError raised as a ScenarioError naming the scenario
+    key or section it came from, and a float overflow or non-finite float
+    result as that key being out of range."""
     try:
-        return fn(*args)
+        result = fn(*args)
     except OverflowError as exc:
         raise ScenarioError(f"{key} is out of range") from exc
     except ValueError as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
+    if isinstance(result, float) and not math.isfinite(result):
+        raise ScenarioError(f"{key} is out of range")
+    return result
 
 
 def _same(*names: str) -> dict[str, str]:
@@ -224,7 +228,7 @@ _FIELDS = {
         "samples_per_class", "test_samples_per_class", "spread", "labels_per_group",
     )},
     "compute": _same("train_time_s", "cycles_per_bit", "cpu_hz"),
-    "scheduler": _same("policy", "strict_online_budget"),
+    "scheduler": _same("policy"),
     "sim": _same("horizon_s", "eval_period_s", "seed", "coarse_step_s",
                  "model_bits", "max_concurrent_links"),
 }
@@ -239,19 +243,23 @@ _ALTERNATE = {field: f"link.{key}" for key, (field, _) in _LINEAR_LINK.items()}
 _KEYS = {field: f"{name}.{key}" for name, keys in _FIELDS.items()
          for key, field in keys.items()}
 _REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
-# field annotations, strings under postponed evaluation (e.g. "int | None"),
-# and the Python types each accepts; bool is an int to Python, so only a bool
-# field takes a bool
-_TYPES = {f.name: f.type for cls in (Scenario, OrbitConfig) for f in fields(cls)}
-_ACCEPTS = {"int": int, "float": (int, float), "bool": bool, "str": str}
+# the Python types each field annotation accepts; annotations are strings
+# under postponed evaluation (e.g. "int | None")
+_ACCEPTS = {"int": int, "float": (int, float), "str": str}
 
 
-def _check_type(key: str, value, annotation: str) -> None:
+def _check_value(key: str, value, annotation: str) -> None:
+    """Refuse a value whose type does not match its field annotation (a bool,
+    an int to Python, matches none), and a float value that is not finite."""
     kind, _, optional = annotation.partition(" | ")
-    if not (value is None and optional or isinstance(value, _ACCEPTS[kind])
-            and isinstance(value, bool) == (kind == "bool")):
+    if value is None and optional:
+        return
+    if not isinstance(value, _ACCEPTS[kind]) or isinstance(value, bool):
         raise ScenarioError(f"{key} must be of type {annotation.replace('None', 'null')}, "
                             f"got {value!r}")
+    # abs() <= max is false for nan, inf and ints beyond the float range
+    if kind == "float" and not abs(value) <= sys.float_info.max:
+        raise ScenarioError(f"{key} must be a finite number, got {value!r}")
 
 
 def _section(doc: dict, name: str) -> dict:
@@ -277,18 +285,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
             orbits.append(OrbitConfig(**o))
         except TypeError as exc:
             raise ScenarioError(f"constellation.orbits[{i}]: {exc}") from exc
-        for key, value in o.items():
-            _check_type(f"constellation.orbits[{i}].{key}", value, _TYPES[key])
 
     values = {"orbits": orbits}
     for name, keys in _FIELDS.items():
         for key, value in _section(doc, name).items():
             if key in keys:
-                _check_type(f"{name}.{key}", value, _TYPES[keys[key]])
                 values[keys[key]] = value
             elif name == "link" and key in _LINEAR_LINK:
                 field, convert = _LINEAR_LINK[key]
-                _check_type(f"{name}.{key}", value, _TYPES[field])
+                _check_value(f"{name}.{key}", value, "float")
                 values.setdefault(field, _named(f"{name}.{key}", convert, value))
             else:
                 raise ScenarioError(f"unknown key {name}.{key}")

@@ -4,16 +4,15 @@ Every exchange goes in the first pass, from a given one on, that holds it
 when it starts at max(rise, the instant it is ready) (`_first_fit`).
 
 When an asynchronous satellite is free during pass p, it decides where its
-next update is trained. Offline, it downloads in p (when the download misses
-p, it decides again at p + 1), trains in the off-time and uploads in the
-first later pass that fits. Online, it downloads at the rise of pass p + 1,
-then trains and uploads inside that pass, or the schedule is infeasible.
-`fedsat` always trains offline. `fedsatschedule` trains online unless the
-budget is shorter than the training time (a tie goes online): the next
-pass's duration, minus that pass's DL and then UL times under
-`strict_online_budget`. With no next pass, it trains offline. `fedavg_sync`
-runs lockstep rounds (`build_sync_schedule`). No policy's timing depends on
-a learned value, so `extract_schedule` serves all three.
+next update is trained. Online, it downloads at the rise of pass p + 1,
+then trains and uploads inside that pass. Offline, it downloads in p (when
+the download misses p, it decides again at p + 1), trains in the off-time
+and uploads in the first later pass that fits. `fedsat` always trains
+offline. `fedsatschedule` trains online exactly when the online cycle fits
+pass p + 1, that is when rise + DL + training + UL <= set there, and
+offline otherwise (also when there is no pass p + 1). `fedavg_sync` runs
+lockstep rounds (`build_sync_schedule`). No policy's timing depends on a
+learned value, so `extract_schedule` serves all three.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from .errors import InfeasibleScheduleError, ScenarioError
+from .errors import ScenarioError
 from .orbital import ContactPlan
 
 
@@ -81,7 +80,6 @@ def extract_schedule(
     train_time_s: list[float],
     dl_comm_s: list[list[float]],
     ul_comm_s: list[list[float]],
-    strict_online_budget: bool = True,
 ) -> TransmissionSchedule:
     """Concrete DL/UL instants of every satellite under policy.
 
@@ -99,22 +97,12 @@ def extract_schedule(
         cycles: list[ScheduledCycle] = []
         p, free = 0, 0.0
         while p < len(passes):
-            online = policy == "fedsatschedule" and p + 1 < len(passes)
-            if online:
-                budget = passes[p + 1].duration_s
-                if strict_online_budget:
-                    budget = budget - dl[p + 1] - ul[p + 1]
-                online = not budget < t_l
-            if online:
-                q = p + 1
+            q, c = p + 1, None
+            if policy == "fedsatschedule" and q < len(passes):
                 rise = passes[q].rise_s
                 c = _cycle(k, Mode.TRAIN_ONLINE, passes, ul,
                            (q, rise, rise + dl[q]), t_l, q)
-                if c.ul_pass != q:
-                    raise InfeasibleScheduleError(
-                        k, q, c.train_complete_s + ul[q] - passes[q].set_s
-                    )
-            else:
+            if c is None or c.ul_pass != q:  # offline: no online cycle fits pass q
                 download = _first_fit(passes, dl, p, free)
                 if download[0] != p:
                     # the download misses this pass; decide again at the next

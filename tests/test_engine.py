@@ -339,9 +339,11 @@ class TestTimeline:
             )
 
         # at t=600 s satellites 2 and 0 upload, satellite 1 downloads and the
-        # model is evaluated
+        # model is evaluated; satellite 3's upload is dropped, so its download
+        # is left out too
         schedule = TransmissionSchedule([
-            [cycle(0, 10.0, 600.0)], [cycle(1, 600.0)], [cycle(2, 20.0, 600.0)],
+            [cycle(0, 10.0, 600.0)], [cycle(1, 600.0, 900.0)], [cycle(2, 20.0, 600.0)],
+            [cycle(3, 300.0)],
         ])
         timeline = engine._timeline(schedule, 1200.0, 600.0)
         assert timeline == [
@@ -352,6 +354,7 @@ class TestTimeline:
             (600.0, engine.UL, 2, 0),
             (600.0, engine.DL, 1, 0),
             (600.0, engine.EVAL, -1, 1),
+            (900.0, engine.UL, 1, 0),
             (1200.0, engine.EVAL, -1, 2),
         ]
 

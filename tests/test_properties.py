@@ -13,9 +13,10 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from satfl import engine
-from satfl.engine import run_simulation
+from satfl.engine import plan_and_price, run_simulation
 from satfl.errors import ScenarioError
 from satfl.scenario import OrbitConfig, Scenario
+from satfl.scheduler import Mode
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 ENDPOINT = "is visible at a horizon endpoint"
@@ -134,6 +135,17 @@ def check_run(r, policy, cap):
             exchanges[(k, c.ul_complete_s)] = c
     if cap is not None:
         assert peak_links(r.schedule) <= cap
+    if policy == "fedsatschedule":
+        # an update is trained offline only when the online cycle would not
+        # fit the next pass: DL at its rise, training, then UL
+        _, _, comm = plan_and_price(r.scenario)
+        t_l = r.scenario.train_time_s
+        for k, cycles in enumerate(r.schedule.cycles):
+            passes = r.plan.passes[k]
+            for c in cycles:
+                q = c.dl_pass + 1
+                if c.mode is Mode.TRAIN_OFFLINE and q < len(passes):
+                    assert passes[q].rise_s + comm[k][q] + t_l + comm[k][q] > passes[q].set_s
 
     ups = r.upload_rows()
     # every replayed upload is a scheduled one, and every scheduled one is replayed

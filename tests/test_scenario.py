@@ -91,6 +91,7 @@ class TestParsing:
         ("sim", "horizon_hours"), ("learner", "batchsize"), ("link", "power_dbw"),
         ("ground_station", "altitude_m"), ("compute", "cpu_ghz"),
         ("scheduler", "policies"), ("constellation", "orbit"),
+        ("scheduler", "strict_online_budget"),
     ])
     def test_unknown_key_names_its_path(self, section, key):
         doc = minimal_doc()
@@ -188,6 +189,22 @@ class TestValidation:
     def test_float_fields_must_be_finite(self, field, value, key):
         # a Scenario built in Python meets the same rule as a scenario file
         with pytest.raises(ScenarioError, match=re.escape(f"{key} must be a finite number")):
+            self.base(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("horizon_s", "abc", "sim.horizon_s must be of type float, got 'abc'"),
+        ("seed", 1.5, "sim.seed must be of type int, got 1.5"),
+        ("batch_size", True, "learner.batch_size must be of type int, got True"),
+        ("spread", False, "learner.spread must be of type float, got False"),
+        ("policy", 3, "scheduler.policy must be of type str, got 3"),
+        ("model_bits", 2.0e5, "sim.model_bits must be of type int | null, got 200000.0"),
+        ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=80.0, satellite_count=True)],
+         "constellation.orbits[0].satellite_count must be of type int, got True"),
+    ], ids=["str-float", "float-int", "bool-int", "bool-float", "int-str", "float-optional",
+            "orbit"])
+    def test_field_types_checked(self, field, value, message):
+        # a Scenario built in Python meets the same type rule as a scenario file
+        with pytest.raises(ScenarioError, match=re.escape(message)):
             self.base(**{field: value}).validate()
 
 

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from satfl.errors import InfeasibleScheduleError, ScenarioError
+from satfl.errors import ScenarioError
 from satfl.link import LinkBudget, pass_comm_time
 from satfl.orbital import ContactPlan, Pass
 from satfl.scheduler import (
@@ -25,7 +25,7 @@ def uniform_comm(plan, dl=10.0, ul=10.0):
 
 def first_mode(plan, t_l, dls=None, uls=None, policy="fedsatschedule"):
     """Mode of satellite 0's first cycle; exchanges take no time unless
-    given, so the strict online budget is the raw next-pass duration."""
+    given, so the online cycle fits when the next pass lasts at least t_l."""
     zero_dls, zero_uls = uniform_comm(plan, dl=0.0, ul=0.0)
     sched = extract_schedule(plan, policy, [t_l], dls or zero_dls, uls or zero_uls)
     return sched.cycles[0][0].mode
@@ -42,6 +42,18 @@ class TestDecisionRule:
     def test_tie_goes_online(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
         assert first_mode(plan, 600.0) is Mode.TRAIN_ONLINE
+
+    def test_exact_fit_goes_online(self):
+        # 1000.1 + 30 == 1030.1 exactly, though 1030.1 - 1000.1 < 30
+        plan = make_plan([[(0.0, 100.0), (1000.1, 1030.1)]])
+        assert first_mode(plan, 30.0) is Mode.TRAIN_ONLINE
+
+    def test_rounding_overrun_goes_offline(self):
+        # the pass duration less both exchanges equals t_l exactly, yet
+        # rise + DL + t_l + UL overruns the set by one rounding step
+        plan = make_plan([[(0.0, 100.0), (3474.718064193021, 4057.854095069976)]])
+        dls, uls = uniform_comm(plan, dl=12.51440608216108, ul=1.3105771847962622)
+        assert first_mode(plan, 569.3110476099981, dls, uls) is Mode.TRAIN_OFFLINE
 
     def test_no_next_pass_falls_back_offline(self):
         plan = make_plan([[(0.0, 100.0)]])
@@ -66,8 +78,8 @@ class TestDecisionRule:
 
 
 class TestEffectiveOnlineBudget:
-    """Under strict_online_budget the decision compares the training time
-    with the next pass's duration minus its DL and UL times."""
+    """The online cycle fits when the training time is at most the next
+    pass's duration minus its DL and UL times."""
 
     def budget(self):
         return LinkBudget.from_db_units(40.0, 6.98, 6.98, 20e6, 290.0, 2.4e9)
@@ -183,26 +195,11 @@ class TestExtractScheduleOnline:
 
     def test_strict_budget_accounts_for_exchange_time(self):
         # next pass lasts exactly t_l: raw duration says online, but the
-        # exchanges leave too little room once the strict budget applies
+        # exchanges leave too little room for the online cycle
         plan = make_plan([[(0.0, 300.0), (2000.0, 2600.0)]])
         dls, uls = uniform_comm(plan, dl=50.0, ul=50.0)
-        strict = extract_schedule(plan, "fedsatschedule", [600.0], dls, uls,
-                                  strict_online_budget=True)
+        strict = extract_schedule(plan, "fedsatschedule", [600.0], dls, uls)
         assert strict.cycles[0][0].mode is Mode.TRAIN_OFFLINE
-        with pytest.raises(InfeasibleScheduleError):
-            extract_schedule(plan, "fedsatschedule", [600.0], dls, uls,
-                             strict_online_budget=False)
-
-    def test_infeasible_online_reports_location_and_deficit(self):
-        plan = make_plan([[(0.0, 300.0), (2000.0, 2700.0)]])
-        dls, uls = uniform_comm(plan, dl=100.0, ul=100.0)
-        with pytest.raises(InfeasibleScheduleError) as info:
-            extract_schedule(plan, "fedsatschedule", [600.0], dls, uls,
-                             strict_online_budget=False)
-        err = info.value
-        assert err.satellite_id == 0
-        assert err.pass_index == 1
-        assert err.deficit_s == pytest.approx(100.0)
 
 
 class TestPolicyAgreement:
