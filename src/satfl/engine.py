@@ -127,8 +127,10 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     sync = scenario.policy == "fedavg_sync"
     n_sats = len(datasets)
     # per-cycle state keyed by (satellite, cycle): the download's snapshot,
-    # time and epoch; and the trained updates not yet read
+    # time and epoch; the downloaded cycles not yet trained, in download
+    # order; and the trained updates not yet read
     started: dict[tuple[int, int], tuple[np.ndarray, float, int]] = {}
+    pending: list[tuple[int, int]] = []
     trained: dict[tuple[int, int], np.ndarray] = {}
     prev_upload: dict[int, np.ndarray] = {}
     rows: list[MetricsRow] = []
@@ -138,15 +140,15 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     def take(key):
         """Pop a cycle's trained update and its download state.
 
-        An untrained cycle is trained together with every other started,
-        untrained cycle (only cycles with an upload are started): their
-        starts are fixed, so one local_sgd stack per dataset size gives each
-        the bits it would get alone."""
+        An untrained cycle is trained together with every pending one (only
+        cycles with an upload are downloaded): their starts are fixed, so
+        one local_sgd stack per dataset size gives each the bits it would
+        get alone."""
         if key not in trained:
             by_size: dict[int, list[tuple[int, int]]] = {}
-            for c in started:
-                if c not in trained:
-                    by_size.setdefault(datasets[c[0]].size, []).append(c)
+            for c in pending:
+                by_size.setdefault(datasets[c[0]].size, []).append(c)
+            pending.clear()
             for keys in by_size.values():
                 trained.update(zip(keys, local_sgd(
                     learner,
@@ -160,6 +162,7 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     for t, kind, k, c in timeline:
         if kind == DL:
             started[(k, c)] = (server.params.copy(), t, server.epoch)
+            pending.append((k, c))
         elif kind == EVAL:
             # every aggregation increments the epoch, so an unchanged epoch
             # means unchanged parameters and the last accuracy still holds
@@ -280,6 +283,9 @@ def compare_runs(
     """
     if len(policies) < 2:
         raise ScenarioError("compare needs at least two policies")
+    for i, policy in enumerate(policies):
+        if policy in policies[:i]:
+            raise ScenarioError(f"policy {policy!r} is listed twice")
     results: dict[str, SimResult] = {}
     for policy in policies:
         results[policy] = run_simulation(with_overrides(scenario, policy=policy))

@@ -29,12 +29,6 @@ def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 
 
-def watts_to_dbm(watts: float) -> float:
-    if watts <= 0:
-        raise ValueError("power must be strictly positive")
-    return 10.0 * math.log10(watts * 1000.0)
-
-
 @dataclass(frozen=True)
 class LinkBudget:
     """Linear-unit RF parameters of the satellite-station link."""

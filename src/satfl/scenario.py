@@ -15,7 +15,7 @@ import yaml
 
 from .errors import ScenarioError
 from .learning import ComputeProfile, make_learner
-from .link import LinkBudget, db_to_linear, linear_to_db, watts_to_dbm
+from .link import LinkBudget, db_to_linear
 from .orbital import GroundStation, OrbitSpec
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
@@ -131,6 +131,10 @@ class Scenario:
             value = getattr(self, key.partition(".")[2])
             if value is not None and value <= 0:
                 raise ScenarioError(f"{key} must be strictly positive")
+        for field in ("cycles_per_bit", "cpu_hz"):
+            if self.train_time_s is not None and getattr(self, field) is not None:
+                raise ScenarioError(f"compute.train_time_s and {_KEYS[field]} are two "
+                                    "training-time models; give one")
         if self.train_time_s is None and (
             self.cycles_per_bit is None or self.cpu_hz is None
         ):
@@ -196,17 +200,14 @@ class Scenario:
 
 def _named(key: str, fn, *args):
     """fn(*args), a ValueError raised as a ScenarioError naming the scenario
-    key or section it came from, and a float overflow or non-finite float
-    result as that key being out of range."""
+    key or section it came from, and a float overflow as that key being out
+    of range."""
     try:
-        result = fn(*args)
+        return fn(*args)
     except OverflowError as exc:
         raise ScenarioError(f"{key} is out of range") from exc
     except ValueError as exc:
         raise ScenarioError(f"{key}: {exc}") from exc
-    if isinstance(result, float) and not math.isfinite(result):
-        raise ScenarioError(f"{key} is out of range")
-    return result
 
 
 def _same(*names: str) -> dict[str, str]:
@@ -232,14 +233,6 @@ _FIELDS = {
     "sim": _same("horizon_s", "eval_period_s", "seed", "coarse_step_s",
                  "model_bits", "max_concurrent_links"),
 }
-# linear-unit link keys accepted at the boundary: key -> (field, conversion);
-# the dB key wins when a document gives both
-_LINEAR_LINK = {
-    "power_w": ("power_dbm", watts_to_dbm),
-    "gain_sat": ("gain_sat_dbi", linear_to_db),
-    "gain_gs": ("gain_gs_dbi", linear_to_db),
-}
-_ALTERNATE = {field: f"link.{key}" for key, (field, _) in _LINEAR_LINK.items()}
 _KEYS = {field: f"{name}.{key}" for name, keys in _FIELDS.items()
          for key, field in keys.items()}
 _REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
@@ -289,21 +282,15 @@ def scenario_from_dict(doc: dict) -> Scenario:
     values = {"orbits": orbits}
     for name, keys in _FIELDS.items():
         for key, value in _section(doc, name).items():
-            if key in keys:
-                values[keys[key]] = value
-            elif name == "link" and key in _LINEAR_LINK:
-                field, convert = _LINEAR_LINK[key]
-                _check_value(f"{name}.{key}", value, "float")
-                values.setdefault(field, _named(f"{name}.{key}", convert, value))
-            else:
+            if key not in keys:
                 raise ScenarioError(f"unknown key {name}.{key}")
-    if "cycles_per_bit" in values:
+            values[keys[key]] = value
+    if "cycles_per_bit" in values or "cpu_hz" in values:
         # a compute model replaces the default training time
         values.setdefault("train_time_s", None)
     for field, key in _KEYS.items():
         if field in _REQUIRED and field not in values:
-            alt = f" or {_ALTERNATE[field]}" if field in _ALTERNATE else ""
-            raise ScenarioError(f"missing key {key}{alt}")
+            raise ScenarioError(f"missing key {key}")
     scenario = Scenario(**values)
     scenario.validate()
     return scenario
@@ -340,11 +327,16 @@ def with_overrides(
     train_time_s: float | None = None,
     horizon_s: float | None = None,
 ) -> Scenario:
-    """Copy of a scenario with CLI-style overrides applied and revalidated."""
+    """Copy of a scenario with CLI-style overrides applied and revalidated.
+
+    A training time replaces the scenario's training-time model, fixed or
+    compute-derived."""
     updates = {key: value for key, value in (
         ("seed", seed), ("policy", policy), ("train_time_s", train_time_s),
         ("horizon_s", horizon_s),
     ) if value is not None}
+    if train_time_s is not None:
+        updates.update(cycles_per_bit=None, cpu_hz=None)
     out = replace(scenario, **updates) if updates else scenario
     out.validate()
     return out

@@ -99,6 +99,18 @@ class TestRun:
         assert self.run(scenario_file, b, ["--tl", "15000"]) == 0
         assert (a / "schedule.csv").read_bytes() != (b / "schedule.csv").read_bytes()
 
+    def test_training_time_override_replaces_compute_model(self, scenario_file,
+                                                           tmp_path):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
+        compute = scenario_file.with_name("compute.yaml")
+        compute.write_text(yaml.safe_dump(doc))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.run(scenario_file, a, ["--tl", "45"]) == 0
+        assert self.run(compute, b, ["--tl", "45"]) == 0
+        for name in ("schedule.csv", "metrics.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_empty_constellation_still_runs(self, scenario_file, tmp_path):
         doc = yaml.safe_load(scenario_file.read_text())
         doc["constellation"]["orbits"] = []
@@ -131,16 +143,18 @@ class TestCompare:
                      "--out", str(tmp_path / "cmp"),
                      "--policies", "fedsat,magic"]) == 2
 
+    def test_repeated_policy_rejected(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(scenario_file),
+                     "--out", str(out), "--policies", "fedsat,fedsat"]) == 2
+        assert not out.exists()
+        assert "error: policy 'fedsat' is listed twice" in capsys.readouterr().err
+
 
 # scenario values (key=YAML literal) and flags that exit 2 at load, with the
 # message naming their key
 BAD_VALUES = [
-    ("link.power_w=0.0", "link.power_w: power must be strictly positive"),
-    ("link.gain_sat=-1.0", "link.gain_sat: only positive quantities have a dB value"),
     ("link.power_dbm=5000", "link.power_dbm is out of range"),
-    ("link.power_w=1.0e+306", "link.power_w is out of range"),
-    ("link.power_w=.nan", "link.power_w must be a finite number, got nan"),
-    ("link.gain_sat=.inf", "link.gain_sat must be a finite number, got inf"),
     ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
     ("sim.horizon_s=.inf", "sim.horizon_s must be a finite number, got inf"),
     ("sim.eval_period_s=.nan", "sim.eval_period_s must be a finite number, got nan"),
@@ -212,6 +226,29 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "internal error" not in err
         assert f"error: {section}.{key} must " in err
+
+    @pytest.mark.parametrize("command", ["plan", "run"])
+    @pytest.mark.parametrize("compute, message", [
+        ({"train_time_s": 30.0, "cycles_per_bit": 2e4, "cpu_hz": 1e6},
+         "compute.train_time_s and compute.cycles_per_bit are two training-time "
+         "models; give one"),
+        ({"train_time_s": 30.0, "cpu_hz": 1e6},
+         "compute.train_time_s and compute.cpu_hz are two training-time models; "
+         "give one"),
+        ({"cpu_hz": 1e6},
+         "either compute.train_time_s or compute.{cycles_per_bit, cpu_hz} "
+         "must be given"),
+    ], ids=["both-models", "time-and-cpu", "cpu-only"])
+    def test_one_training_time_model(self, compute, message, command,
+                                     scenario_file, tmp_path, capsys):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["compute"] = compute
+        bad = scenario_file.with_name("compute.yaml")
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_too_few_samples_for_altitude_group_exits_2(self, scenario_file,
                                                         tmp_path, capsys):
@@ -292,7 +329,6 @@ class TestErrorPaths:
         ("scheduler.policy", "3", "str"),
         ("sim.max_concurrent_links", "1.5", "int | null"),
         ("sim.model_bits", "2.0e+5", "int | null"),
-        ("link.power_w", "ten", "float"),
         ("constellation.orbits[0].altitude_m", "high", "float"),
         ("constellation.orbits[0].satellite_count", "false", "int"),
     ])
@@ -364,8 +400,7 @@ class TestErrorPaths:
                              ids=[edit for edit, _ in BAD_VALUES])
     def test_bad_value_exits_2_with_path(self, edit, message, command, tmp_path,
                                          capsys):
-        # the bundled scenario with one value set (a linear link key replaces
-        # its dB key), or with one flag given
+        # the bundled scenario with one value set, or with one flag given
         doc = yaml.safe_load(bundled_scenario_path().read_text())
         flags = edit.split() if edit.startswith("--") else []
         if not flags:
@@ -373,8 +408,6 @@ class TestErrorPaths:
             section, *_, field = key.split(".")
             target = doc[section] if section != "constellation" else (
                 doc["constellation"]["orbits"][0])
-            target.pop({"power_w": "power_dbm", "gain_sat": "gain_sat_dbi"}.get(field),
-                       None)
             target[field] = yaml.safe_load(literal)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(doc))

@@ -394,3 +394,10 @@ class TestCompareRuns:
     def test_single_policy_rejected(self):
         with pytest.raises(ScenarioError):
             compare_runs(small_scenario(), ["fedsat"])
+
+    def test_repeated_policy_rejected(self, monkeypatch):
+        runs = []
+        monkeypatch.setattr(engine, "run_simulation", runs.append)
+        with pytest.raises(ScenarioError, match="policy 'fedsat' is listed twice"):
+            compare_runs(small_scenario(), ["fedsat", "fedsatschedule", "fedsat"])
+        assert runs == []

@@ -5,16 +5,27 @@ when a satellite is visible at a horizon endpoint (the contact plan cannot
 bound that pass), or when the schedule needs more concurrent links than
 sim.max_concurrent_links allows. Both refusals are accepted outcomes and
 are asserted by their message; the second must come before any training.
+Every accepted run is also rebuilt from its schedule by a reference replay
+that trains each update alone, and must match it bitwise.
 """
 
+import bisect
 from unittest import mock
 
+import numpy as np
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from satfl import engine
-from satfl.engine import plan_and_price, run_simulation
+from satfl.engine import MetricsRow, plan_and_price, run_simulation
 from satfl.errors import ScenarioError
+from satfl.federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
+from satfl.learning import (
+    evaluate_accuracy,
+    generate_synthetic_task,
+    local_sgd,
+    partition_non_iid,
+)
 from satfl.scenario import OrbitConfig, Scenario
 from satfl.scheduler import Mode
 
@@ -107,6 +118,9 @@ def test_run_properties(orbit_list, twin, **draws):
                 continue
         event(f"{policy}: ran, {'no upload' if not r.global_epoch else 'trained'}")
         check_run(r, policy, draws["cap"])
+        rows, final_params = reference_replay(r)
+        assert r.rows == rows
+        assert np.array_equal(r.final_params, final_params)
 
 
 def check_run(r, policy, cap):
@@ -172,3 +186,66 @@ def check_run(r, policy, cap):
         assert len(tail) == len(set(tail)) < n_sats
     else:
         assert [u.global_epoch for u in ups] == list(range(1, len(ups) + 1))
+
+
+def reference_replay(r):
+    """The metrics rows and final model of r's schedule, rebuilt naively.
+
+    Each uploaded cycle (k, c) trains alone from the global model after
+    every aggregation that lands at or before its download. Uploads and
+    evaluations are taken in time order; at equal times uploads come
+    first, lower satellite ids first, so an evaluation sees them. The
+    asynchronous policies aggregate at every upload; fedavg_sync
+    aggregates a round when its last upload lands.
+    """
+    s = r.scenario
+    sync = s.policy == "fedavg_sync"
+    learner, profile = s.learner(), s.compute_profile()
+    train, test = generate_synthetic_task(
+        s.classes, s.feature_dim, s.samples_per_class, s.seed,
+        spread=s.spread, test_samples_per_class=s.test_samples_per_class,
+    )
+    shards = partition_non_iid(train, *s.label_split(), s.seed)
+    total = sum(d.size for d in shards.values())
+    server = ServerState(
+        learner.init_params(np.random.default_rng(np.random.SeedSequence([s.seed]))),
+        {k: d.size / total for k, d in shards.items()},
+    )
+    agg_times, models = [], [server.params.copy()]
+
+    def download(k, c):
+        """The model cycle (k, c) downloads and its global epoch."""
+        epoch = bisect.bisect_right(agg_times, r.schedule.cycles[k][c].dl_complete_s)
+        return models[epoch], epoch
+
+    def trained(k, c):
+        seed = np.random.SeedSequence([s.seed, k, c])
+        return local_sgd(learner, [download(k, c)[0]], [shards[k]], profile, [seed])[0]
+
+    uploads = [(cyc.ul_complete_s, 0, k, c)
+               for k, cycles in enumerate(r.schedule.cycles)
+               for c, cyc in enumerate(cycles) if cyc.ul_complete_s is not None]
+    evals = [(i * s.eval_period_s, 1, -1, i)
+             for i in range(int(s.horizon_s // s.eval_period_s) + 1)]
+    rows, prev, rounds = [], {}, {}
+    for t, is_eval, k, c in sorted(uploads + evals):
+        if is_eval:
+            accuracy = evaluate_accuracy(learner, server.params, test)
+            rows.append(MetricsRow(t, server.epoch, None, None, None, accuracy))
+            continue
+        dl_time = r.schedule.cycles[k][c].dl_complete_s
+        logged = server.epoch if sync else server.epoch + 1
+        rows.append(MetricsRow(t, logged, k, server.epoch - download(k, c)[1],
+                               t - dl_time, None))
+        if sync:
+            rounds.setdefault(c, []).append(k)
+            if len(rounds[c]) < len(shards):
+                continue
+            fedavg_sync_aggregate(server, {j: trained(j, c) for j in rounds[c]})
+        else:
+            new = trained(k, c)
+            fedsat_aggregate(server, k, prev.get(k, download(k, c)[0]), new)
+            prev[k] = new
+        agg_times.append(t)
+        models.append(server.params.copy())
+    return rows, server.params

@@ -55,20 +55,6 @@ class TestParsing:
         save_scenario(s, path)
         assert load_scenario(path) == s
 
-    def test_linear_unit_alternates(self):
-        doc = minimal_doc()
-        doc["link"] = {
-            "power_w": 10.0,
-            "gain_sat": 4.988844874600123,
-            "gain_gs_dbi": 6.98,
-            "bandwidth_hz": 20e6,
-            "noise_temp_k": 290.0,
-            "carrier_hz": 2.4e9,
-        }
-        s = scenario_from_dict(doc)
-        assert s.power_dbm == pytest.approx(40.0)
-        assert s.gain_sat_dbi == pytest.approx(6.98)
-
     def test_missing_ground_station_section(self):
         doc = minimal_doc()
         del doc["ground_station"]
@@ -91,7 +77,7 @@ class TestParsing:
         ("sim", "horizon_hours"), ("learner", "batchsize"), ("link", "power_dbw"),
         ("ground_station", "altitude_m"), ("compute", "cpu_ghz"),
         ("scheduler", "policies"), ("constellation", "orbit"),
-        ("scheduler", "strict_online_budget"),
+        ("scheduler", "strict_online_budget"), ("link", "power_w"), ("link", "gain_sat"),
     ])
     def test_unknown_key_names_its_path(self, section, key):
         doc = minimal_doc()
@@ -162,6 +148,13 @@ class TestValidation:
         s = self.base(train_time_s=None, cycles_per_bit=10.0, cpu_hz=1e9)
         s.validate()
 
+    @pytest.mark.parametrize("field", ["cycles_per_bit", "cpu_hz"])
+    def test_one_training_time_model(self, field):
+        # a Scenario built in Python holds one model, like a scenario file
+        with pytest.raises(ScenarioError,
+                           match=f"compute.train_time_s and compute.{field} "):
+            self.base(**{field: 5.0}).validate()
+
     def test_unknown_learner_kind(self):
         with pytest.raises(ScenarioError):
             self.base(learner_kind="cnn").validate()
@@ -226,6 +219,12 @@ class TestOverrides:
         assert (out.seed, out.policy) == (7, "fedsatschedule")
         assert (out.train_time_s, out.horizon_s) == (120.0, 3600.0)
         assert s.seed == 1  # original untouched
+
+    def test_training_time_replaces_compute_model(self):
+        doc = minimal_doc()
+        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
+        out = with_overrides(scenario_from_dict(doc), train_time_s=45.0)
+        assert (out.train_time_s, out.cycles_per_bit, out.cpu_hz) == (45.0, None, None)
 
     def test_no_overrides_is_identity(self):
         s = scenario_from_dict(minimal_doc())
