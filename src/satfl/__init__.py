@@ -36,12 +36,7 @@ from .orbital import (
     slant_range,
 )
 from .scenario import Scenario, load_scenario, save_scenario, with_overrides
-from .scheduler import (
-    Mode,
-    TransmissionSchedule,
-    build_sync_schedule,
-    extract_schedule,
-)
+from .scheduler import Mode, TransmissionSchedule, extract_schedule
 
 __version__ = "0.1.0"
 

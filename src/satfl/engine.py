@@ -1,9 +1,11 @@
 """Deterministic replay of one federated run over a precomputed timeline.
 
-No policy's timing depends on a learned value, so every download, upload
-and evaluation instant is known before the first SGD step:
-`extract_schedule` places every policy's cycles. The link cap is checked
-on that schedule, before any training. Its upload (UL) completions, the
+A Scenario is checked when it is built, so a run takes it as given. No
+policy's timing depends on a learned value, so every download, upload and
+evaluation instant is known before the first SGD step: `extract_schedule`
+places every policy's cycles from one exchange time per pass, which the
+pass's download and upload both take. The link cap is checked on that
+schedule, before any training. Its upload (UL) completions, the
 download (DL) completions of the cycles that upload, and the evaluation
 (EVAL) grid are then merged into one sorted list of plain (time, kind,
 satellite, cycle) tuples and replayed in one loop. Ties at equal times go
@@ -217,7 +219,6 @@ def run_simulation(scenario: Scenario) -> SimResult:
 
     Identical scenarios and seeds produce bitwise-identical results.
     """
-    scenario.validate()
     plan, max_dists, comm_s = plan_and_price(scenario)
     n_sats = len(plan.passes)
 
@@ -252,7 +253,7 @@ def run_simulation(scenario: Scenario) -> SimResult:
         ]
 
     server = ServerState(params0.copy(), weights)
-    schedule = extract_schedule(plan, scenario.policy, t_l, comm_s, comm_s)
+    schedule = extract_schedule(plan, scenario.policy, t_l, comm_s)
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
     rows = _replay(

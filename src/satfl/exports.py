@@ -38,9 +38,8 @@ def write_contact_plan_csv(
 
 def write_schedule_csv(schedule: TransmissionSchedule, path) -> None:
     _write(path, "satellite_id,pass_index,decision,dl_time_s,ul_time_s", [
-        f"{c.satellite_id},{c.dl_pass},{c.mode.value},{c.dl_start_s:.6f},"
-        f"{_f(c.ul_start_s)}\r\n"
-        for cycles in schedule.cycles for c in cycles
+        f"{k},{c.dl_pass},{c.mode.value},{c.dl_start_s:.6f},{_f(c.ul_start_s)}\r\n"
+        for k, cycles in enumerate(schedule.cycles) for c in cycles
     ])
 
 

@@ -42,8 +42,11 @@ class OrbitConfig:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
+    """A checked scenario: construction, `dataclasses.replace` included,
+    raises a ScenarioError naming the key of the first bad value."""
+
     orbits: list[OrbitConfig]
     gs_latitude_deg: float
     gs_longitude_deg: float
@@ -114,7 +117,7 @@ class Scenario:
     def satellite_count(self) -> int:
         return sum(o.satellite_count for o in self.orbits)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         # types and finiteness first: the checks below compare the values
         values = [(_KEYS[f.name], getattr(self, f.name), f.type)
                   for f in fields(self) if f.name != "orbits"]
@@ -236,6 +239,7 @@ _FIELDS = {
 _KEYS = {field: f"{name}.{key}" for name, keys in _FIELDS.items()
          for key, field in keys.items()}
 _REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
+_ORBIT_KEYS = {f.name: f.default for f in fields(OrbitConfig)}
 # the Python types each field annotation accepts; annotations are strings
 # under postponed evaluation (e.g. "int | None")
 _ACCEPTS = {"int": int, "float": (int, float), "str": str}
@@ -262,6 +266,22 @@ def _section(doc: dict, name: str) -> dict:
     return section
 
 
+def _known(path: str, mapping: dict, keys) -> None:
+    for key in mapping:
+        if key not in keys:
+            raise ScenarioError(f"unknown key {path}.{key}")
+
+
+def _orbit(path: str, doc) -> OrbitConfig:
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{path} must be a mapping")
+    _known(path, doc, _ORBIT_KEYS)
+    for key, default in _ORBIT_KEYS.items():
+        if default is MISSING and key not in doc:
+            raise ScenarioError(f"missing key {path}.{key}")
+    return OrbitConfig(**doc)
+
+
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
@@ -269,21 +289,17 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if name != "constellation" and name not in _FIELDS:
             raise ScenarioError(f"unknown section {name!r}")
     con = _section(doc, "constellation")
-    for key in con:
-        if key != "orbits":
-            raise ScenarioError(f"unknown key constellation.{key}")
-    orbits = []
-    for i, o in enumerate(con.get("orbits", [])):
-        try:
-            orbits.append(OrbitConfig(**o))
-        except TypeError as exc:
-            raise ScenarioError(f"constellation.orbits[{i}]: {exc}") from exc
+    _known("constellation", con, ("orbits",))
+    orbits = con.get("orbits", [])
+    if not isinstance(orbits, list):
+        raise ScenarioError("constellation.orbits must be a list")
 
-    values = {"orbits": orbits}
+    values = {"orbits": [_orbit(f"constellation.orbits[{i}]", o)
+                         for i, o in enumerate(orbits)]}
     for name, keys in _FIELDS.items():
-        for key, value in _section(doc, name).items():
-            if key not in keys:
-                raise ScenarioError(f"unknown key {name}.{key}")
+        section = _section(doc, name)
+        _known(name, section, keys)
+        for key, value in section.items():
             values[keys[key]] = value
     if "cycles_per_bit" in values or "cpu_hz" in values:
         # a compute model replaces the default training time
@@ -291,9 +307,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
     for field, key in _KEYS.items():
         if field in _REQUIRED and field not in values:
             raise ScenarioError(f"missing key {key}")
-    scenario = Scenario(**values)
-    scenario.validate()
-    return scenario
+    return Scenario(**values)
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -327,7 +341,8 @@ def with_overrides(
     train_time_s: float | None = None,
     horizon_s: float | None = None,
 ) -> Scenario:
-    """Copy of a scenario with CLI-style overrides applied and revalidated.
+    """Copy of a scenario with CLI-style overrides applied, checked like
+    any Scenario.
 
     A training time replaces the scenario's training-time model, fixed or
     compute-derived."""
@@ -337,6 +352,4 @@ def with_overrides(
     ) if value is not None}
     if train_time_s is not None:
         updates.update(cycles_per_bit=None, cpu_hz=None)
-    out = replace(scenario, **updates) if updates else scenario
-    out.validate()
-    return out
+    return replace(scenario, **updates)

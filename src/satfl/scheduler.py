@@ -11,8 +11,9 @@ and uploads in the first later pass that fits. `fedsat` always trains
 offline. `fedsatschedule` trains online exactly when the online cycle fits
 pass p + 1, that is when rise + DL + training + UL <= set there, and
 offline otherwise (also when there is no pass p + 1). `fedavg_sync` runs
-lockstep rounds (`build_sync_schedule`). No policy's timing depends on a
-learned value, so `extract_schedule` serves all three.
+lockstep rounds. No policy's timing depends on a learned value, so
+`extract_schedule` serves all three. One link budget prices both directions,
+so each pass has one exchange time, taken by its download and its upload.
 """
 
 from __future__ import annotations
@@ -37,12 +38,10 @@ class ScheduledCycle:
     transmitted (the trailing update is dropped from the metrics).
     """
 
-    satellite_id: int
     mode: Mode
     dl_pass: int
     dl_start_s: float
     dl_complete_s: float
-    train_complete_s: float
     ul_pass: int | None
     ul_start_s: float | None
     ul_complete_s: float | None
@@ -50,7 +49,7 @@ class ScheduledCycle:
 
 @dataclass
 class TransmissionSchedule:
-    """Concrete UL/DL instants per satellite, one cycle list each."""
+    """Concrete UL/DL instants per satellite: cycles[k] is satellite k's."""
 
     cycles: list[list[ScheduledCycle]] = field(default_factory=list)
 
@@ -65,50 +64,46 @@ def _first_fit(passes, comm, first, t):
     return None, None, None
 
 
-def _cycle(k, mode, passes, ul_comm, download, train_time_s, first_ul):
-    """The cycle that trains after a placed download and uploads in the
-    first pass from first_ul on that fits."""
-    dl_pass, dl_start, dl_complete = download
-    train_complete = dl_complete + train_time_s
-    return ScheduledCycle(k, mode, dl_pass, dl_start, dl_complete, train_complete,
-                          *_first_fit(passes, ul_comm, first_ul, train_complete))
+def _cycle(mode, passes, comm, download, train_time_s, first_ul):
+    """The cycle that trains after a placed download (pass, start, end) and
+    uploads in the first pass from first_ul on that fits."""
+    return ScheduledCycle(mode, *download,
+                          *_first_fit(passes, comm, first_ul, download[2] + train_time_s))
 
 
 def extract_schedule(
     plan: ContactPlan,
     policy: str,
     train_time_s: list[float],
-    dl_comm_s: list[list[float]],
-    ul_comm_s: list[list[float]],
+    comm_s: list[list[float]],
 ) -> TransmissionSchedule:
     """Concrete DL/UL instants of every satellite under policy.
 
-    dl_comm_s[k][n] / ul_comm_s[k][n] are the exchange times for satellite
-    k's n-th pass, computed from that pass's longest distance. policy is
-    "fedsat", "fedsatschedule" or "fedavg_sync".
+    comm_s[k][n] is the exchange time of satellite k's n-th pass, computed
+    from that pass's longest distance; the download and the upload both
+    take it. policy is "fedsat", "fedsatschedule" or "fedavg_sync".
     """
     if policy == "fedavg_sync":
-        return build_sync_schedule(plan, train_time_s, dl_comm_s, ul_comm_s)
+        return _sync_schedule(plan, train_time_s, comm_s)
     if policy not in ("fedsat", "fedsatschedule"):
         raise ValueError(f"unknown policy: {policy!r}")
     schedule = TransmissionSchedule()
     for k, passes in enumerate(plan.passes):
-        dl, ul, t_l = dl_comm_s[k], ul_comm_s[k], train_time_s[k]
+        comm, t_l = comm_s[k], train_time_s[k]
         cycles: list[ScheduledCycle] = []
         p, free = 0, 0.0
         while p < len(passes):
             q, c = p + 1, None
             if policy == "fedsatschedule" and q < len(passes):
                 rise = passes[q].rise_s
-                c = _cycle(k, Mode.TRAIN_ONLINE, passes, ul,
-                           (q, rise, rise + dl[q]), t_l, q)
+                c = _cycle(Mode.TRAIN_ONLINE, passes, comm, (q, rise, rise + comm[q]), t_l, q)
             if c is None or c.ul_pass != q:  # offline: no online cycle fits pass q
-                download = _first_fit(passes, dl, p, free)
+                download = _first_fit(passes, comm, p, free)
                 if download[0] != p:
                     # the download misses this pass; decide again at the next
                     p += 1
                     continue
-                c = _cycle(k, Mode.TRAIN_OFFLINE, passes, ul, download, t_l, p + 1)
+                c = _cycle(Mode.TRAIN_OFFLINE, passes, comm, download, t_l, p + 1)
             cycles.append(c)
             if c.ul_pass is None:
                 break
@@ -117,12 +112,7 @@ def extract_schedule(
     return schedule
 
 
-def build_sync_schedule(
-    plan: ContactPlan,
-    train_time_s: list[float],
-    dl_comm_s: list[list[float]],
-    ul_comm_s: list[list[float]],
-) -> TransmissionSchedule:
+def _sync_schedule(plan, train_time_s, comm_s):
     """Lockstep rounds of the synchronous baseline; cycle r is round r.
 
     Round 0 starts at t=0 and round r when the last upload of round r-1
@@ -141,15 +131,13 @@ def build_sync_schedule(
             # from a pass rising at or after start, max() keeps the rise
             first = next((i for i, p in enumerate(passes) if p.rise_s >= start),
                          len(passes))
-            download = _first_fit(passes, dl_comm_s[k], first, start)
+            download = _first_fit(passes, comm_s[k], first, start)
             if download[0] is None:
                 return schedule
             downloads.append(download)
         for k, download in enumerate(downloads):
-            schedule.cycles[k].append(_cycle(
-                k, Mode.TRAIN_OFFLINE, plan.passes[k], ul_comm_s[k], download,
-                train_time_s[k], download[0],
-            ))
+            schedule.cycles[k].append(_cycle(Mode.TRAIN_OFFLINE, plan.passes[k], comm_s[k],
+                                             download, train_time_s[k], download[0]))
         ends = [cycles[-1].ul_complete_s for cycles in schedule.cycles]
         if None in ends:
             return schedule

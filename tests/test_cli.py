@@ -173,6 +173,15 @@ BAD_VALUES = [
      "ground_station: latitude must lie in [-pi/2, pi/2]"),
     ("learner.eta=2.0", "learner: eta must lie in (0, 1]"),
     ("learner.batch_size=0", "learner: batch_size and local_iters must be >= 1"),
+    ("constellation.orbits=5", "constellation.orbits must be a list"),
+    ("constellation.orbits=null", "constellation.orbits must be a list"),
+    ("constellation.orbits={altitude_m: 500000.0, inclination_deg: 80.0}",
+     "constellation.orbits must be a list"),
+    ("constellation.orbits=leo", "constellation.orbits must be a list"),
+    ("constellation.orbits=[leo]", "constellation.orbits[0] must be a mapping"),
+    ("constellation.orbits[0].colour=red", "unknown key constellation.orbits[0].colour"),
+    ("constellation.orbits=[{inclination_deg: 80.0}]",
+     "missing key constellation.orbits[0].altitude_m"),
 ]
 
 
@@ -406,8 +415,7 @@ class TestErrorPaths:
         if not flags:
             key, literal = edit.split("=")
             section, *_, field = key.split(".")
-            target = doc[section] if section != "constellation" else (
-                doc["constellation"]["orbits"][0])
+            target = doc["constellation"]["orbits"][0] if "[0]." in key else doc[section]
             target[field] = yaml.safe_load(literal)
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump(doc))

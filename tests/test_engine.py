@@ -46,9 +46,7 @@ def small_scenario(**overrides):
         seed=1,
     )
     base.update(overrides)
-    scenario = Scenario(**base)
-    scenario.validate()
-    return scenario
+    return Scenario(**base)
 
 
 class TestDeterminism:
@@ -120,10 +118,8 @@ class TestScheduleConsistency:
         scenario = small_scenario()
         r = run_simulation(scenario)
         for c in r.schedule.cycles[0]:
-            if c.mode is Mode.TRAIN_OFFLINE:
-                assert c.train_complete_s == pytest.approx(
-                    c.dl_complete_s + scenario.train_time_s
-                )
+            if c.mode is Mode.TRAIN_OFFLINE and c.ul_start_s is not None:
+                assert c.ul_start_s >= c.dl_complete_s + scenario.train_time_s
 
     def test_satellite_visible_at_every_exchange_instant(self):
         # rise/set instants are refined to 0.1 s, so allow the matching
@@ -193,7 +189,6 @@ class TestTransmissionsInsidePasses:
         transmissions = []
         for k, cycles in enumerate(r.schedule.cycles):
             for c in cycles:
-                assert c.satellite_id == k
                 transmissions.append((k, c.dl_start_s, c.dl_complete_s))
                 if c.ul_complete_s is not None:
                     transmissions.append((k, c.ul_start_s, c.ul_complete_s))
@@ -330,9 +325,8 @@ class TestTimeline:
     def test_ties_go_upload_download_evaluation_then_satellite(self):
         def cycle(k, dl_complete, ul_complete=None):
             return ScheduledCycle(
-                satellite_id=k, mode=Mode.TRAIN_OFFLINE,
+                mode=Mode.TRAIN_OFFLINE,
                 dl_pass=0, dl_start_s=dl_complete - 10.0, dl_complete_s=dl_complete,
-                train_complete_s=dl_complete + 30.0,
                 ul_pass=None if ul_complete is None else 0,
                 ul_start_s=None if ul_complete is None else ul_complete - 10.0,
                 ul_complete_s=ul_complete,

@@ -130,34 +130,34 @@ class TestValidation:
 
     def test_unknown_policy(self):
         with pytest.raises(ScenarioError):
-            self.base(policy="round_robin").validate()
+            self.base(policy="round_robin")
 
     def test_nonpositive_horizon(self):
         with pytest.raises(ScenarioError):
-            self.base(horizon_s=0.0).validate()
+            self.base(horizon_s=0.0)
 
     def test_nonpositive_eval_period(self):
         with pytest.raises(ScenarioError):
-            self.base(eval_period_s=-1.0).validate()
+            self.base(eval_period_s=-1.0)
 
     def test_training_time_unspecified(self):
         with pytest.raises(ScenarioError):
-            self.base(train_time_s=None).validate()
+            self.base(train_time_s=None)
 
     def test_compute_model_substitutes_training_time(self):
         s = self.base(train_time_s=None, cycles_per_bit=10.0, cpu_hz=1e9)
-        s.validate()
+        assert (s.train_time_s, s.cycles_per_bit, s.cpu_hz) == (None, 10.0, 1e9)
 
     @pytest.mark.parametrize("field", ["cycles_per_bit", "cpu_hz"])
     def test_one_training_time_model(self, field):
         # a Scenario built in Python holds one model, like a scenario file
         with pytest.raises(ScenarioError,
                            match=f"compute.train_time_s and compute.{field} "):
-            self.base(**{field: 5.0}).validate()
+            self.base(**{field: 5.0})
 
     def test_unknown_learner_kind(self):
         with pytest.raises(ScenarioError):
-            self.base(learner_kind="cnn").validate()
+            self.base(learner_kind="cnn")
 
     @pytest.mark.parametrize("field, value", [("eta", 2.0), ("batch_size", 0),
                                               ("local_iters", 0)])
@@ -165,11 +165,11 @@ class TestValidation:
         # local SGD runs under every training-time model, so its settings are
         # checked at load time, not when the first update trains
         with pytest.raises(ScenarioError):
-            self.base(**{field: value}).validate()
+            self.base(**{field: value})
 
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):
-            self.base(max_concurrent_links=0).validate()
+            self.base(max_concurrent_links=0)
 
     @pytest.mark.parametrize("field, value, key", [
         ("horizon_s", float("nan"), "sim.horizon_s"),
@@ -182,7 +182,7 @@ class TestValidation:
     def test_float_fields_must_be_finite(self, field, value, key):
         # a Scenario built in Python meets the same rule as a scenario file
         with pytest.raises(ScenarioError, match=re.escape(f"{key} must be a finite number")):
-            self.base(**{field: value}).validate()
+            self.base(**{field: value})
 
     @pytest.mark.parametrize("field, value, message", [
         ("horizon_s", "abc", "sim.horizon_s must be of type float, got 'abc'"),
@@ -198,7 +198,23 @@ class TestValidation:
     def test_field_types_checked(self, field, value, message):
         # a Scenario built in Python meets the same type rule as a scenario file
         with pytest.raises(ScenarioError, match=re.escape(message)):
-            self.base(**{field: value}).validate()
+            self.base(**{field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("gain_sat_dbi", float("nan"), "link.gain_sat_dbi must be a finite number"),
+        ("power_dbm", float("inf"), "link.power_dbm must be a finite number"),
+        ("model_bits", 0, "sim.model_bits must be at least 1"),
+    ])
+    def test_replace_checks_the_copy(self, field, value, message):
+        # a copy is checked like any Scenario, so no stage sees an unchecked one
+        s = load_scenario(bundled_scenario_path())
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            dataclasses.replace(s, **{field: value})
+
+    def test_fields_cannot_be_assigned(self):
+        s = self.base()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.horizon_s = float("nan")
 
 
 class TestBundledScenario:

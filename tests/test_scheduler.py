@@ -5,29 +5,21 @@ import pytest
 from satfl.errors import ScenarioError
 from satfl.link import LinkBudget, pass_comm_time
 from satfl.orbital import ContactPlan, Pass
-from satfl.scheduler import (
-    Mode,
-    build_sync_schedule,
-    check_link_cap,
-    extract_schedule,
-)
+from satfl.scheduler import Mode, check_link_cap, extract_schedule
 
 
 def make_plan(pass_lists):
     return ContactPlan(passes=[[Pass(r, s) for r, s in sats] for sats in pass_lists])
 
 
-def uniform_comm(plan, dl=10.0, ul=10.0):
-    dls = [[dl] * len(p) for p in plan.passes]
-    uls = [[ul] * len(p) for p in plan.passes]
-    return dls, uls
+def uniform_comm(plan, comm=10.0):
+    return [[comm] * len(p) for p in plan.passes]
 
 
-def first_mode(plan, t_l, dls=None, uls=None, policy="fedsatschedule"):
+def first_mode(plan, t_l, comm=None, policy="fedsatschedule"):
     """Mode of satellite 0's first cycle; exchanges take no time unless
     given, so the online cycle fits when the next pass lasts at least t_l."""
-    zero_dls, zero_uls = uniform_comm(plan, dl=0.0, ul=0.0)
-    sched = extract_schedule(plan, policy, [t_l], dls or zero_dls, uls or zero_uls)
+    sched = extract_schedule(plan, policy, [t_l], comm or uniform_comm(plan, 0.0))
     return sched.cycles[0][0].mode
 
 
@@ -51,9 +43,11 @@ class TestDecisionRule:
     def test_rounding_overrun_goes_offline(self):
         # the pass duration less both exchanges equals t_l exactly, yet
         # rise + DL + t_l + UL overruns the set by one rounding step
-        plan = make_plan([[(0.0, 100.0), (3474.718064193021, 4057.854095069976)]])
-        dls, uls = uniform_comm(plan, dl=12.51440608216108, ul=1.3105771847962622)
-        assert first_mode(plan, 569.3110476099981, dls, uls) is Mode.TRAIN_OFFLINE
+        plan = make_plan([[(0.0, 100.0), (1109.779428363276, 1560.0910690023213)]])
+        comm = uniform_comm(plan, 9.565430310897586)
+        t_l = 431.1807800172501
+        assert first_mode(plan, t_l, comm) is Mode.TRAIN_OFFLINE
+        assert first_mode(plan, t_l - 1e-9, comm) is Mode.TRAIN_ONLINE
 
     def test_no_next_pass_falls_back_offline(self):
         plan = make_plan([[(0.0, 100.0)]])
@@ -64,15 +58,12 @@ class TestDecisionRule:
         # the raw duration (1000 s) would go online for t_l = 900 s; the
         # strict budget takes the next pass's exchanges off it, not this one's
         assert first_mode(plan, 900.0) is Mode.TRAIN_ONLINE
-        assert first_mode(plan, 900.0, [[500.0, 0.0]], [[500.0, 0.0]]) is (
-            Mode.TRAIN_ONLINE)
-        assert first_mode(plan, 900.0, [[0.0, 100.0]], [[0.0, 100.0]]) is (
-            Mode.TRAIN_OFFLINE)
+        assert first_mode(plan, 900.0, [[500.0, 0.0]]) is Mode.TRAIN_ONLINE
+        assert first_mode(plan, 900.0, [[0.0, 100.0]]) is Mode.TRAIN_OFFLINE
 
     def test_baseline_always_offline(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 9000.0)]])
-        dls, uls = uniform_comm(plan, dl=0.0, ul=0.0)
-        sched = extract_schedule(plan, "fedsat", [1.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [1.0], uniform_comm(plan, 0.0))
         assert len(sched.cycles[0]) == 2
         assert all(c.mode is Mode.TRAIN_OFFLINE for c in sched.cycles[0])
 
@@ -87,53 +78,42 @@ class TestEffectiveOnlineBudget:
     def test_subtracts_both_exchanges(self):
         exchange = pass_comm_time(self.budget(), 32.0 * 90, 1.5e6)
         plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
-        dls, uls = uniform_comm(plan, dl=exchange, ul=exchange)
+        comm = uniform_comm(plan, exchange)
         effective = 600.0 - 2 * exchange
-        assert first_mode(plan, effective - 1e-6, dls, uls) is Mode.TRAIN_ONLINE
-        assert first_mode(plan, effective + 1e-6, dls, uls) is Mode.TRAIN_OFFLINE
+        assert first_mode(plan, effective - 1e-6, comm) is Mode.TRAIN_ONLINE
+        assert first_mode(plan, effective + 1e-6, comm) is Mode.TRAIN_OFFLINE
 
     def test_can_be_negative(self):
         # a next pass shorter than its exchanges holds no in-pass cycle,
         # however short the training
         exchange = pass_comm_time(self.budget(), 32.0 * 1e6, 2.5e6)
         plan = make_plan([[(0.0, 100.0), (1000.0, 1000.001)]])
-        dls, uls = uniform_comm(plan, dl=exchange, ul=exchange)
-        assert first_mode(plan, math.ulp(0.0), dls, uls) is Mode.TRAIN_OFFLINE
-
-    def test_asymmetric_uplink(self):
-        # a slower uplink shrinks the budget below a training time that the
-        # symmetric link leaves room for
-        plan = make_plan([[(0.0, 100.0), (1000.0, 1600.0)]])
-        dls, sym = uniform_comm(plan, dl=10.0, ul=10.0)
-        _, slow = uniform_comm(plan, ul=20.0)
-        assert first_mode(plan, 575.0, dls, sym) is Mode.TRAIN_ONLINE
-        assert first_mode(plan, 575.0, dls, slow) is Mode.TRAIN_OFFLINE
+        assert first_mode(plan, math.ulp(0.0), uniform_comm(plan, exchange)) is (
+            Mode.TRAIN_OFFLINE)
 
 
 class TestExtractScheduleOffline:
     def test_single_cycle_placement(self):
         plan = make_plan([[(100.0, 400.0), (5000.0, 5400.0)]])
-        dls, uls = uniform_comm(plan, dl=20.0, ul=30.0)
-        sched = extract_schedule(plan, "fedsat", [60.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan, 20.0))
         c, trailing = sched.cycles[0]
         assert c.mode is Mode.TRAIN_OFFLINE
         assert c.dl_start_s == 100.0
         assert c.dl_complete_s == 120.0
-        assert c.train_complete_s == 180.0
+        assert c.ul_start_s >= c.dl_complete_s + 60.0
         assert c.ul_pass == 1
         assert c.ul_start_s == 5000.0
-        assert c.ul_complete_s == 5030.0
+        assert c.ul_complete_s == 5020.0
         # the follow-on cycle downloads right after that upload but runs
         # out of passes for its own upload
-        assert trailing.dl_start_s == 5030.0
+        assert trailing.dl_start_s == 5020.0
         assert trailing.ul_pass is None
 
     def test_training_longer_than_gap_skips_a_pass(self):
         plan = make_plan(
             [[(0.0, 300.0), (1000.0, 1300.0), (2000.0, 2300.0)]]
         )
-        dls, uls = uniform_comm(plan)
-        sched = extract_schedule(plan, "fedsat", [1500.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [1500.0], uniform_comm(plan))
         c = sched.cycles[0][0]
         # 10 + 1500 > rise of pass 1, so the upload lands in pass 2
         assert c.ul_pass == 2
@@ -141,8 +121,7 @@ class TestExtractScheduleOffline:
 
     def test_trailing_update_without_upload_pass(self):
         plan = make_plan([[(0.0, 300.0)]])
-        dls, uls = uniform_comm(plan)
-        sched = extract_schedule(plan, "fedsat", [60.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan))
         (c,) = sched.cycles[0]
         assert c.ul_pass is None and c.ul_start_s is None
 
@@ -150,8 +129,7 @@ class TestExtractScheduleOffline:
         plan = make_plan(
             [[(0.0, 400.0), (3000.0, 3400.0), (6000.0, 6400.0)]]
         )
-        dls, uls = uniform_comm(plan, dl=20.0, ul=20.0)
-        sched = extract_schedule(plan, "fedsat", [60.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan, 20.0))
         first, second = sched.cycles[0][:2]
         # next cycle's download starts right after the upload in the same pass
         assert second.dl_pass == first.ul_pass
@@ -161,8 +139,7 @@ class TestExtractScheduleOffline:
         plan = make_plan(
             [[(0.0, 400.0), (3000.0, 3500.0), (7000.0, 7600.0)]]
         )
-        dls, uls = uniform_comm(plan, dl=25.0, ul=35.0)
-        sched = extract_schedule(plan, "fedsat", [200.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [200.0], uniform_comm(plan, 30.0))
         for c in sched.cycles[0]:
             dl_pass = plan.passes[0][c.dl_pass]
             assert dl_pass.rise_s <= c.dl_start_s
@@ -171,34 +148,31 @@ class TestExtractScheduleOffline:
                 ul_pass = plan.passes[0][c.ul_pass]
                 assert ul_pass.rise_s <= c.ul_start_s
                 assert c.ul_complete_s <= ul_pass.set_s
-                assert c.ul_start_s >= c.train_complete_s
+                assert c.ul_start_s >= c.dl_complete_s + 200.0
 
 
 class TestExtractScheduleOnline:
     def test_online_cycle_confined_to_one_pass(self):
         plan = make_plan([[(0.0, 300.0), (2000.0, 3000.0)]])
-        dls, uls = uniform_comm(plan, dl=15.0, ul=15.0)
-        sched = extract_schedule(plan, "fedsatschedule", [100.0], dls, uls)
+        sched = extract_schedule(plan, "fedsatschedule", [100.0], uniform_comm(plan, 15.0))
         online = [c for c in sched.cycles[0] if c.mode is Mode.TRAIN_ONLINE]
         assert online
         c = online[0]
         assert c.dl_pass == c.ul_pass == 1
         assert c.dl_start_s == 2000.0
-        assert c.ul_start_s == c.train_complete_s
+        assert c.ul_start_s == c.dl_complete_s + 100.0
         assert c.ul_complete_s <= 3000.0
 
     def test_short_next_pass_stays_offline(self):
         plan = make_plan([[(0.0, 300.0), (2000.0, 2100.0), (5000.0, 6000.0)]])
-        dls, uls = uniform_comm(plan, dl=15.0, ul=15.0)
-        sched = extract_schedule(plan, "fedsatschedule", [500.0], dls, uls)
+        sched = extract_schedule(plan, "fedsatschedule", [500.0], uniform_comm(plan, 15.0))
         assert sched.cycles[0][0].mode is Mode.TRAIN_OFFLINE
 
     def test_strict_budget_accounts_for_exchange_time(self):
         # next pass lasts exactly t_l: raw duration says online, but the
         # exchanges leave too little room for the online cycle
         plan = make_plan([[(0.0, 300.0), (2000.0, 2600.0)]])
-        dls, uls = uniform_comm(plan, dl=50.0, ul=50.0)
-        strict = extract_schedule(plan, "fedsatschedule", [600.0], dls, uls)
+        strict = extract_schedule(plan, "fedsatschedule", [600.0], uniform_comm(plan, 50.0))
         assert strict.cycles[0][0].mode is Mode.TRAIN_OFFLINE
 
 
@@ -210,9 +184,9 @@ class TestPolicyAgreement:
             [[(0.0, 200.0), (3000.0, 3200.0), (6000.0, 6200.0),
               (9000.0, 9200.0)]]
         )
-        dls, uls = uniform_comm(plan, dl=10.0, ul=10.0)
-        a = extract_schedule(plan, "fedsat", [5000.0], dls, uls)
-        b = extract_schedule(plan, "fedsatschedule", [5000.0], dls, uls)
+        comm = uniform_comm(plan)
+        a = extract_schedule(plan, "fedsat", [5000.0], comm)
+        b = extract_schedule(plan, "fedsatschedule", [5000.0], comm)
         assert a.cycles == b.cycles
 
     def test_online_updates_are_fresher(self):
@@ -222,9 +196,9 @@ class TestPolicyAgreement:
             [[(0.0, 500.0), (3000.0, 3600.0), (6000.0, 6700.0),
               (9000.0, 9600.0)]]
         )
-        dls, uls = uniform_comm(plan, dl=10.0, ul=10.0)
-        a = extract_schedule(plan, "fedsat", [100.0], dls, uls)
-        b = extract_schedule(plan, "fedsatschedule", [100.0], dls, uls)
+        comm = uniform_comm(plan)
+        a = extract_schedule(plan, "fedsat", [100.0], comm)
+        b = extract_schedule(plan, "fedsatschedule", [100.0], comm)
         for base, sched in zip(a.cycles[0], b.cycles[0]):
             if base.ul_complete_s is None or sched.ul_complete_s is None:
                 continue
@@ -232,24 +206,20 @@ class TestPolicyAgreement:
             sched_age = sched.ul_complete_s - sched.dl_start_s
             assert sched_age < base_age
 
-    def test_sync_policy_builds_the_sync_schedule(self):
-        plan = make_plan([[(0.0, 300.0), (1000.0, 1300.0)], [(100.0, 400.0)]])
-        dls, uls = uniform_comm(plan)
-        assert (extract_schedule(plan, "fedavg_sync", [60.0, 60.0], dls, uls)
-                == build_sync_schedule(plan, [60.0, 60.0], dls, uls))
-
     def test_unknown_policy_rejected(self):
         plan = make_plan([[(0.0, 200.0)]])
-        dls, uls = uniform_comm(plan)
         with pytest.raises(ValueError):
-            extract_schedule(plan, "fedprox", [10.0], dls, uls)
+            extract_schedule(plan, "fedprox", [10.0], uniform_comm(plan))
 
     def test_satellite_with_no_passes(self):
         plan = make_plan([[], [(0.0, 300.0), (2000.0, 2400.0)]])
-        dls, uls = uniform_comm(plan)
-        sched = extract_schedule(plan, "fedsat", [60.0, 60.0], dls, uls)
+        sched = extract_schedule(plan, "fedsat", [60.0, 60.0], uniform_comm(plan))
         assert sched.cycles[0] == []
         assert len(sched.cycles[1]) >= 1
+
+
+def sync_schedule(plan, train_time_s):
+    return extract_schedule(plan, "fedavg_sync", train_time_s, uniform_comm(plan))
 
 
 class TestSyncSchedule:
@@ -258,26 +228,23 @@ class TestSyncSchedule:
             [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0), (9000.0, 9300.0)],
             [(100.0, 400.0), (2000.0, 2300.0), (6000.0, 6300.0), (9500.0, 9800.0)],
         ])
-        dls, uls = uniform_comm(plan)
-        sched = build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+        sched = sync_schedule(plan, [60.0, 60.0])
         # rounds end at 180, 2080, 6080 and 9580 s; sat 0's pass 1 rises
         # before round 2 starts, so round 2 waits for its pass 2
         assert [c.dl_start_s for c in sched.cycles[0]] == [0.0, 1000.0, 5000.0, 9000.0]
         assert [c.dl_start_s for c in sched.cycles[1]] == [100.0, 2000.0, 6000.0, 9500.0]
         for k in (0, 1):
             for c in sched.cycles[k]:
-                assert c.satellite_id == k and c.mode is Mode.TRAIN_OFFLINE
+                assert c.mode is Mode.TRAIN_OFFLINE
                 assert c.dl_complete_s == c.dl_start_s + 10.0
-                assert c.train_complete_s == c.dl_complete_s + 60.0
                 assert c.ul_pass == c.dl_pass
-                assert (c.ul_start_s, c.ul_complete_s) == (
-                    c.train_complete_s, c.train_complete_s + 10.0)
+                trained = c.dl_complete_s + 60.0
+                assert (c.ul_start_s, c.ul_complete_s) == (trained, trained + 10.0)
 
     def test_exchanges_skip_passes_they_do_not_fit(self):
         plan = make_plan([[(0.0, 5.0), (1000.0, 1300.0), (1350.0, 1415.0),
                            (3000.0, 3300.0)]])
-        dls, uls = uniform_comm(plan)
-        (c,) = build_sync_schedule(plan, [400.0], dls, uls).cycles[0]
+        (c,) = sync_schedule(plan, [400.0]).cycles[0]
         # pass 0 is shorter than the download; training outlasts pass 1 and
         # its upload does not fit in what is left of pass 2
         assert (c.dl_pass, c.dl_start_s) == (1, 1000.0)
@@ -288,8 +255,7 @@ class TestSyncSchedule:
             [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0)],
             [(100.0, 400.0)],
         ])
-        dls, uls = uniform_comm(plan)
-        sched = build_sync_schedule(plan, [60.0, 600.0], dls, uls)
+        sched = sync_schedule(plan, [60.0, 600.0])
         (c0,), (c1,) = sched.cycles
         assert c0.ul_pass == 0
         assert c1.ul_pass is None and c1.ul_start_s is None and c1.ul_complete_s is None
@@ -299,21 +265,18 @@ class TestSyncSchedule:
             [(0.0, 300.0), (1000.0, 1300.0)],
             [(100.0, 400.0)],
         ])
-        dls, uls = uniform_comm(plan)
-        sched = build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+        sched = sync_schedule(plan, [60.0, 60.0])
         assert [len(cycles) for cycles in sched.cycles] == [1, 1]
-        assert build_sync_schedule(make_plan([[], [(0.0, 300.0)]]), [60.0] * 2,
-                                   [[], [10.0]], [[], [10.0]]).cycles == [[], []]
+        assert sync_schedule(make_plan([[], [(0.0, 300.0)]]), [60.0] * 2).cycles == [[], []]
 
     def test_empty_constellation(self):
-        assert build_sync_schedule(make_plan([]), [], [], []).cycles == []
+        assert sync_schedule(make_plan([]), []).cycles == []
 
 
 class TestLinkCap:
     def schedule(self, second_rise):
         plan = make_plan([[(0.0, 300.0)], [(second_rise, second_rise + 300.0)]])
-        dls, uls = uniform_comm(plan)
-        return build_sync_schedule(plan, [60.0, 60.0], dls, uls)
+        return sync_schedule(plan, [60.0, 60.0])
 
     def test_touching_exchanges_do_not_overlap(self):
         # sat 0 downloads on [0, 10]; sat 1 starts the instant it ends
