@@ -22,6 +22,7 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # libyaml's safe loader builds the same documents as the pure-Python one,
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+MAX_GRID_POINTS = 10**7  # in the visibility scan or the evaluation grid
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,6 @@ class Scenario:
     samples_per_class: int = 200
     test_samples_per_class: int = 100
     spread: float = 1.0
-    labels_per_group: int | None = None
     train_time_s: float | None = 30.0
     cycles_per_bit: float | None = None
     cpu_hz: float | None = None
@@ -147,6 +147,12 @@ class Scenario:
             )
         if not 0 < self.coarse_step_s <= 10.0:
             raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
+        for key, step in (("sim.coarse_step_s", self.coarse_step_s),
+                          ("sim.eval_period_s", self.eval_period_s)):
+            points = self.horizon_s / step
+            if points > MAX_GRID_POINTS:
+                raise ScenarioError(f"sim.horizon_s / {key} must be at most "
+                                    f"{MAX_GRID_POINTS:,} grid points, got {points:.3g}")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
         for key in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
@@ -158,14 +164,13 @@ class Scenario:
             _named(section, build)
         for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
                            ("learner.samples_per_class", 1), ("learner.hidden", 1),
-                           ("learner.test_samples_per_class", 1),
-                           ("learner.labels_per_group", 1), ("sim.seed", 0),
+                           ("learner.test_samples_per_class", 1), ("sim.seed", 0),
                            ("sim.model_bits", 1), ("sim.max_concurrent_links", 1)):
             value = getattr(self, key.partition(".")[2])
             if value is not None and value < least:
                 raise ScenarioError(f"{key} must be at least {least}")
         # each label is dealt to every satellite of one altitude group
-        groups, _ = self.label_split(every_label=False)
+        groups, _ = self.label_split()
         largest = max(map(len, groups), default=0)
         if self.samples_per_class < largest:
             raise ScenarioError(
@@ -173,13 +178,12 @@ class Scenario:
                 f"least the largest altitude group ({largest} satellites)"
             )
 
-    def label_split(self, every_label: bool = True) -> tuple[list[list[int]], int]:
+    def label_split(self) -> tuple[list[list[int]], int]:
         """Satellite ids grouped by orbit altitude, ascending, and the number
-        of labels each group holds; group g holds labels [g*lpg, (g+1)*lpg).
+        of labels each group holds, learner.classes // groups; group g holds
+        labels [g*lpg, (g+1)*lpg), so every label goes to exactly one group.
 
-        Raises when a group would hold a label beyond learner.classes, and,
-        with every_label, when some label is left to no group: training
-        deals every label, the contact plan deals none.
+        Raises when the altitude groups do not divide learner.classes.
         """
         by_alt: dict[float, list[int]] = {}
         k = 0
@@ -189,16 +193,10 @@ class Scenario:
         groups = [by_alt[a] for a in sorted(by_alt)]
         if not groups:
             return [], 0
-        lpg = (self.classes // len(groups) if self.labels_per_group is None
-               else self.labels_per_group)
-        dealt = lpg * len(groups)
-        if dealt > self.classes or (every_label and dealt != self.classes):
-            raise ScenarioError(
-                f"{self.classes} labels cannot be divided as {lpg} per group "
-                f"across {len(groups)} altitude groups "
-                "(learner.classes / learner.labels_per_group)"
-            )
-        return groups, lpg
+        if self.classes % len(groups):
+            raise ScenarioError(f"learner.classes ({self.classes}) must be a multiple of "
+                                f"the number of altitude groups ({len(groups)})")
+        return groups, self.classes // len(groups)
 
 
 def _named(key: str, fn, *args):
@@ -229,7 +227,7 @@ _FIELDS = {
                   "noise_temp_k", "carrier_hz"),
     "learner": {"kind": "learner_kind", **_same(
         "classes", "feature_dim", "hidden", "eta", "batch_size", "local_iters",
-        "samples_per_class", "test_samples_per_class", "spread", "labels_per_group",
+        "samples_per_class", "test_samples_per_class", "spread",
     )},
     "compute": _same("train_time_s", "cycles_per_bit", "cpu_hz"),
     "scheduler": _same("policy"),

@@ -186,7 +186,7 @@ def test_criterion_7_single_satellite_equivalence():
         test_samples_per_class=scenario.test_samples_per_class,
     )
     data = partition_non_iid(
-        train, [[0]], scenario.labels_per_group, scenario.seed
+        train, [[0]], scenario.label_split()[1], scenario.seed
     )[0]
     w = learner.init_params(
         np.random.default_rng(np.random.SeedSequence([scenario.seed]))

@@ -29,7 +29,6 @@ def scenario_file(tmp_path):
             "feature_dim": 4,
             "samples_per_class": 50,
             "test_samples_per_class": 20,
-            "labels_per_group": 4,
         },
         "sim": {"horizon_s": 21600.0},
     }
@@ -114,7 +113,6 @@ class TestRun:
     def test_empty_constellation_still_runs(self, scenario_file, tmp_path):
         doc = yaml.safe_load(scenario_file.read_text())
         doc["constellation"]["orbits"] = []
-        del doc["learner"]["labels_per_group"]
         empty = scenario_file.with_name("empty.yaml")
         empty.write_text(yaml.safe_dump(doc))
         out = tmp_path / "empty_out"
@@ -167,6 +165,13 @@ BAD_VALUES = [
     ("--tl nan", "compute.train_time_s must be a finite number, got nan"),
     ("--tl inf", "compute.train_time_s must be a finite number, got inf"),
     ("--horizon inf", "sim.horizon_s must be a finite number, got inf"),
+    # grids too large to build: refused before the contact plan allocates one
+    ("--horizon 1e300", "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 "
+     "grid points, got 3.6e+302"),
+    ("--horizon 1e12", "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 "
+     "grid points, got 3.6e+14"),
+    ("sim.eval_period_s=1.0e-9", "sim.horizon_s / sim.eval_period_s must be at most "
+     "10,000,000 grid points, got 8.64e+13"),
     ("constellation.orbits[0].altitude_m=-5.0",
      "constellation.orbits[0]: altitude must be strictly positive"),
     ("ground_station.latitude_deg=95",
@@ -205,7 +210,8 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == 2
 
     @pytest.mark.parametrize("section, key", [("sim", "horizon_hours"),
-                                              ("learner", "batchsize")])
+                                              ("learner", "batchsize"),
+                                              ("learner", "labels_per_group")])
     def test_misspelt_key_exits_2_with_path(self, section, key, scenario_file,
                                             tmp_path, capsys):
         doc = yaml.safe_load(scenario_file.read_text())
@@ -279,7 +285,7 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("command", ["plan", "run"])
     def test_label_split_checked_at_load(self, command, tmp_path, capsys):
-        # the bundled constellation has two altitude groups of 5 labels each
+        # the bundled constellation has two altitude groups
         doc = yaml.safe_load(bundled_scenario_path().read_text())
         doc["learner"]["classes"] = 3
         bad = tmp_path / "labels.yaml"
@@ -287,24 +293,32 @@ class TestErrorPaths:
         out = tmp_path / "out"
         assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
-        assert ("error: 3 labels cannot be divided as 5 per group across 2 "
-                "altitude groups (learner.classes / learner.labels_per_group)"
-                ) in capsys.readouterr().err
+        assert ("error: learner.classes (3) must be a multiple of the number of "
+                "altitude groups (2)") in capsys.readouterr().err
 
-    def test_undealt_labels_refused_by_run_only(self, scenario_file, tmp_path,
-                                                capsys):
-        # training deals every label; the contact plan deals none, so plan
-        # accepts a split that leaves labels to no group
-        doc = yaml.safe_load(scenario_file.read_text())
-        doc["learner"]["labels_per_group"] = 2
-        short = scenario_file.with_name("short.yaml")
-        short.write_text(yaml.safe_dump(doc))
-        assert main(["plan", "--scenario", str(short),
-                     "--out", str(tmp_path / "plan")]) == 0
-        assert main(["run", "--scenario", str(short),
-                     "--out", str(tmp_path / "run")]) == 2
-        assert ("error: 4 labels cannot be divided as 2 per group across 1 "
-                "altitude groups") in capsys.readouterr().err
+    def test_commands_accept_the_same_label_splits(self, tmp_path, capsys):
+        # every command deals learner.classes // groups labels to each
+        # altitude group, so plan refuses exactly what run and compare refuse
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        orbits = doc["constellation"]["orbits"]
+        one = tmp_path / "one.yaml"
+        doc["constellation"]["orbits"] = orbits[:1]
+        one.write_text(yaml.safe_dump(doc))
+        for command in ("plan", "run"):
+            assert main([command, "--scenario", str(one),
+                         "--out", str(tmp_path / command)]) == 0
+        three = tmp_path / "three.yaml"
+        doc["constellation"]["orbits"] = orbits + [dict(orbits[0], altitude_m=1200e3)]
+        three.write_text(yaml.safe_dump(doc))
+        capsys.readouterr()
+        errors = []
+        for command in ("plan", "run", "compare"):
+            out = tmp_path / f"three_{command}"
+            assert main([command, "--scenario", str(three), "--out", str(out)]) == 2
+            assert not out.exists()
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: learner.classes (10) must be a multiple of the number "
+                          "of altitude groups (3)\n"] * 3
 
     @pytest.mark.parametrize("command", ["plan", "run"])
     @pytest.mark.parametrize("constellation", ["one orbit", "empty"])
@@ -361,7 +375,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["plan", "run"])
     @pytest.mark.parametrize("key, value, least", [
         ("sim.model_bits", 0, 1),
-        ("learner.labels_per_group", 0, 1),
         ("learner.hidden", 0, 1),
         ("sim.seed", -3, 0),
         ("--seed", -1, 0),

@@ -39,7 +39,6 @@ def small_scenario(**overrides):
         feature_dim=4,
         samples_per_class=50,
         test_samples_per_class=20,
-        labels_per_group=4,
         train_time_s=30.0,
         horizon_s=43200.0,
         eval_period_s=600.0,
@@ -64,7 +63,7 @@ class TestDeterminism:
 
 class TestEmptyConstellation:
     def test_eval_only_log(self):
-        r = run_simulation(small_scenario(orbits=[], labels_per_group=None))
+        r = run_simulation(small_scenario(orbits=[]))
         assert r.global_epoch == 0
         assert r.upload_rows() == []
         evals = r.eval_rows()
@@ -98,7 +97,7 @@ class TestSingleSatelliteChain:
             scenario.seed, spread=scenario.spread,
             test_samples_per_class=scenario.test_samples_per_class,
         )
-        data = partition_non_iid(train, [[0]], scenario.labels_per_group,
+        data = partition_non_iid(train, [[0]], scenario.label_split()[1],
                                  scenario.seed)[0]
         w = learner.init_params(
             np.random.default_rng(np.random.SeedSequence([scenario.seed]))
@@ -154,7 +153,6 @@ class TestSyncBaseline:
                 OrbitConfig(altitude_m=2000e3, inclination_deg=80.0,
                             raan_deg=36.0),
             ],
-            labels_per_group=2,
             policy="fedavg_sync",
             **overrides,
         )
@@ -362,7 +360,6 @@ class TestConcurrencyCap:
                 OrbitConfig(altitude_m=500e3, inclination_deg=80.0),
                 OrbitConfig(altitude_m=500e3, inclination_deg=80.0),
             ],
-            labels_per_group=4,
             max_concurrent_links=cap,
         )
 

@@ -78,6 +78,7 @@ class TestParsing:
         ("ground_station", "altitude_m"), ("compute", "cpu_ghz"),
         ("scheduler", "policies"), ("constellation", "orbit"),
         ("scheduler", "strict_online_budget"), ("link", "power_w"), ("link", "gain_sat"),
+        ("learner", "labels_per_group"),
     ])
     def test_unknown_key_names_its_path(self, section, key):
         doc = minimal_doc()
@@ -99,7 +100,7 @@ class TestParsing:
 
     def test_file_round_trip_with_optional_fields(self, tmp_path):
         doc = minimal_doc()
-        doc["learner"] = {"kind": "mlp", "hidden": 8, "labels_per_group": 10}
+        doc["learner"] = {"kind": "mlp", "hidden": 8}
         doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
         doc["sim"] = {"model_bits": 1000, "max_concurrent_links": 2}
         s = scenario_from_dict(doc)
@@ -167,6 +168,17 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             self.base(**{field: value})
 
+    def test_grid_bound(self):
+        # 10**7 scan points at the 10 s step are allowed, a finer step is not;
+        # the evaluation grid is bounded the same way
+        assert self.base(horizon_s=1e8).horizon_s == 1e8
+        with pytest.raises(ScenarioError, match=re.escape(
+                "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 grid points")):
+            self.base(horizon_s=1e8, coarse_step_s=9.5)
+        with pytest.raises(ScenarioError, match=re.escape(
+                "sim.horizon_s / sim.eval_period_s must be at most 10,000,000 grid points")):
+            self.base(eval_period_s=1e-9)
+
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):
             self.base(max_concurrent_links=0)
@@ -224,7 +236,7 @@ class TestBundledScenario:
         altitudes = sorted({o.altitude_m for o in s.orbits})
         assert altitudes == [500e3, 2000e3]
         assert s.gs_latitude_deg == pytest.approx(53.07)
-        assert s.labels_per_group == 5
+        assert s.label_split()[1] == 5
 
 
 class TestOverrides:
