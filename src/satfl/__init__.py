@@ -10,7 +10,7 @@ from importlib import resources
 
 from .engine import SimResult, compare_runs, run_simulation
 from .errors import LinkUnavailableError, ScenarioError
-from .federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
+from .federation import fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     ComputeProfile,
     LocalDataset,
@@ -35,7 +35,7 @@ from .orbital import (
     satellite_position_eci,
     slant_range,
 )
-from .scenario import Scenario, load_scenario, save_scenario, with_overrides
+from .scenario import Scenario, load_scenario, with_overrides
 from .scheduler import Mode, TransmissionSchedule, extract_schedule
 
 __version__ = "0.1.0"

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ScenarioError
-from .federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
+from .federation import fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     WIRE_BITS_PER_PARAM,
     evaluate_accuracy,
@@ -123,8 +123,9 @@ def _timeline(
     return events
 
 
-def _replay(scenario, learner, datasets, test_set, server, timeline):
-    """Replay a timeline against the server state; return the metrics rows."""
+def _replay(scenario, learner, datasets, test_set, params, weights, timeline):
+    """Replay a timeline from the global model params; return the metrics
+    rows, the final global model and its epoch (the aggregation count)."""
     profile = scenario.compute_profile()
     sync = scenario.policy == "fedavg_sync"
     n_sats = len(datasets)
@@ -136,7 +137,7 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
     trained: dict[tuple[int, int], np.ndarray] = {}
     prev_upload: dict[int, np.ndarray] = {}
     rows: list[MetricsRow] = []
-    eval_epoch, accuracy = None, None
+    epoch, eval_epoch, accuracy = 0, None, None
     arrived = 0  # uploads of the current sync round
 
     def take(key):
@@ -163,33 +164,35 @@ def _replay(scenario, learner, datasets, test_set, server, timeline):
 
     for t, kind, k, c in timeline:
         if kind == DL:
-            started[(k, c)] = (server.params.copy(), t, server.epoch)
+            started[(k, c)] = (params.copy(), t, epoch)
             pending.append((k, c))
         elif kind == EVAL:
-            # every aggregation increments the epoch, so an unchanged epoch
-            # means unchanged parameters and the last accuracy still holds
-            if eval_epoch != server.epoch:
-                eval_epoch = server.epoch
-                accuracy = evaluate_accuracy(learner, server.params, test_set)
+            if eval_epoch != epoch:
+                eval_epoch = epoch
+                accuracy = evaluate_accuracy(learner, params, test_set)
             rows.append(MetricsRow(t, eval_epoch, None, None, None, accuracy))
         else:
             # the age of the model the update was trained from; an
             # asynchronous upload is logged with the epoch its aggregation makes
             _, dl_time, dl_epoch = started[(k, c)]
-            rows.append(MetricsRow(t, server.epoch + (not sync), k,
-                                   server.epoch - dl_epoch, t - dl_time, None))
+            rows.append(MetricsRow(t, epoch + (not sync), k,
+                                   epoch - dl_epoch, t - dl_time, None))
             if sync:
                 arrived += 1
-                if arrived == n_sats:  # round c is complete
-                    fedavg_sync_aggregate(
-                        server, {j: take((j, c))[0] for j in range(n_sats)}
-                    )
-                    arrived = 0
+                if arrived < n_sats:
+                    continue
+                arrived = 0  # round c is complete
+                params = fedavg_sync_aggregate(
+                    params, weights, {j: take((j, c))[0] for j in range(n_sats)}
+                )
             else:
                 new, (start, _, _) = take((k, c))
-                fedsat_aggregate(server, k, prev_upload.get(k, start), new)
+                params = fedsat_aggregate(params, weights[k], prev_upload.get(k, start), new)
                 prev_upload[k] = new
-    return rows
+            # every aggregation increments the epoch, so an unchanged epoch
+            # means unchanged parameters and an EVAL reuses the last accuracy
+            epoch += 1
+    return rows, params, epoch
 
 
 def plan_and_price(
@@ -240,9 +243,6 @@ def run_simulation(scenario: Scenario) -> SimResult:
     else:
         datasets, weights = {}, {}
 
-    init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))
-    params0 = learner.init_params(init_rng)
-
     if scenario.train_time_s is not None:
         t_l = [scenario.train_time_s] * n_sats
     else:
@@ -252,12 +252,12 @@ def run_simulation(scenario: Scenario) -> SimResult:
             for k in range(n_sats)
         ]
 
-    server = ServerState(params0.copy(), weights)
     schedule = extract_schedule(plan, scenario.policy, t_l, comm_s)
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
-    rows = _replay(
-        scenario, learner, datasets, test, server,
+    init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))
+    rows, params, epoch = _replay(
+        scenario, learner, datasets, test, learner.init_params(init_rng), weights,
         _timeline(schedule, scenario.horizon_s, scenario.eval_period_s),
     )
 
@@ -267,8 +267,8 @@ def run_simulation(scenario: Scenario) -> SimResult:
         max_distances_m=max_dists,
         schedule=schedule,
         rows=rows,
-        final_params=server.params,
-        global_epoch=server.epoch,
+        final_params=params,
+        global_epoch=epoch,
     )
 
 

@@ -177,23 +177,6 @@ def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
     raise ValueError(f"unknown learner kind: {kind!r}")
 
 
-def local_loss(learner, params: np.ndarray, data: LocalDataset) -> float:
-    """Mean per-sample loss over one satellite's dataset."""
-    if data.size == 0:
-        raise ValueError("dataset is empty")
-    return learner.loss(params, data.features, data.labels)
-
-
-def global_loss(learner, params: np.ndarray, datasets: list[LocalDataset]) -> float:
-    """Sample-count-weighted mean of the local losses."""
-    total = sum(d.size for d in datasets)
-    if total == 0:
-        raise ValueError("no data across satellites")
-    return sum(
-        (d.size / total) * local_loss(learner, params, d) for d in datasets
-    )
-
-
 def local_sgd(
     learner,
     starts,

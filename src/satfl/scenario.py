@@ -1,4 +1,4 @@
-"""Scenario files: parsing, validation, serialization.
+"""Scenario files: parsing and validation.
 
 Scenario files are YAML with sections constellation, ground_station, link,
 learner, compute, scheduler and sim. Values keep their boundary units here
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import yaml
 
@@ -22,7 +22,11 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # libyaml's safe loader builds the same documents as the pure-Python one,
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-MAX_GRID_POINTS = 10**7  # in the visibility scan or the evaluation grid
+# grid bounds: `satfl plan` on the bundled 10 satellites peaks at about
+# 0.93 GB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
+# 0.34 GB at MAX_EVAL_POINTS evaluation instants
+MAX_SCAN_POINTS = 5 * 10**7
+MAX_EVAL_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -147,12 +151,16 @@ class Scenario:
             )
         if not 0 < self.coarse_step_s <= 10.0:
             raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
-        for key, step in (("sim.coarse_step_s", self.coarse_step_s),
-                          ("sim.eval_period_s", self.eval_period_s)):
-            points = self.horizon_s / step
-            if points > MAX_GRID_POINTS:
-                raise ScenarioError(f"sim.horizon_s / {key} must be at most "
-                                    f"{MAX_GRID_POINTS:,} grid points, got {points:.3g}")
+        for key, points, most in (
+            ("constellation satellites x sim.horizon_s / sim.coarse_step_s",
+             max(self.satellite_count, 1) * self.horizon_s / self.coarse_step_s,
+             MAX_SCAN_POINTS),
+            ("sim.horizon_s / sim.eval_period_s", self.horizon_s / self.eval_period_s,
+             MAX_EVAL_POINTS),
+        ):
+            if points > most:
+                raise ScenarioError(f"{key} must be at most {most:,} grid points, "
+                                    f"got {points:.3g}")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
         for key in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
@@ -308,14 +316,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
     return Scenario(**values)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    doc = {"constellation": {"orbits": [asdict(o) for o in s.orbits]}}
-    for name, keys in _FIELDS.items():
-        values = {key: getattr(s, field) for key, field in keys.items()}
-        doc[name] = {key: v for key, v in values.items() if v is not None}
-    return doc
-
-
 def load_scenario(path) -> Scenario:
     try:
         with open(path) as fh:
@@ -325,11 +325,6 @@ def load_scenario(path) -> Scenario:
     except OSError as exc:
         raise ScenarioError(str(exc)) from exc
     return scenario_from_dict(doc)
-
-
-def save_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        yaml.safe_dump(scenario_to_dict(scenario), fh, sort_keys=False)
 
 
 def with_overrides(

@@ -151,6 +151,9 @@ class TestCompare:
 
 # scenario values (key=YAML literal) and flags that exit 2 at load, with the
 # message naming their key
+SCAN_BOUND = ("constellation satellites x sim.horizon_s / sim.coarse_step_s must be at "
+              "most 50,000,000 grid points")
+EVAL_BOUND = "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid points"
 BAD_VALUES = [
     ("link.power_dbm=5000", "link.power_dbm is out of range"),
     ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
@@ -166,12 +169,12 @@ BAD_VALUES = [
     ("--tl inf", "compute.train_time_s must be a finite number, got inf"),
     ("--horizon inf", "sim.horizon_s must be a finite number, got inf"),
     # grids too large to build: refused before the contact plan allocates one
-    ("--horizon 1e300", "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 "
-     "grid points, got 3.6e+302"),
-    ("--horizon 1e12", "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 "
-     "grid points, got 3.6e+14"),
-    ("sim.eval_period_s=1.0e-9", "sim.horizon_s / sim.eval_period_s must be at most "
-     "10,000,000 grid points, got 8.64e+13"),
+    ("--horizon 1e300", f"{SCAN_BOUND}, got 3.6e+303"),
+    ("--horizon 1e12", f"{SCAN_BOUND}, got 3.6e+15"),
+    # 10 satellites x 5.04e6 steps, about 0.9 GB of scan
+    ("--horizon 14000", f"{SCAN_BOUND}, got 5.04e+07"),
+    ("sim.eval_period_s=1.0e-9", f"{EVAL_BOUND}, got 8.64e+13"),
+    ("sim.eval_period_s=0.05", f"{EVAL_BOUND}, got 1.73e+06"),
     ("constellation.orbits[0].altitude_m=-5.0",
      "constellation.orbits[0]: altitude must be strictly positive"),
     ("ground_station.latitude_deg=95",

@@ -267,11 +267,11 @@ class TestStackedTraining:
             return out
 
         def watched(aggregate):
-            def wrapper(server, *update):
+            def wrapper(params, *update):
                 if not models:
-                    models.append(server.params.copy())
-                aggregate(server, *update)
-                models.append(server.params.copy())
+                    models.append(params)
+                models.append(aggregate(params, *update))
+                return models[-1]
             return wrapper
 
         monkeypatch.setattr(engine, "local_sgd", recorded)

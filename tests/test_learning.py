@@ -12,8 +12,6 @@ from satfl.learning import (
     MLPLearner,
     evaluate_accuracy,
     generate_synthetic_task,
-    global_loss,
-    local_loss,
     local_sgd,
     make_learner,
     partition_non_iid,
@@ -34,48 +32,17 @@ class TestLosses:
         learner = LogisticRegressionLearner(10, 5)
         params = learner.init_params()  # zeros -> uniform softmax
         X, y = small_instance(0, classes=10, dim=5)
-        data = LocalDataset(X, y)
-        assert local_loss(learner, params, data) == pytest.approx(math.log(10))
+        assert learner.loss(params, X, y) == pytest.approx(math.log(10))
 
     def test_loss_nonnegative_and_matches_per_sample_mean(self):
         learner = LogisticRegressionLearner(4, 3)
         rng = np.random.default_rng(1)
         params = rng.standard_normal(learner.param_dim)
         X, y = small_instance(1)
-        total = local_loss(learner, params, LocalDataset(X, y))
+        total = learner.loss(params, X, y)
         assert total >= 0.0
-        singles = [
-            local_loss(learner, params, LocalDataset(X[i:i + 1], y[i:i + 1]))
-            for i in range(len(y))
-        ]
+        singles = [learner.loss(params, X[i:i + 1], y[i:i + 1]) for i in range(len(y))]
         assert total == pytest.approx(np.mean(singles))
-
-    def test_empty_dataset_rejected(self):
-        learner = LogisticRegressionLearner(4, 3)
-        with pytest.raises(ValueError):
-            local_loss(learner, learner.init_params(),
-                       LocalDataset(np.empty((0, 3)), np.empty(0, dtype=int)))
-
-    def test_global_loss_single_satellite(self):
-        learner = LogisticRegressionLearner(4, 3)
-        params = np.random.default_rng(2).standard_normal(learner.param_dim)
-        X, y = small_instance(2)
-        data = LocalDataset(X, y)
-        assert global_loss(learner, params, [data]) == pytest.approx(
-            local_loss(learner, params, data)
-        )
-
-    def test_global_loss_equal_sizes_is_unweighted_mean(self):
-        learner = LogisticRegressionLearner(4, 3)
-        params = np.random.default_rng(3).standard_normal(learner.param_dim)
-        sets = [LocalDataset(*small_instance(s)) for s in (4, 5, 6)]
-        locals_ = [local_loss(learner, params, d) for d in sets]
-        assert global_loss(learner, params, sets) == pytest.approx(np.mean(locals_))
-
-    def test_global_loss_no_data_rejected(self):
-        learner = LogisticRegressionLearner(4, 3)
-        with pytest.raises(ValueError):
-            global_loss(learner, learner.init_params(), [])
 
 
 class _Quadratic:
@@ -138,10 +105,10 @@ class TestLocalSgd:
         data = LocalDataset(X, y)
         profile = ComputeProfile(eta=1e-3, batch_size=40, local_iters=1)
         w = learner.init_params()
-        losses = [local_loss(learner, w, data)]
+        losses = [learner.loss(w, X, y)]
         for i in range(10):
             w = local_sgd(learner, [w], [data], profile, [i])[0]
-            losses.append(local_loss(learner, w, data))
+            losses.append(learner.loss(w, X, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from satfl import engine
 from satfl.engine import MetricsRow, plan_and_price, run_simulation
 from satfl.errors import ScenarioError
-from satfl.federation import ServerState, fedavg_sync_aggregate, fedsat_aggregate
+from satfl.federation import fedavg_sync_aggregate, fedsat_aggregate
 from satfl.learning import (
     evaluate_accuracy,
     generate_synthetic_task,
@@ -233,11 +233,10 @@ def reference_replay(r):
     )
     shards = partition_non_iid(train, *s.label_split(), s.seed)
     total = sum(d.size for d in shards.values())
-    server = ServerState(
-        learner.init_params(np.random.default_rng(np.random.SeedSequence([s.seed]))),
-        {k: d.size / total for k, d in shards.items()},
-    )
-    agg_times, models = [], [server.params.copy()]
+    weights = {k: d.size / total for k, d in shards.items()}
+    params = learner.init_params(np.random.default_rng(np.random.SeedSequence([s.seed])))
+    # the global epoch is the number of aggregations so far, len(agg_times)
+    agg_times, models = [], [params]
 
     def download(k, c):
         """The model cycle (k, c) downloads and its global epoch."""
@@ -256,22 +255,23 @@ def reference_replay(r):
     rows, prev, rounds = [], {}, {}
     for t, is_eval, k, c in sorted(uploads + evals):
         if is_eval:
-            accuracy = evaluate_accuracy(learner, server.params, test)
-            rows.append(MetricsRow(t, server.epoch, None, None, None, accuracy))
+            accuracy = evaluate_accuracy(learner, params, test)
+            rows.append(MetricsRow(t, len(agg_times), None, None, None, accuracy))
             continue
         dl_time = r.schedule.cycles[k][c].dl_complete_s
-        logged = server.epoch if sync else server.epoch + 1
-        rows.append(MetricsRow(t, logged, k, server.epoch - download(k, c)[1],
+        logged = len(agg_times) if sync else len(agg_times) + 1
+        rows.append(MetricsRow(t, logged, k, len(agg_times) - download(k, c)[1],
                                t - dl_time, None))
         if sync:
             rounds.setdefault(c, []).append(k)
             if len(rounds[c]) < len(shards):
                 continue
-            fedavg_sync_aggregate(server, {j: trained(j, c) for j in rounds[c]})
+            params = fedavg_sync_aggregate(params, weights,
+                                           {j: trained(j, c) for j in rounds[c]})
         else:
             new = trained(k, c)
-            fedsat_aggregate(server, k, prev.get(k, download(k, c)[0]), new)
+            params = fedsat_aggregate(params, weights[k], prev.get(k, download(k, c)[0]), new)
             prev[k] = new
         agg_times.append(t)
-        models.append(server.params.copy())
-    return rows, server.params
+        models.append(params)
+    return rows, params

@@ -2,6 +2,7 @@ import dataclasses
 import re
 
 import pytest
+import yaml
 
 from satfl import bundled_scenario_path
 from satfl.errors import ScenarioError
@@ -9,9 +10,7 @@ from satfl.scenario import (
     OrbitConfig,
     Scenario,
     load_scenario,
-    save_scenario,
     scenario_from_dict,
-    scenario_to_dict,
     with_overrides,
 )
 
@@ -44,16 +43,6 @@ class TestParsing:
         assert s.policy == "fedsat"
         assert s.train_time_s == 30.0
         assert s.horizon_s == 86400.0
-
-    def test_round_trip_identity(self):
-        s = scenario_from_dict(minimal_doc())
-        assert scenario_from_dict(scenario_to_dict(s)) == s
-
-    def test_file_round_trip(self, tmp_path):
-        s = scenario_from_dict(minimal_doc())
-        path = tmp_path / "scenario.yaml"
-        save_scenario(s, path)
-        assert load_scenario(path) == s
 
     def test_missing_ground_station_section(self):
         doc = minimal_doc()
@@ -98,16 +87,17 @@ class TestParsing:
         with pytest.raises(ScenarioError, match="'sim' must be a mapping"):
             scenario_from_dict(doc)
 
-    def test_file_round_trip_with_optional_fields(self, tmp_path):
+    def test_file_with_optional_fields_loads(self, tmp_path):
         doc = minimal_doc()
         doc["learner"] = {"kind": "mlp", "hidden": 8}
         doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
         doc["sim"] = {"model_bits": 1000, "max_concurrent_links": 2}
-        s = scenario_from_dict(doc)
-        assert s.train_time_s is None
         path = tmp_path / "scenario.yaml"
-        save_scenario(s, path)
-        assert load_scenario(path) == s
+        path.write_text(yaml.safe_dump(doc))
+        s = load_scenario(path)
+        assert s == scenario_from_dict(doc)
+        assert (s.learner_kind, s.hidden, s.cycles_per_bit, s.cpu_hz) == ("mlp", 8, 20.0, 1e9)
+        assert (s.model_bits, s.max_concurrent_links, s.train_time_s) == (1000, 2, None)
 
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioError):
@@ -169,15 +159,29 @@ class TestValidation:
             self.base(**{field: value})
 
     def test_grid_bound(self):
-        # 10**7 scan points at the 10 s step are allowed, a finer step is not;
-        # the evaluation grid is bounded the same way
-        assert self.base(horizon_s=1e8).horizon_s == 1e8
+        # 5 * 10**7 satellite scan points at the 10 s step are allowed, a finer
+        # step or one more satellite's worth is not; 10**6 evaluation instants
+        scan = re.escape("constellation satellites x sim.horizon_s / sim.coarse_step_s "
+                         "must be at most 50,000,000 grid points")
+        assert self.base(horizon_s=5e8).horizon_s == 5e8
+        with pytest.raises(ScenarioError, match=scan):
+            self.base(horizon_s=5e8, coarse_step_s=9.5)
+        ten = [OrbitConfig(altitude_m=500e3, inclination_deg=80.0, satellite_count=10)]
+        assert self.base(orbits=ten, horizon_s=5e7).satellite_count == 10
+        with pytest.raises(ScenarioError, match=scan):
+            self.base(orbits=ten, horizon_s=5.04e7)
+        assert self.base(eval_period_s=0.1).eval_period_s == 0.1
         with pytest.raises(ScenarioError, match=re.escape(
-                "sim.horizon_s / sim.coarse_step_s must be at most 10,000,000 grid points")):
-            self.base(horizon_s=1e8, coarse_step_s=9.5)
-        with pytest.raises(ScenarioError, match=re.escape(
-                "sim.horizon_s / sim.eval_period_s must be at most 10,000,000 grid points")):
-            self.base(eval_period_s=1e-9)
+                "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid points")):
+            self.base(eval_period_s=0.05)
+
+    def test_shell_sized_scenario_builds(self):
+        # a 20 x 10 shell over 7 days at the 10 s step: 200 x 60 480 scan points
+        shell = [OrbitConfig(altitude_m=550e3, inclination_deg=53.0, raan_deg=18.0 * p,
+                             initial_arg_latitude_deg=36.0 * p, satellite_count=10)
+                 for p in range(20)]
+        s = self.base(orbits=shell, horizon_s=7 * 86400.0)
+        assert s.satellite_count * s.horizon_s / s.coarse_step_s == 12_096_000
 
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):
