@@ -11,7 +11,6 @@ from satfl import bundled_scenario_path, load_scenario
 from satfl.orbital import (
     compute_contact_plan,
     flatten_constellation,
-    max_pass_distance,
     orbital_period,
 )
 
@@ -34,10 +33,10 @@ flat = flatten_constellation(orbits)
 # ---------------------------------------------------------------------------
 print(f"{'sat':>3} {'alt km':>7} {'passes':>6} {'mean dur s':>10} "
       f"{'longest s':>9} {'max range km':>12}")
-for k, (orbit, idx) in enumerate(flat):
+for k, (orbit, _) in enumerate(flat):
     passes = plan.passes[k]
     durations = [p.duration_s for p in passes]
-    dmax = max(max_pass_distance(p, orbit, idx, gs) for p in passes)
+    dmax = max(p.max_distance_m for p in passes)
     print(f"{k:>3} {orbit.altitude_m / 1e3:>7.0f} {len(passes):>6} "
           f"{np.mean(durations):>10.1f} {max(durations):>9.1f} "
           f"{dmax / 1e3:>12.1f}")

@@ -6,16 +6,14 @@ model up/download time evolve. The last section prices the bundled
 scenario's actual model on its worst-case pass geometry.
 """
 
+import math
+
 import numpy as np
 
 from satfl import bundled_scenario_path, load_scenario
-from satfl.learning import make_learner, wire_bits
-from satfl.link import comm_time, data_rate, linear_to_db, path_loss, snr
-from satfl.orbital import (
-    compute_contact_plan,
-    flatten_constellation,
-    max_pass_distance,
-)
+from satfl.learning import WIRE_BITS_PER_PARAM, make_learner
+from satfl.link import comm_time, data_rate, path_loss, snr
+from satfl.orbital import compute_contact_plan, flatten_constellation
 
 scenario = load_scenario(bundled_scenario_path())
 budget = scenario.link_budget()
@@ -30,18 +28,18 @@ print(f"transmit power {scenario.power_dbm:.0f} dBm, antenna gains "
 # ---------------------------------------------------------------------------
 learner = make_learner(scenario.learner_kind, scenario.classes,
                        scenario.feature_dim, scenario.hidden)
-bits = wire_bits(learner.init_params())
+bits = WIRE_BITS_PER_PARAM * learner.param_dim
 print(f"model size: {bits:.0f} bits "
       f"({bits / 8:.0f} bytes, 32-bit parameters)\n")
 
 print(f"{'range km':>9} {'FSPL dB':>8} {'SNR dB':>7} {'rate Mbit/s':>11} "
       f"{'exchange ms':>11}")
 for d in np.array([500e3, 1000e3, 1690e3, 2500e3, 3900e3]):
-    loss_db = linear_to_db(path_loss(d, budget.carrier_hz))
+    loss_db = 10.0 * math.log10(path_loss(d, budget.carrier_hz))
     gamma = snr(budget, d)
     rate = data_rate(budget, gamma)
     t = comm_time(bits, rate, d)
-    print(f"{d / 1e3:>9.0f} {loss_db:>8.1f} {linear_to_db(gamma):>7.1f} "
+    print(f"{d / 1e3:>9.0f} {loss_db:>8.1f} {10.0 * math.log10(gamma):>7.1f} "
           f"{rate / 1e6:>11.2f} {t * 1e3:>11.3f}")
 
 # ---------------------------------------------------------------------------
@@ -52,8 +50,8 @@ orbits = scenario.orbit_specs()
 gs = scenario.ground_station()
 plan = compute_contact_plan(orbits, gs, scenario.horizon_s,
                             scenario.coarse_step_s)
-for k, (orbit, idx) in enumerate(flatten_constellation(orbits)):
-    dmax = max(max_pass_distance(p, orbit, idx, gs) for p in plan.passes[k])
+for k, (orbit, _) in enumerate(flatten_constellation(orbits)):
+    dmax = max(p.max_distance_m for p in plan.passes[k])
     rate = data_rate(budget, snr(budget, dmax))
     t = comm_time(bits, rate, dmax)
     print(f"  sat {k} ({orbit.altitude_m / 1e3:.0f} km): "

@@ -30,7 +30,6 @@ from .orbital import (
     elevation_angle,
     is_visible,
     max_pass_distance,
-    max_pass_distances,
     orbital_period,
     satellite_position_eci,
     slant_range,

@@ -59,10 +59,10 @@ def _load(args, policy=None):
 
 
 def cmd_plan(args) -> int:
-    plan, max_dists, _ = plan_and_price(_load(args))
+    plan, _ = plan_and_price(_load(args))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    exports.write_contact_plan_csv(plan, max_dists, out / "contact_plan.csv")
+    exports.write_contact_plan_csv(plan, out / "contact_plan.csv")
     print(f"contact plan written to {out / 'contact_plan.csv'}")
     for k, passes in enumerate(plan.passes):
         if passes:
@@ -79,9 +79,7 @@ def cmd_run(args) -> int:
     result = run_simulation(scenario)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    exports.write_contact_plan_csv(
-        result.plan, result.max_distances_m, out / "contact_plan.csv"
-    )
+    exports.write_contact_plan_csv(result.plan, out / "contact_plan.csv")
     if scenario.policy != "fedavg_sync":  # the sync schedule is not exported yet
         exports.write_schedule_csv(result.schedule, out / "schedule.csv")
     exports.write_metrics_csv(result, out / "metrics.csv")

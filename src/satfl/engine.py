@@ -1,7 +1,10 @@
 """Deterministic replay of one federated run over a precomputed timeline.
 
-A Scenario is checked when it is built, so a run takes it as given. No
-policy's timing depends on a learned value, so every download, upload and
+A Scenario is checked when it is built, so a run takes it as given. A run
+is a preparation, which does the policy-independent work once (`prepare`:
+the priced plan, the learning task, the training times), and a replay of
+one policy on it (`replay`), so policies compared on one scenario share
+one preparation. No policy's timing depends on a learned value, so every download, upload and
 evaluation instant is known before the first SGD step: `extract_schedule`
 places every policy's cycles from one exchange time per pass, which the
 pass's download and upload both take. The link cap is checked on that
@@ -28,7 +31,7 @@ model, or reuses the last accuracy while the global epoch is unchanged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +40,9 @@ from .errors import ScenarioError
 from .federation import fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     WIRE_BITS_PER_PARAM,
+    LocalDataset,
+    LogisticRegressionLearner,
+    MLPLearner,
     evaluate_accuracy,
     generate_synthetic_task,
     local_sgd,
@@ -44,8 +50,8 @@ from .learning import (
     training_time,
 )
 from .link import pass_comm_time
-from .orbital import ContactPlan, compute_contact_plan, max_pass_distances
-from .scenario import Scenario, with_overrides
+from .orbital import ContactPlan, compute_contact_plan
+from .scenario import Scenario
 from .scheduler import TransmissionSchedule, check_link_cap, extract_schedule
 
 # timeline event kinds, valued in their same-time replay order
@@ -65,7 +71,6 @@ class MetricsRow(NamedTuple):
 class SimResult:
     scenario: Scenario
     plan: ContactPlan
-    max_distances_m: list[list[float]]
     schedule: TransmissionSchedule   # built for every policy
     rows: list[MetricsRow]
     final_params: np.ndarray
@@ -123,11 +128,13 @@ def _timeline(
     return events
 
 
-def _replay(scenario, learner, datasets, test_set, params, weights, timeline):
-    """Replay a timeline from the global model params; return the metrics
-    rows, the final global model and its epoch (the aggregation count)."""
-    profile = scenario.compute_profile()
-    sync = scenario.policy == "fedavg_sync"
+def _replay(prep, policy, params, timeline):
+    """Replay a timeline under policy from the global model params; return
+    the metrics rows, the final global model and its epoch (the
+    aggregation count)."""
+    learner, datasets, weights = prep.learner, prep.datasets, prep.weights
+    profile = prep.scenario.compute_profile()
+    sync = policy == "fedavg_sync"
     n_sats = len(datasets)
     # per-cycle state keyed by (satellite, cycle): the download's snapshot,
     # time and epoch; the downloaded cycles not yet trained, in download
@@ -158,7 +165,7 @@ def _replay(scenario, learner, datasets, test_set, params, weights, timeline):
                     [started[c][0] for c in keys],
                     [datasets[k] for k, _ in keys],
                     profile,
-                    [np.random.SeedSequence([scenario.seed, k, c]) for k, c in keys],
+                    [np.random.SeedSequence([prep.scenario.seed, k, c]) for k, c in keys],
                 )))
         return trained.pop(key), started.pop(key)
 
@@ -169,7 +176,7 @@ def _replay(scenario, learner, datasets, test_set, params, weights, timeline):
         elif kind == EVAL:
             if eval_epoch != epoch:
                 eval_epoch = epoch
-                accuracy = evaluate_accuracy(learner, params, test_set)
+                accuracy = evaluate_accuracy(learner, params, prep.test_set)
             rows.append(MetricsRow(t, eval_epoch, None, None, None, accuracy))
         else:
             # the age of the model the update was trained from; an
@@ -195,37 +202,45 @@ def _replay(scenario, learner, datasets, test_set, params, weights, timeline):
     return rows, params, epoch
 
 
-def plan_and_price(
-    scenario: Scenario,
-) -> tuple[ContactPlan, list[list[float]], list[list[float]]]:
-    """Stages 1-2 of a run: the contact plan, each pass's longest distance,
-    and each pass's model exchange time at that distance.
+def plan_and_price(scenario: Scenario) -> tuple[ContactPlan, list[list[float]]]:
+    """Stages 1-2 of a run: the contact plan, and each pass's model
+    exchange time at its longest distance.
 
     The model is scenario.model_bits long, else WIRE_BITS_PER_PARAM bits per
     parameter of the scenario's learner. A zero-rate link raises
     LinkUnavailableError.
     """
-    orbits = scenario.orbit_specs()
     gs = scenario.ground_station()
     plan = compute_contact_plan(
-        orbits, gs, scenario.horizon_s, scenario.coarse_step_s
+        scenario.orbit_specs(), gs, scenario.horizon_s, scenario.coarse_step_s
     )
-    max_dists = max_pass_distances(plan, orbits, gs)
     model_bits = scenario.model_bits or WIRE_BITS_PER_PARAM * scenario.learner().param_dim
     budget = scenario.link_budget()
-    comm_s = [[pass_comm_time(budget, model_bits, d) for d in ds] for ds in max_dists]
-    return plan, max_dists, comm_s
+    comm_s = [[pass_comm_time(budget, model_bits, p.max_distance_m) for p in ps]
+              for ps in plan.passes]
+    return plan, comm_s
 
 
-def run_simulation(scenario: Scenario) -> SimResult:
-    """Execute one full scenario and return its metrics log.
+@dataclass(frozen=True)
+class Prepared:
+    """What every policy's replay of one scenario reads: the priced plan,
+    each satellite's training time, and the learning task."""
 
-    Identical scenarios and seeds produce bitwise-identical results.
-    """
-    plan, max_dists, comm_s = plan_and_price(scenario)
+    scenario: Scenario
+    plan: ContactPlan
+    comm_s: list[list[float]]
+    train_time_s: list[float]
+    learner: LogisticRegressionLearner | MLPLearner
+    test_set: LocalDataset
+    datasets: dict[int, LocalDataset]
+    weights: dict[int, float]
+
+
+def prepare(scenario: Scenario) -> Prepared:
+    """The policy-independent stages of a run: plan, pricing, the synthetic
+    task and its partition, the aggregation weights and training times."""
+    plan, comm_s = plan_and_price(scenario)
     n_sats = len(plan.passes)
-
-    learner = scenario.learner()
     train, test = generate_synthetic_task(
         scenario.classes,
         scenario.feature_dim,
@@ -251,25 +266,30 @@ def run_simulation(scenario: Scenario) -> SimResult:
             training_time(profile, 32.0 * datasets[k].size * scenario.feature_dim)
             for k in range(n_sats)
         ]
+    return Prepared(scenario, plan, comm_s, t_l, scenario.learner(), test, datasets, weights)
 
-    schedule = extract_schedule(plan, scenario.policy, t_l, comm_s)
+
+def replay(prep: Prepared, policy: str) -> SimResult:
+    """Schedule and replay a prepared scenario under policy.
+
+    Identical scenarios, seeds and policies produce bitwise-identical
+    results, whichever other policies replay the same preparation.
+    """
+    scenario = replace(prep.scenario, policy=policy)
+    schedule = extract_schedule(prep.plan, policy, prep.train_time_s, prep.comm_s)
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
     init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))
     rows, params, epoch = _replay(
-        scenario, learner, datasets, test, learner.init_params(init_rng), weights,
+        prep, policy, prep.learner.init_params(init_rng),
         _timeline(schedule, scenario.horizon_s, scenario.eval_period_s),
     )
+    return SimResult(scenario, prep.plan, schedule, rows, params, epoch)
 
-    return SimResult(
-        scenario=scenario,
-        plan=plan,
-        max_distances_m=max_dists,
-        schedule=schedule,
-        rows=rows,
-        final_params=params,
-        global_epoch=epoch,
-    )
+
+def run_simulation(scenario: Scenario) -> SimResult:
+    """Execute one full scenario and return its metrics log."""
+    return replay(prepare(scenario), scenario.policy)
 
 
 def compare_runs(
@@ -278,7 +298,7 @@ def compare_runs(
 ) -> tuple[dict[str, SimResult], list[dict]]:
     """Run the same scenario under several policies and tabulate outcomes.
 
-    All runs share the scenario seed, hence the contact plan. The accuracy
+    The policies replay one preparation, hence one contact plan. The accuracy
     threshold is the midpoint between the first policy's initial and final
     accuracy.
     """
@@ -287,9 +307,8 @@ def compare_runs(
     for i, policy in enumerate(policies):
         if policy in policies[:i]:
             raise ScenarioError(f"policy {policy!r} is listed twice")
-    results: dict[str, SimResult] = {}
-    for policy in policies:
-        results[policy] = run_simulation(with_overrides(scenario, policy=policy))
+    prep = prepare(scenario)
+    results = {policy: replay(prep, policy) for policy in policies}
     reference = results[policies[0]]
     threshold = 0.5 * (reference.initial_accuracy + reference.final_accuracy)
 

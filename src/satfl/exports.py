@@ -26,13 +26,10 @@ def _write(path, header: str, lines: list[str]) -> None:
         fh.write(header + "\r\n" + "".join(lines))
 
 
-def write_contact_plan_csv(
-    plan: ContactPlan, max_distances_m: list[list[float]], path
-) -> None:
+def write_contact_plan_csv(plan: ContactPlan, path) -> None:
     _write(path, "satellite_id,pass_index,rise_s,set_s,duration_s,max_distance_m", [
-        _PLAN_ROW % (k, n, p.rise_s, p.set_s, p.duration_s, dist)
-        for k, passes in enumerate(plan.passes)
-        for n, (p, dist) in enumerate(zip(passes, max_distances_m[k], strict=True))
+        _PLAN_ROW % (k, n, p.rise_s, p.set_s, p.duration_s, p.max_distance_m)
+        for k, passes in enumerate(plan.passes) for n, p in enumerate(passes)
     ])
 
 

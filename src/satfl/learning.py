@@ -50,11 +50,6 @@ class ComputeProfile:
             raise ValueError("batch_size and local_iters must be >= 1")
 
 
-def wire_bits(params: np.ndarray) -> int:
-    """Serialized size of a parameter vector in bits."""
-    return WIRE_BITS_PER_PARAM * params.size
-
-
 def _softmax(z: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, computed in place in z and returned."""
     z -= np.maximum.reduce(z, axis=-1, keepdims=True)

@@ -19,12 +19,6 @@ def db_to_linear(db: float) -> float:
     return 10.0 ** (db / 10.0)
 
 
-def linear_to_db(x: float) -> float:
-    if x <= 0:
-        raise ValueError("only positive quantities have a dB value")
-    return 10.0 * math.log10(x)
-
-
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** (dbm / 10.0) / 1000.0
 

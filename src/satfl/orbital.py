@@ -61,10 +61,12 @@ class GroundStation:
 
 @dataclass(frozen=True)
 class Pass:
-    """One maximal visibility interval [rise_s, set_s] of a satellite."""
+    """One maximal visibility interval [rise_s, set_s] of a satellite, and
+    its longest slant range (see max_pass_distance)."""
 
     rise_s: float
     set_s: float
+    max_distance_m: float
 
     @property
     def duration_s(self) -> float:
@@ -317,12 +319,16 @@ def compute_contact_plan(
             "the scan interval must start and end in off-time"
         )
     # row-major: each satellite's changes in time order, alternating rise
-    # (0->1) and set (1->0) since both ends are off
+    # (0->1) and set (1->0) since both ends are off; each pass's longest
+    # range is the larger of its two ends' (see max_pass_distance)
     sat, cell = np.nonzero(np.diff(visible.astype(np.int8), axis=1))
-    t = _refine_crossings(terms.take(sat), gs, grid[cell], grid[cell + 1])
+    crossing_terms = terms.take(sat)
+    t = _refine_crossings(crossing_terms, gs, grid[cell], grid[cell + 1])
+    d = slant_range(_position(crossing_terms, t), ground_station_position_eci(gs, t))
     plan = ContactPlan(passes=[[] for _ in terms.r])
-    for k, r, s in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist()):
-        plan.passes[k].append(Pass(r, s))
+    for k, r, s, dmax in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist(),
+                             np.maximum(d[0::2], d[1::2]).tolist()):
+        plan.passes[k].append(Pass(r, s, dmax))
     return plan
 
 
@@ -342,21 +348,3 @@ def max_pass_distance(
     sp = satellite_position_eci(orbit, sat_index, times)
     gp = ground_station_position_eci(gs, times)
     return float(np.max(slant_range(sp, gp)))
-
-
-def max_pass_distances(
-    plan: ContactPlan,
-    orbits: list[OrbitSpec],
-    gs: GroundStation,
-) -> list[list[float]]:
-    """max_pass_distance of every pass of the plan, per satellite, priced
-    in one array call over all rise and set instants."""
-    counts = plan.pass_counts()
-    sat = np.repeat(np.arange(len(counts)), counts)
-    t = np.array([(p.rise_s, p.set_s) for ps in plan.passes for p in ps],
-                 dtype=float).reshape(-1)
-    terms = _constellation_terms(orbits).take(np.repeat(sat, 2))
-    d = slant_range(_position(terms, t), ground_station_position_eci(gs, t))
-    dmax = np.maximum(d[0::2], d[1::2]).tolist()
-    bounds = np.cumsum([0] + counts).tolist()
-    return [dmax[a:b] for a, b in zip(bounds[:-1], bounds[1:])]

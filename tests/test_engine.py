@@ -388,7 +388,19 @@ class TestCompareRuns:
 
     def test_repeated_policy_rejected(self, monkeypatch):
         runs = []
-        monkeypatch.setattr(engine, "run_simulation", runs.append)
+        monkeypatch.setattr(engine, "prepare", runs.append)
         with pytest.raises(ScenarioError, match="policy 'fedsat' is listed twice"):
             compare_runs(small_scenario(), ["fedsat", "fedsatschedule", "fedsat"])
         assert runs == []
+
+    def test_policies_share_one_preparation(self, monkeypatch):
+        calls = []
+        for name in ("compute_contact_plan", "generate_synthetic_task"):
+            def counted(*args, _name=name, _fn=getattr(engine, name), **kwargs):
+                calls.append(_name)
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        results, _ = compare_runs(small_scenario(horizon_s=21600.0),
+                                  ["fedsat", "fedsatschedule", "fedavg_sync"])
+        assert sorted(calls) == ["compute_contact_plan", "generate_synthetic_task"]
+        assert [r.scenario.policy for r in results.values()] == list(results)

@@ -16,7 +16,6 @@ from satfl.learning import (
     make_learner,
     partition_non_iid,
     training_time,
-    wire_bits,
 )
 
 
@@ -358,10 +357,6 @@ class TestEvaluationAndTask:
         profile = ComputeProfile(eta=0.3, batch_size=50, local_iters=120)
         w = local_sgd(learner, [learner.init_params()], [train], profile, [0])[0]
         assert evaluate_accuracy(learner, w, test) >= 0.99
-
-    def test_wire_bits(self):
-        learner = LogisticRegressionLearner(10, 8)
-        assert wire_bits(learner.init_params()) == 32 * 10 * 9
 
     def test_mlp_param_dim(self):
         m = MLPLearner(3, 4, hidden=5)

@@ -150,7 +150,7 @@ def check_run(r, policy, cap):
     if policy == "fedsatschedule":
         # an update is trained offline only when the online cycle would not
         # fit the next pass: DL at its rise, training, then UL
-        _, _, comm = plan_and_price(r.scenario)
+        _, comm = plan_and_price(r.scenario)
         t_l = r.scenario.train_time_s
         for k, cycles in enumerate(r.schedule.cycles):
             passes = r.plan.passes[k]

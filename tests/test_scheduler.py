@@ -9,7 +9,8 @@ from satfl.scheduler import Mode, check_link_cap, extract_schedule
 
 
 def make_plan(pass_lists):
-    return ContactPlan(passes=[[Pass(r, s) for r, s in sats] for sats in pass_lists])
+    # the scheduler reads exchange times, never the range they were priced at
+    return ContactPlan(passes=[[Pass(r, s, 2e6) for r, s in sats] for sats in pass_lists])
 
 
 def uniform_comm(plan, comm=10.0):
