@@ -16,16 +16,17 @@ UL before DL before EVAL, then by satellite, with evaluations as
 satellite -1, so identical scenarios and seeds yield bitwise-identical
 logs.
 
-A DL snapshots the global model. Training consumes simulated time, but the
-SGD itself runs when its result is first read: at the update's upload for
-the asynchronous policies, at the round's aggregation for the synchronous
-baseline. That first read trains, from the snapshots taken at their
-downloads, every downloaded update that is not trained yet, as one stack
-per dataset size; the others keep their results until their own uploads
-arrive. Updates that are never uploaded or never aggregated are never
-trained, and the learning outcome is independent of the configured
-training duration and of the stacking. An EVAL evaluates the global
-model, or reuses the last accuracy while the global epoch is unchanged.
+A DL snapshots the global model as the array itself, which nothing writes
+into. Training consumes simulated time, but the SGD itself runs when its
+result is first read: at the update's upload for the asynchronous
+policies, at the round's aggregation for the synchronous baseline. That
+first read trains, from the snapshots taken at their downloads, every
+downloaded update that is not trained yet, as one stack per dataset size;
+the others keep their results until their own uploads arrive. Updates
+that are never uploaded or never aggregated are never trained, and the
+learning outcome is independent of the configured training duration and
+of the stacking. An EVAL evaluates the global model, or reuses the last
+accuracy while the global epoch is unchanged.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ def _replay(prep, policy, params, timeline):
 
     for t, kind, k, c in timeline:
         if kind == DL:
-            started[(k, c)] = (params.copy(), t, epoch)
+            started[(k, c)] = (params, t, epoch)
             pending.append((k, c))
         elif kind == EVAL:
             if eval_epoch != epoch:

@@ -59,7 +59,9 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 
 def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
-    return np.eye(classes)[y]
+    Y = np.zeros(y.shape + (classes,))
+    np.put_along_axis(Y, y[..., None], 1.0, axis=-1)
+    return Y
 
 
 class _SoftmaxLearner:

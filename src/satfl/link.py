@@ -41,6 +41,9 @@ class LinkBudget:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
+        if self.noise_power_w == 0.0:
+            raise ValueError("noise power (Boltzmann x noise_temp_k x bandwidth_hz) "
+                             "underflows to 0")
 
     @property
     def noise_power_w(self) -> float:
@@ -67,18 +70,26 @@ class LinkBudget:
 
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
-    """Free-space path loss as a linear factor: (4 pi f d / c)^2."""
+    """Free-space path loss as a linear factor: (4 pi f d / c)^2, inf where
+    that overflows a float."""
     if distance_m <= 0:
         raise ValueError("distance must be strictly positive")
-    return (4.0 * math.pi * carrier_hz * distance_m / EARTH.c) ** 2
+    try:
+        return (4.0 * math.pi * carrier_hz * distance_m / EARTH.c) ** 2
+    except OverflowError:
+        return math.inf
 
 
 def snr(budget: LinkBudget, distance_m: float) -> float:
-    """Linear SNR of the link to a satellite in view at distance_m."""
-    loss = path_loss(distance_m, budget.carrier_hz)
-    return budget.power_w * budget.gain_sat * budget.gain_gs / (
-        budget.noise_power_w * loss
-    )
+    """Linear SNR of the link to a satellite in view at distance_m; an
+    infinite path loss gives 0."""
+    noise = budget.noise_power_w * path_loss(distance_m, budget.carrier_hz)
+    if noise == 0.0:
+        raise LinkUnavailableError(
+            "the noise power times the free-space path loss underflows to 0 "
+            f"(link.carrier_hz {budget.carrier_hz:g})"
+        )
+    return budget.power_w * budget.gain_sat * budget.gain_gs / noise
 
 
 def data_rate(budget: LinkBudget, snr_linear: float) -> float:

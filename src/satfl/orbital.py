@@ -61,8 +61,8 @@ class GroundStation:
 
 @dataclass(frozen=True)
 class Pass:
-    """One maximal visibility interval [rise_s, set_s] of a satellite, and
-    its longest slant range (see max_pass_distance)."""
+    """One maximal visibility interval [rise_s, set_s] of a satellite within
+    the horizon, and its longest slant range (see max_pass_distance)."""
 
     rise_s: float
     set_s: float
@@ -274,7 +274,8 @@ def compute_contact_plan(
     horizon_s: float,
     coarse_step_s: float = 10.0,
 ) -> ContactPlan:
-    """Find every pass of every satellite over [0, horizon_s].
+    """Find every pass of every satellite over [0, horizon_s]; a pass under
+    way at t=0 or at horizon_s is clipped there.
 
     A coarse visibility scan on a coarse_step_s grid locates the grid cells
     holding a rise or set; all crossings of the constellation are then
@@ -312,18 +313,15 @@ def compute_contact_plan(
     visible = np.zeros_like(need)
     visible[sat, point] = _visible(terms.take(sat), gs, grid[point])
 
-    refused = np.flatnonzero(visible[:, 0] | visible[:, -1])
-    if refused.size:
-        raise ScenarioError(
-            f"satellite {refused[0]} is visible at a horizon endpoint; "
-            "the scan interval must start and end in off-time"
-        )
-    # row-major: each satellite's changes in time order, alternating rise
-    # (0->1) and set (1->0) since both ends are off; each pass's longest
-    # range is the larger of its two ends' (see max_pass_distance)
-    sat, cell = np.nonzero(np.diff(visible.astype(np.int8), axis=1))
+    # the mask padded with off-time, and the grid with its own ends: a pass
+    # under way at t=0 or at the horizon changes in a zero-width bracket, so
+    # it is clipped at exactly 0.0 or horizon_s. Row-major: each satellite's
+    # changes alternate rise (0->1) and set (1->0); each pass's longest range
+    # is the larger of its two ends' (see max_pass_distance)
+    sat, col = np.nonzero(np.diff(visible.astype(np.int8), axis=1, prepend=0, append=0))
     crossing_terms = terms.take(sat)
-    t = _refine_crossings(crossing_terms, gs, grid[cell], grid[cell + 1])
+    edges = np.concatenate((grid[:1], grid, grid[-1:]))
+    t = _refine_crossings(crossing_terms, gs, edges[col], edges[col + 1])
     d = slant_range(_position(crossing_terms, t), ground_station_position_eci(gs, t))
     plan = ContactPlan(passes=[[] for _ in terms.r])
     for k, r, s, dmax in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist(),

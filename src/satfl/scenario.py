@@ -24,9 +24,14 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # grid bounds: `satfl plan` on the bundled 10 satellites peaks at about
 # 0.93 GB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
-# 0.34 GB at MAX_EVAL_POINTS evaluation instants
+# 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds: `satfl run`
+# on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
+# MAX_TASK_POINTS task matrix entries or MAX_MODEL_POINTS satellite
+# parameters
 MAX_SCAN_POINTS = 5 * 10**7
 MAX_EVAL_POINTS = 10**6
+MAX_TASK_POINTS = 2 * 10**7
+MAX_MODEL_POINTS = 2 * 10**7
 
 
 @dataclass(frozen=True)
@@ -151,18 +156,38 @@ class Scenario:
             )
         if not 0 < self.coarse_step_s <= 10.0:
             raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
-        for key, points, most in (
-            ("constellation satellites x sim.horizon_s / sim.coarse_step_s",
-             max(self.satellite_count, 1) * self.horizon_s / self.coarse_step_s,
-             MAX_SCAN_POINTS),
-            ("sim.horizon_s / sim.eval_period_s", self.horizon_s / self.eval_period_s,
-             MAX_EVAL_POINTS),
-        ):
-            if points > most:
-                raise ScenarioError(f"{key} must be at most {most:,} grid points, "
-                                    f"got {points:.3g}")
         if self.learner_kind not in ("logreg", "mlp"):
             raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
+        for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
+                           ("learner.samples_per_class", 1), ("learner.hidden", 1),
+                           ("learner.test_samples_per_class", 1), ("learner.spread", 0),
+                           ("sim.seed", 0), ("sim.model_bits", 1),
+                           ("sim.max_concurrent_links", 1)):
+            value = getattr(self, key.partition(".")[2])
+            if value is not None and value < least:
+                raise ScenarioError(f"{key} must be at least {least}")
+        # the learning task's matrices: its rows by their widest row
+        mlp = self.learner_kind == "mlp"
+        widest = ("learner.feature_dim, learner.classes and learner.hidden" if mlp
+                  else "learner.feature_dim and learner.classes")
+        for key, points, most, unit in (
+            ("constellation satellites x sim.horizon_s / sim.coarse_step_s",
+             max(self.satellite_count, 1) * self.horizon_s / self.coarse_step_s,
+             MAX_SCAN_POINTS, "grid points"),
+            ("sim.horizon_s / sim.eval_period_s", self.horizon_s / self.eval_period_s,
+             MAX_EVAL_POINTS, "grid points"),
+            ("learner.classes x (learner.samples_per_class + "
+             f"learner.test_samples_per_class) x the widest of {widest}",
+             self.classes * (self.samples_per_class + self.test_samples_per_class)
+             * max(self.feature_dim, self.classes, self.hidden * mlp),
+             MAX_TASK_POINTS, "matrix entries"),
+            ("constellation satellites x learner parameters",
+             max(self.satellite_count, 1) * self.learner().param_dim,
+             MAX_MODEL_POINTS, "parameters"),
+        ):
+            if points > most:
+                raise ScenarioError(f"{key} must be at most {most:,} {unit}, "
+                                    f"got {points:.3g}")
         for key in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
             _named(f"link.{key}", db_to_linear, getattr(self, key))
         for i, o in enumerate(self.orbits):
@@ -170,13 +195,6 @@ class Scenario:
         for section, build in (("ground_station", self.ground_station),
                                ("link", self.link_budget), ("learner", self.compute_profile)):
             _named(section, build)
-        for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
-                           ("learner.samples_per_class", 1), ("learner.hidden", 1),
-                           ("learner.test_samples_per_class", 1), ("sim.seed", 0),
-                           ("sim.model_bits", 1), ("sim.max_concurrent_links", 1)):
-            value = getattr(self, key.partition(".")[2])
-            if value is not None and value < least:
-                raise ScenarioError(f"{key} must be at least {least}")
         # each label is dealt to every satellite of one altitude group
         groups, _ = self.label_split()
         largest = max(map(len, groups), default=0)
@@ -253,7 +271,8 @@ _ACCEPTS = {"int": int, "float": (int, float), "str": str}
 
 def _check_value(key: str, value, annotation: str) -> None:
     """Refuse a value whose type does not match its field annotation (a bool,
-    an int to Python, matches none), and a float value that is not finite."""
+    an int to Python, matches none), and a number that is not finite or is
+    an int too large for a float."""
     kind, _, optional = annotation.partition(" | ")
     if value is None and optional:
         return
@@ -261,7 +280,7 @@ def _check_value(key: str, value, annotation: str) -> None:
         raise ScenarioError(f"{key} must be of type {annotation.replace('None', 'null')}, "
                             f"got {value!r}")
     # abs() <= max is false for nan, inf and ints beyond the float range
-    if kind == "float" and not abs(value) <= sys.float_info.max:
+    if kind != "str" and not abs(value) <= sys.float_info.max:
         raise ScenarioError(f"{key} must be a finite number, got {value!r}")
 
 

@@ -119,6 +119,19 @@ class TestRun:
         assert self.run(empty, out) == 0
         assert "global_epochs = 0" in (out / "summary.txt").read_text()
 
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_polar_station_clips_passes_at_the_horizon(self, policy, tmp_path):
+        # from the pole, most of the bundled satellites are in view at the
+        # horizon; their last passes end there instead of refusing the run
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["ground_station"]["latitude_deg"] = 90
+        polar = tmp_path / "polar.yaml"
+        polar.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert self.run(polar, out, ["--policy", policy]) == 0
+        plan = (out / "contact_plan.csv").read_text().splitlines()
+        assert sum(row.split(",")[3] == "86400.000000" for row in plan) == 8
+
 
 class TestCompare:
     def test_default_policy_pair(self, scenario_file, tmp_path, capsys):
@@ -154,6 +167,9 @@ class TestCompare:
 SCAN_BOUND = ("constellation satellites x sim.horizon_s / sim.coarse_step_s must be at "
               "most 50,000,000 grid points")
 EVAL_BOUND = "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid points"
+TASK_BOUND = ("learner.classes x (learner.samples_per_class + "
+              "learner.test_samples_per_class) x the widest of learner.feature_dim and "
+              "learner.classes must be at most 20,000,000 matrix entries")
 BAD_VALUES = [
     ("link.power_dbm=5000", "link.power_dbm is out of range"),
     ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
@@ -175,6 +191,11 @@ BAD_VALUES = [
     ("--horizon 14000", f"{SCAN_BOUND}, got 5.04e+07"),
     ("sim.eval_period_s=1.0e-9", f"{EVAL_BOUND}, got 8.64e+13"),
     ("sim.eval_period_s=0.05", f"{EVAL_BOUND}, got 1.73e+06"),
+    # learning tasks too large to build, the one-hot of 20 000 classes included
+    ("learner.feature_dim=1000000000", f"{TASK_BOUND}, got 6e+12"),
+    ("learner.samples_per_class=10000000000", f"{TASK_BOUND}, got 1e+12"),
+    ("learner.classes=20000", f"{TASK_BOUND}, got 2.4e+11"),
+    ("learner.spread=-1.0", "learner.spread must be at least 0"),
     ("constellation.orbits[0].altitude_m=-5.0",
      "constellation.orbits[0]: altitude must be strictly positive"),
     ("ground_station.latitude_deg=95",
@@ -191,6 +212,8 @@ BAD_VALUES = [
     ("constellation.orbits=[{inclination_deg: 80.0}]",
      "missing key constellation.orbits[0].altitude_m"),
 ]
+NOISE_UNDERFLOW = ("link: noise power (Boltzmann x noise_temp_k x bandwidth_hz) "
+                   "underflows to 0")
 
 
 class TestErrorPaths:
@@ -454,3 +477,23 @@ class TestErrorPaths:
                      "--out", str(tmp_path / "out")]) == 2
         assert ("error: cannot exchange model parameters over a zero-rate link"
                 in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["plan", "run", "compare"])
+    @pytest.mark.parametrize("key, value, message", [
+        # the path loss overflows, so every pass prices at zero rate
+        ("carrier_hz", 1e300, "cannot exchange model parameters over a zero-rate link"),
+        ("carrier_hz", 1e-300, "the noise power times the free-space path loss "
+                               "underflows to 0 (link.carrier_hz 1e-300)"),
+        ("noise_temp_k", 1e-320, NOISE_UNDERFLOW),
+        ("bandwidth_hz", 1e-320, NOISE_UNDERFLOW),
+    ])
+    def test_link_beyond_float_range_exits_2(self, key, value, message, command,
+                                             tmp_path, capsys):
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["link"][key] = value
+        bad = tmp_path / "link.yaml"
+        bad.write_text(yaml.safe_dump(doc))
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert f"error: {message}\n" == capsys.readouterr().err

@@ -52,6 +52,9 @@ class TestPathLoss:
         with pytest.raises(ValueError):
             path_loss(0.0, 2.4e9)
 
+    def test_overflow_is_infinite(self):
+        assert path_loss(1.69e6, 1e300) == math.inf
+
 
 class TestSnr:
     def test_golden_chain(self, reference_budget):
@@ -69,6 +72,17 @@ class TestSnr:
             carrier_hz=reference_budget.carrier_hz,
         )
         assert snr(double, 1.69e6) == pytest.approx(2 * snr(reference_budget, 1.69e6))
+
+    def test_infinite_path_loss_is_zero_snr(self):
+        assert snr(LinkBudget(10.0, 5.0, 5.0, 20e6, 290.0, 1e300), 1.69e6) == 0.0
+
+    def test_underflowing_noise_times_loss_raises(self):
+        with pytest.raises(LinkUnavailableError, match="underflows to 0"):
+            snr(LinkBudget(10.0, 5.0, 5.0, 20e6, 290.0, 1e-300), 1.69e6)
+
+    def test_underflowing_noise_power_rejected(self):
+        with pytest.raises(ValueError, match="noise power"):
+            LinkBudget(10.0, 5.0, 5.0, 20e6, 1e-320, 2.4e9)
 
 
 class TestDataRate:

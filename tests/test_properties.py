@@ -1,10 +1,9 @@
 """Properties of whole runs over random small constellations.
 
-Every policy runs on the same drawn constellation. A run may be refused:
-when a satellite is visible at a horizon endpoint (the contact plan cannot
-bound that pass), or when the schedule needs more concurrent links than
-sim.max_concurrent_links allows. Both refusals are accepted outcomes and
-are asserted by their message; the second must come before any training.
+Every policy runs on the same drawn constellation. A run may be refused
+when the schedule needs more concurrent links than sim.max_concurrent_links
+allows; that refusal is an accepted outcome, asserted by its message, and
+must come before any training.
 Every accepted run is also rebuilt from its schedule by a reference replay
 that trains each update alone, and must match it bitwise.
 """
@@ -30,7 +29,6 @@ from satfl.scenario import OrbitConfig, Scenario
 from satfl.scheduler import Mode, ScheduledCycle, TransmissionSchedule
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
-ENDPOINT = "is visible at a horizon endpoint"
 CAP = "(sim.max_concurrent_links exceeded)"
 
 orbits = st.lists(
@@ -110,11 +108,10 @@ def test_run_properties(orbit_list, twin, **draws):
             try:
                 r = run_simulation(scenario(orbit_list, policy, **draws))
             except ScenarioError as exc:
-                assert ENDPOINT in str(exc) or CAP in str(exc), str(exc)
-                if CAP in str(exc):
-                    assert draws["cap"] is not None
-                    assert trained == []
-                event(f"{policy}: refused, {'cap' if CAP in str(exc) else 'endpoint'}")
+                assert CAP in str(exc), str(exc)
+                assert draws["cap"] is not None
+                assert trained == []
+                event(f"{policy}: refused, cap")
                 continue
         event(f"{policy}: ran, {'no upload' if not r.global_epoch else 'trained'}")
         check_run(r, policy, draws["cap"])

@@ -175,6 +175,40 @@ class TestValidation:
                 "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid points")):
             self.base(eval_period_s=0.05)
 
+    def test_task_bounds(self):
+        # 2 * 10**7 entries in the learning task's matrices (rows x widest row)
+        # and 2 * 10**7 parameters over all satellites; one satellite and 300
+        # rows per class by default
+        task = re.escape("learner.classes x (learner.samples_per_class + "
+                         "learner.test_samples_per_class) x the widest of ")
+        logreg = task + re.escape("learner.feature_dim and learner.classes must be at "
+                                  "most 20,000,000 matrix entries, got 2e+07")
+        assert self.base(feature_dim=6666).feature_dim == 6666
+        with pytest.raises(ScenarioError, match=logreg):
+            self.base(feature_dim=6667)
+        assert self.base(classes=258).classes == 258
+        with pytest.raises(ScenarioError, match=task):
+            self.base(classes=259)
+        assert self.base(learner_kind="mlp", hidden=6666).hidden == 6666
+        with pytest.raises(ScenarioError, match=task + re.escape(
+                "learner.feature_dim, learner.classes and learner.hidden must")):
+            self.base(learner_kind="mlp", hidden=6667)
+        small = dict(orbits=[OrbitConfig(altitude_m=500e3, inclination_deg=80.0,
+                                          satellite_count=2)],
+                     learner_kind="mlp", classes=2, feature_dim=1, samples_per_class=2,
+                     test_samples_per_class=1)
+        assert self.base(**small, hidden=2_499_999).learner().param_dim == 9_999_998
+        with pytest.raises(ScenarioError, match=re.escape(
+                "constellation satellites x learner parameters must be at most "
+                "20,000,000 parameters, got 2e+07")):
+            self.base(**small, hidden=2_500_000)
+
+    def test_spread_not_negative(self):
+        # spread 0 is a separable task; a negative spread is not a mirrored one
+        assert self.base(spread=0.0).spread == 0.0
+        with pytest.raises(ScenarioError, match="learner.spread must be at least 0"):
+            self.base(spread=-1.0)
+
     def test_shell_sized_scenario_builds(self):
         # a 20 x 10 shell over 7 days at the 10 s step: 200 x 60 480 scan points
         shell = [OrbitConfig(altitude_m=550e3, inclination_deg=53.0, raan_deg=18.0 * p,
@@ -191,10 +225,15 @@ class TestValidation:
         ("horizon_s", float("nan"), "sim.horizon_s"),
         ("eval_period_s", float("-inf"), "sim.eval_period_s"),
         ("spread", 10**400, "learner.spread"),
+        ("hidden", 10**400, "learner.hidden"),
         ("cpu_hz", float("inf"), "compute.cpu_hz"),
         ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=float("nan"))],
          "constellation.orbits[0].inclination_deg"),
-    ], ids=["nan", "-inf", "int-beyond-float", "inf", "orbit"])
+        ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=80.0,
+                                satellite_count=10**400)],
+         "constellation.orbits[0].satellite_count"),
+    ], ids=["nan", "-inf", "int-beyond-float", "int-field-beyond-float", "inf", "orbit",
+            "orbit-int-beyond-float"])
     def test_float_fields_must_be_finite(self, field, value, key):
         # a Scenario built in Python meets the same rule as a scenario file
         with pytest.raises(ScenarioError, match=re.escape(f"{key} must be a finite number")):
