@@ -166,6 +166,9 @@ class MLPLearner(_SoftmaxLearner):
         np.add.reduce(p, axis=-2, keepdims=True, out=gb2)
 
 
+LEARNER_KINDS = ("logreg", "mlp")
+
+
 def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
     if kind == "logreg":
         return LogisticRegressionLearner(classes, feature_dim)

@@ -44,6 +44,12 @@ class LinkBudget:
         if self.noise_power_w == 0.0:
             raise ValueError("noise power (Boltzmann x noise_temp_k x bandwidth_hz) "
                              "underflows to 0")
+        if self.signal_power_w == math.inf:
+            raise ValueError("signal power (power_w x gain_sat x gain_gs) overflows")
+
+    @property
+    def signal_power_w(self) -> float:
+        return self.power_w * self.gain_sat * self.gain_gs
 
     @property
     def noise_power_w(self) -> float:
@@ -89,7 +95,7 @@ def snr(budget: LinkBudget, distance_m: float) -> float:
             "the noise power times the free-space path loss underflows to 0 "
             f"(link.carrier_hz {budget.carrier_hz:g})"
         )
-    return budget.power_w * budget.gain_sat * budget.gain_gs / noise
+    return budget.signal_power_w / noise
 
 
 def data_rate(budget: LinkBudget, snr_linear: float) -> float:

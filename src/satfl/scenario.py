@@ -9,12 +9,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import yaml
 
 from .errors import ScenarioError
-from .learning import ComputeProfile, make_learner
+from .learning import LEARNER_KINDS, ComputeProfile, make_learner
 from .link import LinkBudget, db_to_linear
 from .orbital import GroundStation, OrbitSpec
 
@@ -52,41 +52,50 @@ class OrbitConfig:
         )
 
 
+def _key(key: str, default=MISSING, *, positive=False, least=None, most=None,
+         one_of=None):
+    """A Scenario field read from the dotted YAML key, with the rules on its
+    value alone: strictly positive, at least least, at most most, one of
+    one_of. An unset optional value (None) meets every rule."""
+    return field(default=default, metadata=dict(
+        key=key, positive=positive, least=least, most=most, one_of=one_of))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """A checked scenario: construction, `dataclasses.replace` included,
     raises a ScenarioError naming the key of the first bad value."""
 
-    orbits: list[OrbitConfig]
-    gs_latitude_deg: float
-    gs_longitude_deg: float
-    gs_min_elevation_deg: float
-    power_dbm: float
-    gain_sat_dbi: float
-    gain_gs_dbi: float
-    bandwidth_hz: float
-    noise_temp_k: float
-    carrier_hz: float
-    learner_kind: str = "logreg"
-    classes: int = 10
-    feature_dim: int = 8
-    hidden: int = 16
-    eta: float = 0.1
-    batch_size: int = 10
-    local_iters: int = 1
-    samples_per_class: int = 200
-    test_samples_per_class: int = 100
-    spread: float = 1.0
-    train_time_s: float | None = 30.0
-    cycles_per_bit: float | None = None
-    cpu_hz: float | None = None
-    policy: str = "fedsat"
-    horizon_s: float = 86400.0
-    eval_period_s: float = 600.0
-    seed: int = 1
-    coarse_step_s: float = 10.0
-    model_bits: int | None = None
-    max_concurrent_links: int | None = None
+    orbits: list[OrbitConfig] = _key("constellation.orbits")
+    gs_latitude_deg: float = _key("ground_station.latitude_deg")
+    gs_longitude_deg: float = _key("ground_station.longitude_deg")
+    gs_min_elevation_deg: float = _key("ground_station.min_elevation_deg")
+    power_dbm: float = _key("link.power_dbm")
+    gain_sat_dbi: float = _key("link.gain_sat_dbi")
+    gain_gs_dbi: float = _key("link.gain_gs_dbi")
+    bandwidth_hz: float = _key("link.bandwidth_hz")
+    noise_temp_k: float = _key("link.noise_temp_k")
+    carrier_hz: float = _key("link.carrier_hz")
+    learner_kind: str = _key("learner.kind", "logreg", one_of=LEARNER_KINDS)
+    classes: int = _key("learner.classes", 10, least=2)
+    feature_dim: int = _key("learner.feature_dim", 8, least=1)
+    hidden: int = _key("learner.hidden", 16, least=1)
+    eta: float = _key("learner.eta", 0.1)
+    batch_size: int = _key("learner.batch_size", 10)
+    local_iters: int = _key("learner.local_iters", 1)
+    samples_per_class: int = _key("learner.samples_per_class", 200, least=1)
+    test_samples_per_class: int = _key("learner.test_samples_per_class", 100, least=1)
+    spread: float = _key("learner.spread", 1.0, least=0)
+    train_time_s: float | None = _key("compute.train_time_s", 30.0, positive=True)
+    cycles_per_bit: float | None = _key("compute.cycles_per_bit", None, positive=True)
+    cpu_hz: float | None = _key("compute.cpu_hz", None, positive=True)
+    policy: str = _key("scheduler.policy", "fedsat", one_of=POLICIES)
+    horizon_s: float = _key("sim.horizon_s", 86400.0, positive=True)
+    eval_period_s: float = _key("sim.eval_period_s", 600.0, positive=True)
+    seed: int = _key("sim.seed", 1, least=0)
+    coarse_step_s: float = _key("sim.coarse_step_s", 10.0, positive=True, most=10)
+    model_bits: int | None = _key("sim.model_bits", None, least=1)
+    max_concurrent_links: int | None = _key("sim.max_concurrent_links", None, least=1)
 
     # ---- domain object factories -------------------------------------
 
@@ -127,25 +136,18 @@ class Scenario:
         return sum(o.satellite_count for o in self.orbits)
 
     def __post_init__(self) -> None:
-        # types and finiteness first: the checks below compare the values
-        values = [(_KEYS[f.name], getattr(self, f.name), f.type)
-                  for f in fields(self) if f.name != "orbits"]
-        values += [(f"constellation.orbits[{i}].{f.name}", getattr(o, f.name), f.type)
+        # types and finiteness first: the rules below compare the values
+        own = [f for f in fields(self) if f.name != "orbits"]
+        values = [(f.metadata["key"], getattr(self, f.name), f.type) for f in own]
+        values += [(f"{_KEY_OF['orbits']}[{i}].{f.name}", getattr(o, f.name), f.type)
                    for i, o in enumerate(self.orbits) for f in fields(o)]
         for key, value, annotation in values:
             _check_value(key, value, annotation)
-        if self.policy not in POLICIES:
-            raise ScenarioError(
-                f"scheduler policy must be one of {POLICIES}, got {self.policy!r}"
-            )
-        for key in ("sim.horizon_s", "sim.eval_period_s", "compute.train_time_s",
-                    "compute.cycles_per_bit", "compute.cpu_hz"):
-            value = getattr(self, key.partition(".")[2])
-            if value is not None and value <= 0:
-                raise ScenarioError(f"{key} must be strictly positive")
-        for field in ("cycles_per_bit", "cpu_hz"):
-            if self.train_time_s is not None and getattr(self, field) is not None:
-                raise ScenarioError(f"compute.train_time_s and {_KEYS[field]} are two "
+        for f in own:
+            _check_rules(getattr(self, f.name), f.metadata)
+        for name in ("cycles_per_bit", "cpu_hz"):
+            if self.train_time_s is not None and getattr(self, name) is not None:
+                raise ScenarioError(f"compute.train_time_s and {_KEY_OF[name]} are two "
                                     "training-time models; give one")
         if self.train_time_s is None and (
             self.cycles_per_bit is None or self.cpu_hz is None
@@ -154,18 +156,6 @@ class Scenario:
                 "either compute.train_time_s or compute.{cycles_per_bit, cpu_hz} "
                 "must be given"
             )
-        if not 0 < self.coarse_step_s <= 10.0:
-            raise ScenarioError("sim.coarse_step_s must lie in (0, 10] seconds")
-        if self.learner_kind not in ("logreg", "mlp"):
-            raise ScenarioError(f"unknown learner.kind {self.learner_kind!r}")
-        for key, least in (("learner.classes", 2), ("learner.feature_dim", 1),
-                           ("learner.samples_per_class", 1), ("learner.hidden", 1),
-                           ("learner.test_samples_per_class", 1), ("learner.spread", 0),
-                           ("sim.seed", 0), ("sim.model_bits", 1),
-                           ("sim.max_concurrent_links", 1)):
-            value = getattr(self, key.partition(".")[2])
-            if value is not None and value < least:
-                raise ScenarioError(f"{key} must be at least {least}")
         # the learning task's matrices: its rows by their widest row
         mlp = self.learner_kind == "mlp"
         widest = ("learner.feature_dim, learner.classes and learner.hidden" if mlp
@@ -188,10 +178,10 @@ class Scenario:
             if points > most:
                 raise ScenarioError(f"{key} must be at most {most:,} {unit}, "
                                     f"got {points:.3g}")
-        for key in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
-            _named(f"link.{key}", db_to_linear, getattr(self, key))
+        for name in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
+            _named(_KEY_OF[name], db_to_linear, getattr(self, name))
         for i, o in enumerate(self.orbits):
-            _named(f"constellation.orbits[{i}]", o.spec)
+            _named(f"{_KEY_OF['orbits']}[{i}]", o.spec)
         for section, build in (("ground_station", self.ground_station),
                                ("link", self.link_budget), ("learner", self.compute_profile)):
             _named(section, build)
@@ -237,32 +227,13 @@ def _named(key: str, fn, *args):
         raise ScenarioError(f"{key}: {exc}") from exc
 
 
-def _same(*names: str) -> dict[str, str]:
-    return {name: name for name in names}
-
-
-# YAML section -> key -> Scenario field. Keys a document leaves out take the
-# field's default; keys not listed here are rejected.
-_FIELDS = {
-    "ground_station": {
-        "latitude_deg": "gs_latitude_deg",
-        "longitude_deg": "gs_longitude_deg",
-        "min_elevation_deg": "gs_min_elevation_deg",
-    },
-    "link": _same("power_dbm", "gain_sat_dbi", "gain_gs_dbi", "bandwidth_hz",
-                  "noise_temp_k", "carrier_hz"),
-    "learner": {"kind": "learner_kind", **_same(
-        "classes", "feature_dim", "hidden", "eta", "batch_size", "local_iters",
-        "samples_per_class", "test_samples_per_class", "spread",
-    )},
-    "compute": _same("train_time_s", "cycles_per_bit", "cpu_hz"),
-    "scheduler": _same("policy"),
-    "sim": _same("horizon_s", "eval_period_s", "seed", "coarse_step_s",
-                 "model_bits", "max_concurrent_links"),
-}
-_KEYS = {field: f"{name}.{key}" for name, keys in _FIELDS.items()
-         for key, field in keys.items()}
-_REQUIRED = {f.name for f in fields(Scenario) if f.default is MISSING}
+# each field's dotted YAML key, and the field each declared key sets; a key
+# a document leaves out takes its field's default, and one not declared is
+# rejected
+_KEY_OF = {f.name: f.metadata["key"] for f in fields(Scenario)}
+_KEYS = {key: name for name, key in _KEY_OF.items()}
+_SECTIONS = {key.partition(".")[0] for key in _KEYS}
+_REQUIRED = [f.name for f in fields(Scenario) if f.default is MISSING]
 _ORBIT_KEYS = {f.name: f.default for f in fields(OrbitConfig)}
 # the Python types each field annotation accepts; annotations are strings
 # under postponed evaluation (e.g. "int | None")
@@ -284,23 +255,27 @@ def _check_value(key: str, value, annotation: str) -> None:
         raise ScenarioError(f"{key} must be a finite number, got {value!r}")
 
 
-def _section(doc: dict, name: str) -> dict:
-    section = doc.get(name, {})
-    if not isinstance(section, dict):
-        raise ScenarioError(f"section {name!r} must be a mapping")
-    return section
-
-
-def _known(path: str, mapping: dict, keys) -> None:
-    for key in mapping:
-        if key not in keys:
-            raise ScenarioError(f"unknown key {path}.{key}")
+def _check_rules(value, rules) -> None:
+    """Refuse a set value that breaks a rule its field declares."""
+    if value is None:
+        return
+    key, one_of, least, most = rules["key"], rules["one_of"], rules["least"], rules["most"]
+    if one_of is not None and value not in one_of:
+        raise ScenarioError(f"{key} must be one of {one_of}, got {value!r}")
+    if rules["positive"] and value <= 0:
+        raise ScenarioError(f"{key} must be strictly positive")
+    if least is not None and value < least:
+        raise ScenarioError(f"{key} must be at least {least}")
+    if most is not None and value > most:
+        raise ScenarioError(f"{key} must be at most {most}")
 
 
 def _orbit(path: str, doc) -> OrbitConfig:
     if not isinstance(doc, dict):
         raise ScenarioError(f"{path} must be a mapping")
-    _known(path, doc, _ORBIT_KEYS)
+    for key in doc:
+        if key not in _ORBIT_KEYS:
+            raise ScenarioError(f"unknown key {path}.{key}")
     for key, default in _ORBIT_KEYS.items():
         if default is MISSING and key not in doc:
             raise ScenarioError(f"missing key {path}.{key}")
@@ -310,28 +285,26 @@ def _orbit(path: str, doc) -> OrbitConfig:
 def scenario_from_dict(doc: dict) -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario file must contain a mapping at top level")
-    for name in doc:
-        if name != "constellation" and name not in _FIELDS:
+    values = {}
+    for name, section in doc.items():
+        if name not in _SECTIONS:
             raise ScenarioError(f"unknown section {name!r}")
-    con = _section(doc, "constellation")
-    _known("constellation", con, ("orbits",))
-    orbits = con.get("orbits", [])
-    if not isinstance(orbits, list):
-        raise ScenarioError("constellation.orbits must be a list")
-
-    values = {"orbits": [_orbit(f"constellation.orbits[{i}]", o)
-                         for i, o in enumerate(orbits)]}
-    for name, keys in _FIELDS.items():
-        section = _section(doc, name)
-        _known(name, section, keys)
+        if not isinstance(section, dict):
+            raise ScenarioError(f"section {name!r} must be a mapping")
         for key, value in section.items():
-            values[keys[key]] = value
+            if f"{name}.{key}" not in _KEYS:
+                raise ScenarioError(f"unknown key {name}.{key}")
+            values[_KEYS[f"{name}.{key}"]] = value
+    for name in _REQUIRED:
+        if name not in values:
+            raise ScenarioError(f"missing key {_KEY_OF[name]}")
+    if not isinstance(values["orbits"], list):
+        raise ScenarioError(f"{_KEY_OF['orbits']} must be a list")
+    values["orbits"] = [_orbit(f"{_KEY_OF['orbits']}[{i}]", o)
+                        for i, o in enumerate(values["orbits"])]
     if "cycles_per_bit" in values or "cpu_hz" in values:
         # a compute model replaces the default training time
         values.setdefault("train_time_s", None)
-    for field, key in _KEYS.items():
-        if field in _REQUIRED and field not in values:
-            raise ScenarioError(f"missing key {key}")
     return Scenario(**values)
 
 

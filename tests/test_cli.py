@@ -170,8 +170,12 @@ EVAL_BOUND = "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid p
 TASK_BOUND = ("learner.classes x (learner.samples_per_class + "
               "learner.test_samples_per_class) x the widest of learner.feature_dim and "
               "learner.classes must be at most 20,000,000 matrix entries")
+SIGNAL_OVERFLOW = "link: signal power (power_w x gain_sat x gain_gs) overflows"
 BAD_VALUES = [
     ("link.power_dbm=5000", "link.power_dbm is out of range"),
+    # finite dB values whose linear product overflows: an infinite SNR would
+    # price every exchange at its propagation time alone
+    ("link.gain_sat_dbi=3075", SIGNAL_OVERFLOW),
     ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
     ("sim.horizon_s=.inf", "sim.horizon_s must be a finite number, got inf"),
     ("sim.eval_period_s=.nan", "sim.eval_period_s must be a finite number, got nan"),
@@ -486,6 +490,7 @@ class TestErrorPaths:
                                "underflows to 0 (link.carrier_hz 1e-300)"),
         ("noise_temp_k", 1e-320, NOISE_UNDERFLOW),
         ("bandwidth_hz", 1e-320, NOISE_UNDERFLOW),
+        ("gain_sat_dbi", 3075.0, SIGNAL_OVERFLOW),
     ])
     def test_link_beyond_float_range_exits_2(self, key, value, message, command,
                                              tmp_path, capsys):

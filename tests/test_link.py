@@ -84,6 +84,12 @@ class TestSnr:
         with pytest.raises(ValueError, match="noise power"):
             LinkBudget(10.0, 5.0, 5.0, 20e6, 1e-320, 2.4e9)
 
+    def test_overflowing_signal_power_rejected(self):
+        # each factor is finite; their product would make every SNR infinite
+        assert LinkBudget(10.0, 1e300, 1e7, 20e6, 290.0, 2.4e9).signal_power_w == 1e308
+        with pytest.raises(ValueError, match="signal power"):
+            LinkBudget(10.0, 1e300, 1e8, 20e6, 290.0, 2.4e9)
+
 
 class TestDataRate:
     def test_zero_snr(self, reference_budget):

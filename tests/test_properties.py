@@ -5,7 +5,9 @@ when the schedule needs more concurrent links than sim.max_concurrent_links
 allows; that refusal is an accepted outcome, asserted by its message, and
 must come before any training.
 Every accepted run is also rebuilt from its schedule by a reference replay
-that trains each update alone, and must match it bitwise.
+that trains each update alone, and must match it bitwise. Every draw's
+schedule, refused or not, must equal the one a reference scheduler finds by
+walking each satellite's passes in turn.
 """
 
 import bisect
@@ -16,7 +18,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from satfl import engine
-from satfl.engine import MetricsRow, plan_and_price, run_simulation
+from satfl.engine import MetricsRow, extract_schedule, plan_and_price, run_simulation
 from satfl.errors import ScenarioError
 from satfl.federation import fedavg_sync_aggregate, fedsat_aggregate
 from satfl.learning import (
@@ -25,6 +27,7 @@ from satfl.learning import (
     local_sgd,
     partition_non_iid,
 )
+from satfl.orbital import ContactPlan, Pass
 from satfl.scenario import OrbitConfig, Scenario
 from satfl.scheduler import Mode, ScheduledCycle, TransmissionSchedule
 
@@ -97,7 +100,11 @@ def test_run_properties(orbit_list, twin, **draws):
     if twin:
         # a satellite on the same orbit as the first shares all its passes
         orbit_list = orbit_list + orbit_list[:1]
+    plan, comm = plan_and_price(scenario(orbit_list, "fedsat", **draws))
+    train_time_s = [draws["train_time_s"]] * len(plan.passes)
     for policy in POLICIES:
+        schedule = reference_schedule(plan, policy, train_time_s, comm)
+        assert extract_schedule(plan, policy, train_time_s, comm) == schedule
         trained = []
 
         def counted(learner, starts, *args, _sgd=engine.local_sgd):
@@ -114,10 +121,116 @@ def test_run_properties(orbit_list, twin, **draws):
                 event(f"{policy}: refused, cap")
                 continue
         event(f"{policy}: ran, {'no upload' if not r.global_epoch else 'trained'}")
+        assert r.schedule == schedule
         check_run(r, policy, draws["cap"])
         rows, final_params = reference_replay(r)
         assert r.rows == rows
         assert np.array_equal(r.final_params, final_params)
+
+
+@st.composite
+def tight_plans(draw):
+    """A plan, its exchange times and one training time, where many passes
+    hold an online cycle or one exchange exactly, or overrun it by 1 ns."""
+    t_l = draw(st.sampled_from([1.0, 30.0, 431.1807800172501]))
+    plan, comm = ContactPlan(), []
+    for _ in range(draw(st.integers(1, 3))):
+        passes, times, t = [], [], 0.0
+        for _ in range(draw(st.integers(0, 8))):
+            rise = t + draw(st.sampled_from([1.0, 100.0, 1000.0]))
+            c = draw(st.sampled_from([0.0, 9.565430310897586, 50.0]))
+            set_s = draw(st.sampled_from([
+                rise + c + t_l + c, rise + c, rise + draw(st.floats(0.0, 3000.0)),
+            ])) + draw(st.sampled_from([0.0, -1e-9, 1e-9]))
+            passes.append(Pass(rise, max(set_s, rise), 0.0))
+            times.append(c)
+            t = passes[-1].set_s
+        plan.passes.append(passes)
+        comm.append(times)
+    return plan, comm, [t_l] * len(plan.passes)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=tight_plans(), policy=st.sampled_from(POLICIES))
+def test_schedule_matches_reference_at_exact_fits(case, policy):
+    plan, comm, train_time_s = case
+    assert extract_schedule(plan, policy, train_time_s, comm) == reference_schedule(
+        plan, policy, train_time_s, comm)
+
+
+def fit(p, comm, ready):
+    """(start, end) of an exchange of comm seconds, ready at `ready`, in pass
+    p: it starts at max(rise, ready) and must end by the set; None when it
+    does not."""
+    start = max(p.rise_s, ready)
+    return (start, start + comm) if start + comm <= p.set_s else None
+
+
+def reference_schedule(plan, policy, train_time_s, comm_s):
+    """The cycles of every satellite under policy, found by walking its
+    passes one at a time and applying the rules as the scheduler.py
+    docstrings state them."""
+    if policy == "fedavg_sync":
+        return reference_sync_schedule(plan, train_time_s, comm_s)
+    schedule = TransmissionSchedule()
+    for k, passes in enumerate(plan.passes):
+        comm, t_l = comm_s[k], train_time_s[k]
+        cycles, free, waiting = [], 0.0, None
+        for n, p in enumerate(passes):
+            if waiting is not None:
+                # an offline update uploads in the first later pass that fits
+                ul = fit(p, comm[n], waiting[2] + t_l)
+                if ul is None:
+                    continue
+                cycles.append(ScheduledCycle(Mode.TRAIN_OFFLINE, *waiting, n, *ul))
+                waiting, free = None, ul[1]
+            # free during pass n: train online in pass n + 1 when rise + DL +
+            # training + UL <= set there, else download now
+            if policy == "fedsatschedule" and n + 1 < len(passes):
+                q, c = passes[n + 1], comm[n + 1]
+                if q.rise_s + c + t_l + c <= q.set_s:
+                    ul_start = q.rise_s + c + t_l
+                    cycles.append(ScheduledCycle(Mode.TRAIN_ONLINE, n + 1, q.rise_s,
+                                                 q.rise_s + c, n + 1, ul_start, ul_start + c))
+                    free = ul_start + c
+                    continue
+            dl = fit(p, comm[n], free)
+            # a download that misses this pass decides again at the next
+            waiting = None if dl is None else (n, *dl)
+        if waiting is not None:
+            # the horizon ends before the update can be uploaded
+            cycles.append(ScheduledCycle(Mode.TRAIN_OFFLINE, *waiting, None, None, None))
+        schedule.cycles.append(cycles)
+    return schedule
+
+
+def reference_sync_schedule(plan, train_time_s, comm_s):
+    """Lockstep rounds: round 0 starts at t=0 and each later one when the
+    last upload of the one before lands. In a round every satellite
+    downloads at the rise of its first pass from then on that holds the
+    exchange, trains, and uploads in the first pass that fits after. The
+    rounds stop before one in which a satellite cannot download, and after
+    one in which an upload finds no pass."""
+    schedule = TransmissionSchedule([[] for _ in plan.passes])
+    start = 0.0
+    while plan.passes:
+        round_ = []
+        for k, passes in enumerate(plan.passes):
+            comm = comm_s[k]
+            dl = next(((n, p.rise_s, p.rise_s + comm[n]) for n, p in enumerate(passes)
+                       if p.rise_s >= start and fit(p, comm[n], p.rise_s)), None)
+            if dl is None:
+                return schedule
+            ready = dl[2] + train_time_s[k]
+            ul = next(((n, *fit(p, comm[n], ready)) for n, p in enumerate(passes)
+                       if n >= dl[0] and fit(p, comm[n], ready)), (None, None, None))
+            round_.append(ScheduledCycle(Mode.TRAIN_OFFLINE, *dl, *ul))
+        for cycles, c in zip(schedule.cycles, round_):
+            cycles.append(c)
+        if any(c.ul_complete_s is None for c in round_):
+            return schedule
+        start = max(c.ul_complete_s for c in round_)
+    return schedule
 
 
 def check_run(r, policy, cap):

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import re
+from pathlib import Path
 
 import pytest
 import yaml
 
 from satfl import bundled_scenario_path
+from satfl.cli import main
 from satfl.errors import ScenarioError
 from satfl.scenario import (
     OrbitConfig,
@@ -49,6 +52,14 @@ class TestParsing:
         del doc["ground_station"]
         with pytest.raises(ScenarioError):
             scenario_from_dict(doc)
+
+    def test_missing_orbits(self):
+        doc = minimal_doc()
+        del doc["constellation"]
+        with pytest.raises(ScenarioError, match=r"^missing key constellation\.orbits$"):
+            scenario_from_dict(doc)
+        doc["constellation"] = {"orbits": []}
+        assert scenario_from_dict(doc).satellite_count == 0
 
     def test_missing_power(self):
         doc = minimal_doc()
@@ -323,3 +334,105 @@ def test_satellite_count_sums_over_orbits():
         ],
     )
     assert s.satellite_count == 5
+
+
+# the rules a Scenario field can declare on its value alone
+RULES = ("one_of", "positive", "least", "most")
+FIELDS = dataclasses.fields(Scenario)
+
+
+def key_of(f):
+    return f.metadata["key"]
+
+
+def declared_rules():
+    """(field, rule) for every rule the Scenario fields declare, in
+    declaration order."""
+    return [(f, rule) for f in FIELDS for rule in RULES
+            if f.metadata[rule] is not None and f.metadata[rule] is not False]
+
+
+def breaking(f, rule):
+    """A value of f's type that breaks its declared rule, and the message
+    that names it."""
+    key, bound = key_of(f), f.metadata[rule]
+    if rule == "one_of":
+        return "none_of_these", f"{key} must be one of {bound}, got 'none_of_these'"
+    number = float if f.type.startswith("float") else int
+    if rule == "positive":
+        return number(0), f"{key} must be strictly positive"
+    if rule == "least":
+        return number(bound - 1), f"{key} must be at least {bound}"
+    return number(2 * bound), f"{key} must be at most {bound}"
+
+
+def rendered(f, rule):
+    """f's declared rule as the README table writes it."""
+    bound = f.metadata[rule]
+    if rule == "one_of":
+        return "one of " + ", ".join(f"`{choice}`" for choice in bound)
+    return {"positive": "> 0", "least": f">= {bound}", "most": f"<= {bound}"}[rule]
+
+
+def bundled_with(values):
+    """The bundled scenario document with each dotted key set to its value."""
+    doc = yaml.safe_load(bundled_scenario_path().read_text())
+    for key, value in values.items():
+        section, name = key.split(".")
+        doc[section][name] = value
+    return doc
+
+
+def plan_exits_2(doc, tmp_path, capsys):
+    """`satfl plan` on doc exits 2 and writes nothing; its stderr."""
+    path, out = tmp_path / "scenario.yaml", tmp_path / "out"
+    path.write_text(yaml.safe_dump(doc))
+    assert main(["plan", "--scenario", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+class TestDeclarations:
+    """Each Scenario field declares its YAML key and the rules on its value
+    alone; these tests read the declarations, so a new field is covered."""
+
+    @pytest.mark.parametrize("f", FIELDS, ids=key_of)
+    def test_wrong_type_exits_2_naming_its_key(self, f, tmp_path, capsys):
+        value = 3 if f.type == "str" else "a string"
+        err = plan_exits_2(bundled_with({key_of(f): value}), tmp_path, capsys)
+        assert err.startswith(f"error: {key_of(f)} must be ")
+
+    @pytest.mark.parametrize("f, rule", declared_rules(),
+                             ids=[f"{key_of(f)}-{rule}" for f, rule in declared_rules()])
+    def test_declared_rule_gives_its_message(self, f, rule, tmp_path, capsys):
+        value, message = breaking(f, rule)
+        assert plan_exits_2(bundled_with({key_of(f): value}), tmp_path, capsys) == (
+            f"error: {message}\n")
+
+    def test_two_bad_values_name_the_first_declared(self):
+        # the rules are checked in declaration order, whatever their kind
+        pairs = [(a, b) for a, b in itertools.combinations(declared_rules(), 2)
+                 if a[0] is not b[0]]
+        assert len(pairs) > 100
+        for (fa, ra), (fb, rb) in pairs:
+            (va, message), (vb, _) = breaking(fa, ra), breaking(fb, rb)
+            with pytest.raises(ScenarioError) as exc:
+                scenario_from_dict(bundled_with({key_of(fa): va, key_of(fb): vb}))
+            assert str(exc.value) == message
+
+    def test_readme_table_lists_the_declared_keys(self):
+        lines = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+        start = lines.index("| Key | Type | Default | Rule |") + 2
+        rows = list(itertools.takewhile(lambda line: line.startswith("|"), lines[start:]))
+        cells = [[c.strip().replace("\\|", "|") for c in re.split(r"(?<!\\)\|", row)[1:-1]]
+                 for row in rows]
+        assert [row[0] for row in cells] == [f"`{key_of(f)}`" for f in FIELDS]
+        for f, (_, kind, default, rule) in zip(FIELDS, cells):
+            assert kind == f.type.partition("[")[0].replace("None", "null"), key_of(f)
+            assert default == ("required" if f.default is dataclasses.MISSING
+                               else f"`{'null' if f.default is None else f.default}`")
+            declared = ", ".join(rendered(f, r) for g, r in declared_rules() if g is f)
+            if declared:
+                assert rule.startswith(declared), key_of(f)
+            else:
+                assert not re.match(r"(>|<|one of)", rule), key_of(f)

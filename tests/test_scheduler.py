@@ -54,7 +54,7 @@ class TestDecisionRule:
         plan = make_plan([[(0.0, 100.0)]])
         assert first_mode(plan, 1.0) is Mode.TRAIN_OFFLINE
 
-    def test_explicit_budget_overrides_duration(self):
+    def test_only_next_pass_exchange_time_counts(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 2000.0)]])
         # the raw duration (1000 s) would go online for t_l = 900 s; the
         # strict budget takes the next pass's exchanges off it, not this one's
@@ -69,7 +69,7 @@ class TestDecisionRule:
         assert all(c.mode is Mode.TRAIN_OFFLINE for c in sched.cycles[0])
 
 
-class TestEffectiveOnlineBudget:
+class TestNextPassExchangesCountAgainstOnlineCycle:
     """The online cycle fits when the training time is at most the next
     pass's duration minus its DL and UL times."""
 
@@ -84,7 +84,7 @@ class TestEffectiveOnlineBudget:
         assert first_mode(plan, effective - 1e-6, comm) is Mode.TRAIN_ONLINE
         assert first_mode(plan, effective + 1e-6, comm) is Mode.TRAIN_OFFLINE
 
-    def test_can_be_negative(self):
+    def test_pass_shorter_than_its_exchanges_holds_none(self):
         # a next pass shorter than its exchanges holds no in-pass cycle,
         # however short the training
         exchange = pass_comm_time(self.budget(), 32.0 * 1e6, 2.5e6)
@@ -169,7 +169,7 @@ class TestExtractScheduleOnline:
         sched = extract_schedule(plan, "fedsatschedule", [500.0], uniform_comm(plan, 15.0))
         assert sched.cycles[0][0].mode is Mode.TRAIN_OFFLINE
 
-    def test_strict_budget_accounts_for_exchange_time(self):
+    def test_exchanges_push_exact_training_fit_offline(self):
         # next pass lasts exactly t_l: raw duration says online, but the
         # exchanges leave too little room for the online cycle
         plan = make_plan([[(0.0, 300.0), (2000.0, 2600.0)]])
