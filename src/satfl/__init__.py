@@ -9,7 +9,7 @@ that decide when each satellite downloads and uploads model parameters.
 from importlib import resources
 
 from .engine import SimResult, compare_runs, run_simulation
-from .errors import LinkUnavailableError, ScenarioError
+from .errors import ScenarioError
 from .federation import fedavg_sync_aggregate, fedsat_aggregate
 from .learning import (
     ComputeProfile,

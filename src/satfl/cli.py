@@ -1,6 +1,7 @@
 """Command-line front end: plan passes, run experiments, compare policies.
 
-Exit codes: 0 success, 2 scenario or link error, 1 internal error.
+Exit codes: 0 success, 1 internal error, 2 a refused scenario (any
+ScenarioError, the link rule's included), before --out is created.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from pathlib import Path
 
 from . import exports
 from .engine import compare_runs, plan_and_price, run_simulation
-from .errors import LinkUnavailableError, ScenarioError
+from .errors import ScenarioError
 from .scenario import POLICIES, load_scenario, with_overrides
 
 
@@ -113,7 +114,7 @@ def main(argv=None) -> int:
     handlers = {"plan": cmd_plan, "run": cmd_run, "compare": cmd_compare}
     try:
         return handlers[args.command](args)
-    except (ScenarioError, LinkUnavailableError) as exc:
+    except ScenarioError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

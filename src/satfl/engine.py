@@ -154,20 +154,21 @@ def _replay(prep, policy, params, timeline):
         An untrained cycle is trained together with every pending one (only
         cycles with an upload are downloaded): their starts are fixed, so
         one local_sgd stack per dataset size gives each the bits it would
-        get alone."""
+        get alone. Each update is stored as its own array, so that a kept
+        update (prev_upload) does not pin its whole stack."""
         if key not in trained:
             by_size: dict[int, list[tuple[int, int]]] = {}
             for c in pending:
                 by_size.setdefault(datasets[c[0]].size, []).append(c)
             pending.clear()
             for keys in by_size.values():
-                trained.update(zip(keys, local_sgd(
+                trained.update(zip(keys, map(np.copy, local_sgd(
                     learner,
                     [started[c][0] for c in keys],
                     [datasets[k] for k, _ in keys],
                     profile,
                     [np.random.SeedSequence([prep.scenario.seed, k, c]) for k, c in keys],
-                )))
+                ))))
         return trained.pop(key), started.pop(key)
 
     for t, kind, k, c in timeline:
@@ -208,8 +209,9 @@ def plan_and_price(scenario: Scenario) -> tuple[ContactPlan, list[list[float]]]:
     exchange time at its longest distance.
 
     The model is scenario.model_bits long, else WIRE_BITS_PER_PARAM bits per
-    parameter of the scenario's learner. A zero-rate link raises
-    LinkUnavailableError.
+    parameter of the scenario's learner. A link that gives a pass no
+    finite, positive rate raises a ScenarioError; with no passes, nothing
+    is priced and no link is refused.
     """
     gs = scenario.ground_station()
     plan = compute_contact_plan(

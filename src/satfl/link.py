@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import LinkUnavailableError
+from .errors import ScenarioError
 from .orbital import EARTH
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -41,11 +41,6 @@ class LinkBudget:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be strictly positive")
-        if self.noise_power_w == 0.0:
-            raise ValueError("noise power (Boltzmann x noise_temp_k x bandwidth_hz) "
-                             "underflows to 0")
-        if self.signal_power_w == math.inf:
-            raise ValueError("signal power (power_w x gain_sat x gain_gs) overflows")
 
     @property
     def signal_power_w(self) -> float:
@@ -88,14 +83,10 @@ def path_loss(distance_m: float, carrier_hz: float) -> float:
 
 def snr(budget: LinkBudget, distance_m: float) -> float:
     """Linear SNR of the link to a satellite in view at distance_m; an
-    infinite path loss gives 0."""
+    infinite path loss gives 0, and a noise power times path loss that
+    underflows to 0 gives inf."""
     noise = budget.noise_power_w * path_loss(distance_m, budget.carrier_hz)
-    if noise == 0.0:
-        raise LinkUnavailableError(
-            "the noise power times the free-space path loss underflows to 0 "
-            f"(link.carrier_hz {budget.carrier_hz:g})"
-        )
-    return budget.signal_power_w / noise
+    return budget.signal_power_w / noise if noise else math.inf
 
 
 def data_rate(budget: LinkBudget, snr_linear: float) -> float:
@@ -107,14 +98,18 @@ def data_rate(budget: LinkBudget, snr_linear: float) -> float:
 
 def comm_time(model_bits: float, rate_bps: float, distance_m: float) -> float:
     """Transmission plus propagation time for one model exchange."""
-    if rate_bps <= 0:
-        raise LinkUnavailableError(
-            "cannot exchange model parameters over a zero-rate link"
-        )
     return model_bits / rate_bps + distance_m / EARTH.c
 
 
 def pass_comm_time(budget: LinkBudget, model_bits: float, max_distance_m: float) -> float:
-    """Exchange time for one pass, using the pass's longest distance."""
-    rate = data_rate(budget, snr(budget, max_distance_m))
+    """Exchange time for one pass, using the pass's longest distance. A pass
+    is priced only at a finite, positive Shannon rate; a rate of 0, inf or
+    NaN raises a ScenarioError."""
+    gamma = snr(budget, max_distance_m)
+    rate = data_rate(budget, gamma)
+    if not 0.0 < rate < math.inf:
+        raise ScenarioError(
+            f"link: a pass at range {max_distance_m:.6g} m has SNR {gamma:g} and "
+            f"rate {rate:g} bit/s; a pass is priced only at a finite, positive rate"
+        )
     return comm_time(model_bits, rate, max_distance_m)

@@ -1,3 +1,5 @@
+import re
+
 import yaml
 import pytest
 
@@ -170,12 +172,8 @@ EVAL_BOUND = "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid p
 TASK_BOUND = ("learner.classes x (learner.samples_per_class + "
               "learner.test_samples_per_class) x the widest of learner.feature_dim and "
               "learner.classes must be at most 20,000,000 matrix entries")
-SIGNAL_OVERFLOW = "link: signal power (power_w x gain_sat x gain_gs) overflows"
 BAD_VALUES = [
     ("link.power_dbm=5000", "link.power_dbm is out of range"),
-    # finite dB values whose linear product overflows: an infinite SNR would
-    # price every exchange at its propagation time alone
-    ("link.gain_sat_dbi=3075", SIGNAL_OVERFLOW),
     ("sim.horizon_s=.nan", "sim.horizon_s must be a finite number, got nan"),
     ("sim.horizon_s=.inf", "sim.horizon_s must be a finite number, got inf"),
     ("sim.eval_period_s=.nan", "sim.eval_period_s must be a finite number, got nan"),
@@ -216,8 +214,14 @@ BAD_VALUES = [
     ("constellation.orbits=[{inclination_deg: 80.0}]",
      "missing key constellation.orbits[0].altitude_m"),
 ]
-NOISE_UNDERFLOW = ("link: noise power (Boltzmann x noise_temp_k x bandwidth_hz) "
-                   "underflows to 0")
+
+
+def link_refused(snr, rate):
+    """The one refusal of a link, at the first pass it prices: its rate is
+    0, inf or NaN."""
+    return re.compile(rf"error: link: a pass at range [0-9.e+]+ m has SNR {snr} and "
+                      rf"rate {rate} bit/s; a pass is priced only at a finite, "
+                      r"positive rate\n")
 
 
 class TestErrorPaths:
@@ -469,36 +473,63 @@ class TestErrorPaths:
         assert "internal error" not in err
         assert f"error: {message}" in err
 
+    @staticmethod
+    def link_scenario(tmp_path, **link):
+        """The bundled scenario with the given link values."""
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["link"].update(link)
+        path = tmp_path / "link.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        return path
+
     @pytest.mark.parametrize("command", ["plan", "run", "compare"])
     def test_zero_rate_link_exits_2(self, command, tmp_path, capsys):
         # at -250 dBm every pass's SNR vanishes next to 1 in double precision,
-        # so each exchange is priced at zero rate
-        doc = yaml.safe_load(bundled_scenario_path().read_text())
-        doc["link"]["power_dbm"] = -250.0
-        weak = tmp_path / "weak.yaml"
-        weak.write_text(yaml.safe_dump(doc))
-        assert main([command, "--scenario", str(weak),
-                     "--out", str(tmp_path / "out")]) == 2
-        assert ("error: cannot exchange model parameters over a zero-rate link"
-                in capsys.readouterr().err)
+        # so each exchange would be priced at zero rate
+        weak = self.link_scenario(tmp_path, power_dbm=-250.0)
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(weak), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert link_refused("[0-9.e-]+", "0").fullmatch(capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["plan", "run", "compare"])
-    @pytest.mark.parametrize("key, value, message", [
-        # the path loss overflows, so every pass prices at zero rate
-        ("carrier_hz", 1e300, "cannot exchange model parameters over a zero-rate link"),
-        ("carrier_hz", 1e-300, "the noise power times the free-space path loss "
-                               "underflows to 0 (link.carrier_hz 1e-300)"),
-        ("noise_temp_k", 1e-320, NOISE_UNDERFLOW),
-        ("bandwidth_hz", 1e-320, NOISE_UNDERFLOW),
-        ("gain_sat_dbi", 3075.0, SIGNAL_OVERFLOW),
-    ])
-    def test_link_beyond_float_range_exits_2(self, key, value, message, command,
-                                             tmp_path, capsys):
-        doc = yaml.safe_load(bundled_scenario_path().read_text())
-        doc["link"][key] = value
-        bad = tmp_path / "link.yaml"
-        bad.write_text(yaml.safe_dump(doc))
+    @pytest.mark.parametrize("link, snr", [
+        # the path loss overflows: SNR 0
+        ({"carrier_hz": 1e300}, "0"),
+        # the noise power times the path loss underflows to 0 ...
+        ({"carrier_hz": 1e-300}, "inf"),
+        ({"carrier_hz": 1e-154}, "inf"),
+        # ... or to a few subnormals, and the SNR overflows
+        ({"carrier_hz": 1e-150}, "inf"),
+        ({"carrier_hz": 1e-146}, "inf"),
+        # the noise power underflows to 0
+        ({"noise_temp_k": 1e-320}, "inf"),
+        ({"bandwidth_hz": 1e-320}, "inf"),
+        # finite dB values whose linear signal power overflows ...
+        ({"gain_sat_dbi": 3075.0}, "inf"),
+        # ... over an overflowing path loss: inf / inf
+        ({"gain_sat_dbi": 3075.0, "carrier_hz": 1e300}, "nan"),
+    ], ids=lambda v: ",".join(f"{k}={x!r}" for k, x in v.items())
+       if isinstance(v, dict) else v)
+    def test_link_beyond_float_range_exits_2(self, link, snr, command, tmp_path,
+                                             capsys):
+        bad = self.link_scenario(tmp_path, **link)
         out = tmp_path / "out"
         assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
-        assert f"error: {message}\n" == capsys.readouterr().err
+        assert link_refused(snr, snr).fullmatch(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["plan", "run", "compare"])
+    def test_smallest_carrier_with_a_finite_snr_runs(self, command, tmp_path):
+        # at 1e-145 Hz every pass's SNR is finite, up to about 6e307
+        low = self.link_scenario(tmp_path, carrier_hz=1.0e-145)
+        assert main([command, "--scenario", str(low), "--out", str(tmp_path / "out")]) == 0
+
+    def test_link_without_passes_loads(self, tmp_path):
+        # nothing is priced, so no link is refused
+        doc = yaml.safe_load(bundled_scenario_path().read_text())
+        doc["constellation"]["orbits"] = []
+        doc["link"]["noise_temp_k"] = 1e-320
+        empty = tmp_path / "empty.yaml"
+        empty.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(empty), "--out", str(tmp_path / "out")]) == 0

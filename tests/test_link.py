@@ -1,14 +1,18 @@
 import math
+import sys
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
-from satfl.errors import LinkUnavailableError
+from satfl.errors import ScenarioError
 from satfl.link import (
     LinkBudget,
     comm_time,
     data_rate,
     db_to_linear,
     dbm_to_watts,
+    pass_comm_time,
     path_loss,
     snr,
 )
@@ -76,19 +80,22 @@ class TestSnr:
     def test_infinite_path_loss_is_zero_snr(self):
         assert snr(LinkBudget(10.0, 5.0, 5.0, 20e6, 290.0, 1e300), 1.69e6) == 0.0
 
-    def test_underflowing_noise_times_loss_raises(self):
-        with pytest.raises(LinkUnavailableError, match="underflows to 0"):
-            snr(LinkBudget(10.0, 5.0, 5.0, 20e6, 290.0, 1e-300), 1.69e6)
+    def test_underflowing_noise_times_loss_is_infinite_snr(self):
+        assert snr(LinkBudget(10.0, 5.0, 5.0, 20e6, 290.0, 1e-300), 1.69e6) == math.inf
 
-    def test_underflowing_noise_power_rejected(self):
-        with pytest.raises(ValueError, match="noise power"):
-            LinkBudget(10.0, 5.0, 5.0, 20e6, 1e-320, 2.4e9)
+    def test_underflowing_noise_power_is_infinite_snr(self):
+        budget = LinkBudget(10.0, 5.0, 5.0, 20e6, 1e-320, 2.4e9)
+        assert budget.noise_power_w == 0.0
+        assert snr(budget, 1.69e6) == math.inf
 
-    def test_overflowing_signal_power_rejected(self):
-        # each factor is finite; their product would make every SNR infinite
+    def test_overflowing_signal_power_is_infinite_snr(self):
+        # each factor is finite; their product is not
         assert LinkBudget(10.0, 1e300, 1e7, 20e6, 290.0, 2.4e9).signal_power_w == 1e308
-        with pytest.raises(ValueError, match="signal power"):
-            LinkBudget(10.0, 1e300, 1e8, 20e6, 290.0, 2.4e9)
+        budget = LinkBudget(10.0, 1e300, 1e8, 20e6, 290.0, 2.4e9)
+        assert budget.signal_power_w == math.inf
+        assert snr(budget, 1.69e6) == math.inf
+        # with an infinite path loss too, inf / inf
+        assert math.isnan(snr(LinkBudget(10.0, 1e300, 1e8, 20e6, 290.0, 1e300), 1.69e6))
 
 
 class TestDataRate:
@@ -124,9 +131,35 @@ class TestCommTime:
     def test_additivity(self):
         assert comm_time(2e7, 2e7, EARTH.c) == pytest.approx(2.0)
 
-    def test_zero_rate_raises(self):
-        with pytest.raises(LinkUnavailableError):
-            comm_time(1e6, 0.0, 1e6)
+
+def log_uniform(lo, hi):
+    """Floats from lo up to hi, log-uniformly: 2**e for a uniform e."""
+    return st.floats(math.log2(lo), math.log2(hi), exclude_max=True).map(lambda e: 2.0 ** e)
+
+
+# every positive float, subnormals included
+positive_floats = log_uniform(5e-324, sys.float_info.max)
+
+
+class TestPassCommTime:
+    """A pass is priced only at a finite, positive Shannon rate."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(fields=st.tuples(*[positive_floats] * 6),
+           distance_m=log_uniform(1.0, 1e9), model_bits=log_uniform(1.0, 1e12))
+    def test_priced_exactly_or_refused(self, fields, distance_m, model_bits):
+        # every positive budget builds, and every step of its pricing is a
+        # float result; only pass_comm_time refuses
+        budget = LinkBudget(*fields)
+        rate = data_rate(budget, snr(budget, distance_m))
+        if 0.0 < rate < math.inf:
+            event("priced")
+            assert (pass_comm_time(budget, model_bits, distance_m)
+                    == model_bits / rate + distance_m / EARTH.c)
+        else:
+            event(f"refused, rate {rate}")
+            with pytest.raises(ScenarioError):
+                pass_comm_time(budget, model_bits, distance_m)
 
 
 class TestDbConversions:

@@ -1,0 +1,86 @@
+"""The reference oracles at constellation scale, on W2.
+
+W2 is the shell of 20 planes x 10 satellites that perfbench's `shell_week`
+workload plans one satellite at a time, here run as one scenario: 7 days,
+with learner.samples_per_class 2000. Its contact plan must equal the
+full-grid planner's (`tests/test_orbital.py`), and under every policy the
+run must pass the oracles of `tests/test_properties.py`: the reference
+scheduler, the run checks and the naive replay, with equal rows and
+bitwise-equal final models.
+
+    PYTHONPATH=src python3 tests/w2_oracles.py --seed 0
+
+The seed sets both the shell's phase offset and the scenario seed. pytest
+does not collect this script. On a 2-vCPU machine it takes 16-17 s per
+seed and peaks at about 315 MB of RSS.
+"""
+
+from __future__ import annotations
+
+import argparse
+import random
+import sys
+import time
+
+import numpy as np
+import yaml
+
+from satfl import bundled_scenario_path
+from satfl.engine import prepare, replay
+from satfl.scenario import Scenario, scenario_from_dict
+
+from test_orbital import reference_contact_plan, reference_max_distances
+from test_properties import POLICIES, check_run, reference_replay, reference_schedule
+
+
+def w2_scenario(seed: int) -> Scenario:
+    """The bundled scenario over the shell: altitudes alternate 500/2000 km
+    by plane, inclination 80 deg, RAANs 18 deg apart, in-plane phases 36 deg
+    apart with odd planes offset by 18 deg, plus a shell-wide phase offset
+    drawn from the seed."""
+    offset = random.Random(seed).uniform(0.0, 36.0)
+    doc = yaml.safe_load(bundled_scenario_path().read_text())
+    doc["constellation"]["orbits"] = [{
+        "altitude_m": 500e3 if plane % 2 == 0 else 2000e3,
+        "inclination_deg": 80.0,
+        "raan_deg": 18.0 * plane,
+        "initial_arg_latitude_deg": offset + 18.0 * (plane % 2) + 36.0 * j,
+        "satellite_count": 1,
+    } for plane in range(20) for j in range(10)]
+    doc["learner"]["samples_per_class"] = 2000
+    doc["sim"].update(horizon_s=7 * 86400.0, seed=seed)
+    return scenario_from_dict(doc)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, required=True)
+    seed = parser.parse_args(argv).seed
+
+    start = time.perf_counter()
+    scenario = w2_scenario(seed)
+    prep = prepare(scenario)
+    plan = prep.plan
+    orbits, gs = scenario.orbit_specs(), scenario.ground_station()
+    expected = reference_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
+    assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
+    assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
+        reference_max_distances(expected, orbits, gs))
+    print(f"seed {seed}: plan of {sum(map(len, plan.passes))} passes equals the "
+          f"full-grid planner ({time.perf_counter() - start:.1f} s)", flush=True)
+
+    for policy in POLICIES:
+        start = time.perf_counter()
+        r = replay(prep, policy)
+        assert r.schedule == reference_schedule(plan, policy, prep.train_time_s, prep.comm_s)
+        check_run(r, policy, None)
+        rows, final_params = reference_replay(r)
+        assert r.rows == rows
+        assert np.array_equal(r.final_params, final_params)
+        print(f"seed {seed}: {policy}, {len(r.upload_rows())} uploads, passes the "
+              f"oracles ({time.perf_counter() - start:.1f} s)", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
