@@ -137,8 +137,8 @@ def _constellation_terms(orbits: list[OrbitSpec]) -> _OrbitTerms:
     return _OrbitTerms(*table.T.copy())
 
 
-def _position(terms: _OrbitTerms, t: float | np.ndarray) -> np.ndarray:
-    """ECI positions from orbit terms; terms and t broadcast elementwise.
+def _position(terms: _OrbitTerms, t: float | np.ndarray) -> tuple:
+    """ECI x, y and z from orbit terms; terms and t broadcast elementwise.
 
     Every caller goes through these float operations, so one satellite's
     position at one instant has the same bits however it is batched.
@@ -146,10 +146,36 @@ def _position(terms: _OrbitTerms, t: float | np.ndarray) -> np.ndarray:
     u = terms.u0 + terms.n * t
     cu, su = np.cos(u), np.sin(u)
     # Rz(raan) @ Rx(i) applied to the in-plane position (r*cu, r*su, 0)
-    x = terms.r * (terms.co * cu - terms.so_ci * su)
-    y = terms.r * (terms.so * cu + terms.co_ci * su)
-    z = terms.r * (terms.si * su)
-    return np.stack([x, y, z], axis=-1)
+    return (terms.r * (terms.co * cu - terms.so_ci * su),
+            terms.r * (terms.so * cu + terms.co_ci * su),
+            terms.r * (terms.si * su))
+
+
+def _station(gs: GroundStation, t: float | np.ndarray) -> tuple:
+    """ECI x, y and z of the rotating ground station at time(s) t; z is a
+    float, the same at every instant."""
+    lon = gs.longitude_rad + EARTH.omega_e * t
+    clat = math.cos(gs.latitude_rad)
+    return (EARTH.r_e * clat * np.cos(lon), EARTH.r_e * clat * np.sin(lon),
+            EARTH.r_e * math.sin(gs.latitude_rad))
+
+
+def _elevation(sx, sy, sz, gx, gy, gz):
+    """Elevation of satellites at (sx, sy, sz) above the local horizon of a
+    station at (gx, gy, gz), radians; the components broadcast elementwise.
+
+    pi/2 minus the angle between the station zenith direction and the
+    station-to-satellite line of sight. Each three-term sum is added in
+    numpy's (x + y) + z order, so the result is that of np.linalg.norm and
+    np.sum over stacked (n, 3) positions, to the bit.
+    """
+    lx, ly, lz = sx - gx, sy - gy, sz - gz
+    los_norm = np.sqrt(lx * lx + ly * ly + lz * lz)
+    if np.any(los_norm == 0.0):
+        raise ValueError("satellite and ground station positions coincide")
+    gs_norm = np.sqrt(gx * gx + gy * gy + gz * gz)
+    cosang = (gx * lx + gy * ly + gz * lz) / (gs_norm * los_norm)
+    return np.pi / 2 - np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
 def satellite_position_eci(
@@ -163,38 +189,24 @@ def satellite_position_eci(
     """
     if sat_index >= orbit.satellite_count:
         raise ValueError("sat_index out of range for this orbit")
-    return _position(_orbit_terms(orbit, sat_index), np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
+    return np.stack(_position(_orbit_terms(orbit, sat_index), t), axis=-1)
 
 
 def ground_station_position_eci(
     gs: GroundStation, t: float | np.ndarray
 ) -> np.ndarray:
     """ECI position of the rotating ground station at time(s) t."""
-    t = np.asarray(t, dtype=float)
-    lon = gs.longitude_rad + EARTH.omega_e * t
-    clat = math.cos(gs.latitude_rad)
-    x = EARTH.r_e * clat * np.cos(lon)
-    y = EARTH.r_e * clat * np.sin(lon)
-    z = EARTH.r_e * math.sin(gs.latitude_rad) * np.ones_like(np.asarray(lon))
-    return np.stack([x, y, np.broadcast_to(z, np.shape(x))], axis=-1)
+    x, y, z = _station(gs, np.asarray(t, dtype=float))
+    return np.stack([x, y, np.full_like(x, z)], axis=-1)
 
 
 def elevation_angle(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarray:
-    """Elevation of the satellite above the station's local horizon, radians.
-
-    pi/2 minus the angle between the station zenith direction and the
-    station-to-satellite line of sight. Works elementwise on (n, 3) inputs.
-    """
-    sat_pos = np.asarray(sat_pos, dtype=float)
-    gs_pos = np.asarray(gs_pos, dtype=float)
-    los = sat_pos - gs_pos
-    los_norm = np.linalg.norm(los, axis=-1)
-    gs_norm = np.linalg.norm(gs_pos, axis=-1)
-    if np.any(los_norm == 0.0):
-        raise ValueError("satellite and ground station positions coincide")
-    cosang = np.sum(gs_pos * los, axis=-1) / (gs_norm * los_norm)
-    ang = np.arccos(np.clip(cosang, -1.0, 1.0))
-    result = np.pi / 2 - ang
+    """Elevation of the satellite above the station's local horizon, radians
+    (see _elevation). Works elementwise on (n, 3) inputs."""
+    sat_xyz = np.moveaxis(np.asarray(sat_pos, dtype=float), -1, 0)
+    gs_xyz = np.moveaxis(np.asarray(gs_pos, dtype=float), -1, 0)
+    result = _elevation(*sat_xyz, *gs_xyz)
     return float(result) if result.ndim == 0 else result
 
 
@@ -214,37 +226,57 @@ def slant_range(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarray:
 
 
 # coarse-scan windows: grid steps per window and the bound's margin; the
-# bracket width at which bisection stops (see compute_contact_plan)
+# (satellite, window) cells of one block of the scan; the bracket width at
+# which bisection stops (see compute_contact_plan)
 _WINDOW_STEPS = 12
 _WINDOW_MARGIN_RAD = 1e-6
+_BLOCK_CELLS = 2**14
 _REFINE_TOL_S = 0.1
 
 
+def _blocks(n_windows: int, n_sats: int) -> list[tuple[int, int]]:
+    """(start, stop) of consecutive blocks of windows, each of at most
+    _BLOCK_CELLS (satellite, window) cells and at least one window."""
+    step = max(1, _BLOCK_CELLS // max(n_sats, 1))
+    return [(a, min(a + step, n_windows)) for a in range(0, n_windows, step)]
+
+
 def _visible(terms, gs, t):
-    """is_visible of satellites terms at times t; both broadcast elementwise."""
-    return is_visible(_position(terms, t), gs, ground_station_position_eci(gs, t))
+    """Visibility of satellites terms at times t; both broadcast elementwise."""
+    return _elevation(*_position(terms, t), *_station(gs, t)) >= gs.min_elevation_rad
 
 
 def _candidate_windows(terms, gs, grid):
-    """Window ends (grid indices) and the (satellite, window) mask of the
-    windows whose bound does not rule out a visible grid point.
+    """Window ends (grid indices), the (satellite, window) mask of the
+    windows whose bound does not rule out a visible grid point, and the
+    (satellite, end) visibility at every window end.
 
     Window i spans grid points ends[i]..ends[i + 1]; the last one ends at
-    the horizon and may hold fewer steps.
+    the horizon and may hold fewer steps. The ends are evaluated once each,
+    in blocks (see _blocks).
     """
     last = len(grid) - 1
     ends = np.append(np.arange(0, last, _WINDOW_STEPS), last)
-    t = grid[ends]
     col = terms.take(np.s_[:, None])
-    sat_dir = _position(col, t) / col.r[..., None]
-    gs_dir = ground_station_position_eci(gs, t) / EARTH.r_e
-    cos_theta = np.sum(sat_dir * gs_dir, axis=-1)
-    theta = np.arccos(np.clip(cos_theta, -1.0, 1.0))
     alpha = gs.min_elevation_rad
-    lam = np.arccos(EARTH.r_e * math.cos(alpha) / terms.r) - alpha
-    rate = terms.n + EARTH.omega_e
-    floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate[:, None] * np.diff(t))
-    return ends, floor <= (lam + _WINDOW_MARGIN_RAD)[:, None]
+    lam = np.arccos(EARTH.r_e * math.cos(alpha) / col.r) - alpha + _WINDOW_MARGIN_RAD
+    rate = col.n + EARTH.omega_e
+    visible = np.empty((len(terms.r), len(ends)), dtype=bool)
+    kept = np.empty((len(terms.r), len(ends) - 1), dtype=bool)
+    theta, t = np.empty((len(terms.r), 0)), np.empty(0)
+    for start, stop in _blocks(len(ends), len(terms.r)):
+        t_end = grid[ends[start:stop]]
+        elev = _elevation(*_position(col, t_end), *_station(gs, t_end))
+        visible[:, start:stop] = elev >= alpha
+        # the central angle between the satellite and station directions,
+        # from the triangle of the Earth's center, the station and the
+        # satellite; each block carries the last end of the one before
+        theta = np.hstack((theta[:, -1:],
+                           np.arccos(EARTH.r_e * np.cos(elev) / col.r) - elev))
+        t = np.append(t[-1:], t_end)
+        floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate * np.diff(t))
+        kept[:, max(start - 1, 0):stop - 1] = floor <= lam
+    return ends, kept, visible
 
 
 def _refine_crossings(terms, gs, t_lo, t_hi):
@@ -266,6 +298,51 @@ def _refine_crossings(terms, gs, t_lo, t_hi):
         t_hi = np.where(active & ~move_lo, t_mid, t_hi)
         active = t_hi - t_lo > _REFINE_TOL_S
     return 0.5 * (t_lo + t_hi)
+
+
+def _changes(terms, gs, grid):
+    """(satellite, column) of every visibility change on the grid, in
+    row-major order: column c is the change from grid point c - 1 to c, and
+    columns 0 and len(grid) are changes from and to the off-time before t=0
+    and after the horizon.
+
+    A grid point is scanned when it lies in a window kept by
+    _candidate_windows, and a point not scanned counts as not visible. The
+    ends come from the window bound's evaluation; the inner points of the
+    kept windows are evaluated here, a block of windows at a time, with the
+    station position computed once per grid point.
+    """
+    last = len(grid) - 1
+    alpha = gs.min_elevation_rad
+    ends, kept, visible = _candidate_windows(terms, gs, grid)
+    scanned = np.zeros_like(visible)
+    scanned[:, :-1] = kept
+    scanned[:, 1:] |= kept
+    visible &= scanned
+    # a window holds a change only when it is kept or one of its ends is
+    # visible; each change lies in one window, from its start to its end
+    held = kept | visible[:, :-1] | visible[:, 1:]
+    sats = [np.flatnonzero(visible[:, 0]), np.flatnonzero(visible[:, -1])]
+    cols = [np.zeros(len(sats[0]), dtype=int), np.full(len(sats[1]), last + 1)]
+    steps = np.arange(1, _WINDOW_STEPS)
+    for start, stop in _blocks(len(ends) - 1, len(terms.r)):
+        s, k = np.nonzero(held[:, start:stop])
+        w = start + k
+        inner = ends[start:stop, None] + steps
+        t = grid[np.minimum(inner, last)]
+        gx, gy, gz = _station(gs, t)
+        elev = _elevation(*_position(terms.take(s[:, None]), t[k]), gx[k], gy[k], gz)
+        # each window's points in order; the end stands in for the inner
+        # points a last window narrower than _WINDOW_STEPS does not have
+        left, right = visible[s, w][:, None], visible[s, w + 1][:, None]
+        scan = np.where(inner[k] < ends[w + 1, None],
+                        (elev >= alpha) & kept[s, w][:, None], right)
+        i, j = np.nonzero(np.diff(np.hstack((left, scan, right)), axis=1))
+        sats.append(s[i])
+        cols.append(ends[w[i]] + j + 1)
+    sat, col = np.concatenate(sats), np.concatenate(cols)
+    order = np.lexsort((col, sat))
+    return sat[order], col[order]
 
 
 def compute_contact_plan(
@@ -290,11 +367,21 @@ def compute_contact_plan(
     lam = arccos(r_e cos(alpha) / r) - alpha, and theta changes no faster
     than n + omega_e (mean motion plus Earth rotation). So on a window of
     width w whose ends have angles theta_a and theta_b, theta never falls
-    below (theta_a + theta_b - (n + omega_e) w) / 2. Windows of 12 grid
-    steps where that bound exceeds lam + 1e-6 rad hold no visible grid
-    point and are skipped; every other grid point goes through
-    is_visible exactly as in a scan of the full grid, so the
-    visibility mask, and with it the plan, is the full scan's to the bit.
+    below (theta_a + theta_b - (n + omega_e) w) / 2. The elevation e is
+    evaluated at every window end, and theta = arccos(r_e cos(e) / r) - e
+    follows from it. Windows of 12 grid steps where that bound exceeds
+    lam + 1e-6 rad hold no visible grid point and are skipped; the inner
+    points of every other window are evaluated, and the visibility changes
+    are read off each window's points in turn, with points of skipped
+    windows not visible (see _changes). Every evaluated point goes through
+    the elevation of elevation_angle with the float operations of a scan of
+    the full grid, so the changes, and with them the plan, are the full
+    scan's to the bit.
+
+    No satellites x grid array is built. The bound and the scan go through
+    the windows in blocks of at most _BLOCK_CELLS (satellite, window) cells,
+    so their memory follows the block and the passes, not the horizon: what
+    lives across blocks is a few bytes per (satellite, window).
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
         raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")
@@ -302,27 +389,24 @@ def compute_contact_plan(
         raise ScenarioError("horizon must be strictly positive")
 
     n_steps = int(math.ceil(horizon_s / coarse_step_s))
-    grid = np.minimum(np.arange(n_steps + 1) * coarse_step_s, horizon_s)
+    # min(i * coarse_step_s, horizon_s), built in place: on a long horizon
+    # the grid alone takes tens of MB
+    grid = np.arange(n_steps + 1, dtype=float)
+    grid *= coarse_step_s
+    np.minimum(grid, horizon_s, out=grid)
     terms = _constellation_terms(orbits)
+    sat, col = _changes(terms, gs, grid)
 
-    ends, kept = _candidate_windows(terms, gs, grid)
-    need = np.zeros((len(terms.r), len(grid)), dtype=bool)
-    need[:, :-1] = np.repeat(kept, np.diff(ends), axis=1)
-    need[:, ends[1:]] |= kept
-    sat, point = np.nonzero(need)
-    visible = np.zeros_like(need)
-    visible[sat, point] = _visible(terms.take(sat), gs, grid[point])
-
-    # the mask padded with off-time, and the grid with its own ends: a pass
-    # under way at t=0 or at the horizon changes in a zero-width bracket, so
-    # it is clipped at exactly 0.0 or horizon_s. Row-major: each satellite's
-    # changes alternate rise (0->1) and set (1->0); each pass's longest range
-    # is the larger of its two ends' (see max_pass_distance)
-    sat, col = np.nonzero(np.diff(visible.astype(np.int8), axis=1, prepend=0, append=0))
+    # change c lies between grid points c - 1 and c, each held to the grid:
+    # a pass under way at t=0 or at the horizon changes in a zero-width
+    # bracket, so it is clipped at exactly 0.0 or horizon_s. Each
+    # satellite's changes alternate rise (0->1) and set (1->0); each pass's
+    # longest range is the larger of its two ends' (see max_pass_distance)
     crossing_terms = terms.take(sat)
-    edges = np.concatenate((grid[:1], grid, grid[-1:]))
-    t = _refine_crossings(crossing_terms, gs, edges[col], edges[col + 1])
-    d = slant_range(_position(crossing_terms, t), ground_station_position_eci(gs, t))
+    t = _refine_crossings(crossing_terms, gs, grid[np.maximum(col - 1, 0)],
+                          grid[np.minimum(col, n_steps)])
+    d = slant_range(np.stack(_position(crossing_terms, t), axis=-1),
+                    ground_station_position_eci(gs, t))
     plan = ContactPlan(passes=[[] for _ in terms.r])
     for k, r, s, dmax in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist(),
                              np.maximum(d[0::2], d[1::2]).tolist()):

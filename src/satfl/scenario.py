@@ -15,7 +15,7 @@ import yaml
 
 from .errors import ScenarioError
 from .learning import LEARNER_KINDS, ComputeProfile, make_learner
-from .link import LinkBudget, db_to_linear
+from .link import LinkBudget, db_to_linear, dbm_to_watts
 from .orbital import GroundStation, OrbitSpec
 
 POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
@@ -23,7 +23,7 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # grid bounds: `satfl plan` on the bundled 10 satellites peaks at about
-# 0.93 GB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
+# 93 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
 # 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds: `satfl run`
 # on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
 # MAX_TASK_POINTS task matrix entries or MAX_MODEL_POINTS satellite
@@ -178,8 +178,13 @@ class Scenario:
             if points > most:
                 raise ScenarioError(f"{key} must be at most {most:,} {unit}, "
                                     f"got {points:.3g}")
-        for name in ("power_dbm", "gain_sat_dbi", "gain_gs_dbi"):
-            _named(_KEY_OF[name], db_to_linear, getattr(self, name))
+        # the link's linear values: each must be a positive float
+        for name, linear, zero in (("power_dbm", dbm_to_watts, "0 W"),
+                                   ("gain_sat_dbi", db_to_linear, "a gain of 0"),
+                                   ("gain_gs_dbi", db_to_linear, "a gain of 0")):
+            if _named(_KEY_OF[name], linear, getattr(self, name)) == 0.0:
+                raise ScenarioError(f"{_KEY_OF[name]} = {getattr(self, name)!r} is "
+                                    f"{zero} in floating point")
         for i, o in enumerate(self.orbits):
             _named(f"{_KEY_OF['orbits']}[{i}]", o.spec)
         for section, build in (("ground_station", self.ground_station),

@@ -189,7 +189,7 @@ BAD_VALUES = [
     # grids too large to build: refused before the contact plan allocates one
     ("--horizon 1e300", f"{SCAN_BOUND}, got 3.6e+303"),
     ("--horizon 1e12", f"{SCAN_BOUND}, got 3.6e+15"),
-    # 10 satellites x 5.04e6 steps, about 0.9 GB of scan
+    # 10 satellites x 5.04e6 steps, just over the bound
     ("--horizon 14000", f"{SCAN_BOUND}, got 5.04e+07"),
     ("sim.eval_period_s=1.0e-9", f"{EVAL_BOUND}, got 8.64e+13"),
     ("sim.eval_period_s=0.05", f"{EVAL_BOUND}, got 1.73e+06"),
@@ -518,6 +518,23 @@ class TestErrorPaths:
         assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
         assert not out.exists()
         assert link_refused(snr, snr).fullmatch(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("command", ["plan", "run", "compare"])
+    @pytest.mark.parametrize("key, value, zero", [
+        ("power_dbm", -4000.0, "0 W"),
+        # 1e-321 W in dB units, but 0 W once divided by 1000
+        ("power_dbm", -3210.0, "0 W"),
+        ("gain_sat_dbi", -4000.0, "a gain of 0"),
+        ("gain_gs_dbi", -4000.0, "a gain of 0"),
+    ])
+    def test_db_value_that_underflows_exits_2(self, key, value, zero, command,
+                                               tmp_path, capsys):
+        bad = self.link_scenario(tmp_path, **{key: value})
+        out = tmp_path / "out"
+        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: link.{key} = {value!r} is {zero} in floating point\n")
 
     @pytest.mark.parametrize("command", ["plan", "run", "compare"])
     def test_smallest_carrier_with_a_finite_snr_runs(self, command, tmp_path):

@@ -85,9 +85,18 @@ def reference_position(orbit, sat_index, t):
     return np.stack([x, y, z], axis=-1)
 
 
+def stacked_elevation(sat_pos, gs_pos):
+    """Reference: the elevation of stacked (n, 3) positions through
+    np.linalg.norm and np.sum, as the full-grid planner had it."""
+    los = sat_pos - gs_pos
+    cosang = np.sum(gs_pos * los, axis=-1) / (
+        np.linalg.norm(gs_pos, axis=-1) * np.linalg.norm(los, axis=-1))
+    return np.pi / 2 - np.arccos(np.clip(cosang, -1.0, 1.0))
+
+
 def reference_elevation(orbit, sat_index, gs, t):
-    return elevation_angle(reference_position(orbit, sat_index, t),
-                           ground_station_position_eci(gs, t))
+    return stacked_elevation(reference_position(orbit, sat_index, t),
+                             ground_station_position_eci(gs, t))
 
 
 def reference_contact_plan(orbits, gs, horizon_s, step_s=10.0, tol=0.1):
@@ -255,6 +264,24 @@ class TestElevationAndVisibility:
         with pytest.raises(ValueError):
             elevation_angle(p, p)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.floats(EARTH.r_e + 200e3, 1e9),
+        st.floats(-math.pi / 2, math.pi / 2), st.floats(0.0, 2 * math.pi),
+        st.floats(-math.pi / 2, math.pi / 2), st.floats(0.0, 2 * math.pi),
+    ), min_size=1, max_size=50))
+    def test_kernel_equals_stacked_elevation(self, rows):
+        # satellites from LEO out to 10^6 km, stations anywhere on the sphere
+        def point(r, lat, lon):
+            return [r * math.cos(lat) * math.cos(lon),
+                    r * math.cos(lat) * math.sin(lon), r * math.sin(lat)]
+
+        sat = np.array([point(r, a, b) for r, a, b, _, _ in rows])
+        gs = np.array([point(EARTH.r_e, c, d) for *_, c, d in rows])
+        expected = stacked_elevation(sat, gs).tobytes()
+        assert orbital._elevation(*sat.T, *gs.T).tobytes() == expected
+        assert elevation_angle(sat, gs).tobytes() == expected
+
     def test_visibility_closed_boundary(self):
         alpha = math.radians(10.0)
         gs = GroundStation(0.0, 0.0, alpha)
@@ -416,7 +443,7 @@ class TestWindowedScan:
         grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
                           horizon)
         terms = orbital._constellation_terms(orbits)
-        ends, kept = orbital._candidate_windows(terms, gs, grid)
+        ends, kept, _ = orbital._candidate_windows(terms, gs, grid)
         assert ends[0] == 0 and ends[-1] == len(grid) - 1
         for k, (orbit, j) in enumerate(flatten_constellation(orbits)):
             for w in np.flatnonzero(~kept[k]):
@@ -424,6 +451,57 @@ class TestWindowedScan:
                 t = np.append(np.arange(a, b, 1.0), b)
                 assert np.all(reference_elevation(orbit, j, gs, t)
                               < gs.min_elevation_rad)
+
+    # at t=0 at the zenith of the bremen station: inclined at the station's
+    # latitude, at its northernmost point above the station's longitude;
+    # its first three passes end at about 231, 6127 and 11942 s
+    ZENITH_AT_0 = OrbitSpec(500e3, math.radians(53.07), math.radians(278.8),
+                            math.radians(90.0))
+
+    @pytest.mark.parametrize("orbit, horizon, case", [
+        (ZENITH_AT_0, 86400.0, "adjacent kept windows"),
+        (ZENITH_AT_0, 86400.0, "a kept window at t=0"),
+        (ZENITH_AT_0, 6200.0, "a narrow last window holding a set"),
+        (OrbitSpec(1e9, math.pi / 2, 0.0, math.pi / 2), 86400.0, "always visible"),
+        (OrbitSpec(500e3, 0.0), 86400.0, "never visible"),
+        (ZENITH_AT_0, 55.0, "a horizon shorter than one window"),
+    ], ids=lambda v: v if isinstance(v, str) else "")
+    def test_run_boundaries_equal_full_grid_planner(self, bremen_gs, orbit, horizon,
+                                                    case):
+        grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
+                          horizon)
+        ends, kept, _ = orbital._candidate_windows(
+            orbital._constellation_terms([orbit]), bremen_gs, grid)
+        kept = kept[0]
+        plan = compute_contact_plan([orbit], bremen_gs, horizon)
+        passes = [(p.rise_s, p.set_s) for p in plan.passes[0]]
+        narrow = ends[-1] - ends[-2] < orbital._WINDOW_STEPS
+        assert {
+            "adjacent kept windows": (kept[:-1] & kept[1:]).any(),
+            "a kept window at t=0": kept[0] and passes[0][0] == 0.0,
+            "a narrow last window holding a set":
+                narrow and kept[-1] and grid[ends[-2]] < passes[-1][1] < horizon,
+            "always visible": kept.all() and passes == [(0.0, horizon)],
+            "never visible": not kept.any() and passes == [],
+            "a horizon shorter than one window": len(ends) == 2 and narrow,
+        }[case]
+        expected = reference_contact_plan([orbit], bremen_gs, horizon)
+        assert [passes] == expected
+        assert [[p.max_distance_m for p in plan.passes[0]]] == (
+            reference_max_distances(expected, [orbit], bremen_gs))
+
+    def test_smallest_blocks_give_the_same_plan(self, bremen_scenario, monkeypatch):
+        # the bundled orbits over three days: 21 600 (satellite, window) cells
+        orbits = bremen_scenario.orbit_specs()
+        gs = bremen_scenario.ground_station()
+        horizon = 3 * 86400.0
+        windows = int(math.ceil(horizon / 10.0 / orbital._WINDOW_STEPS))
+        assert len(orbital._blocks(windows, len(orbits))) > 1
+        default = compute_contact_plan(orbits, gs, horizon)
+        monkeypatch.setattr(orbital, "_BLOCK_CELLS", 1)
+        assert len(orbital._blocks(windows, len(orbits))) == windows
+        assert compute_contact_plan(orbits, gs, horizon) == default
+        assert sum(default.pass_counts()) > 150
 
     def test_mask_touched_at_horizon_is_clipped(self):
         # A retrograde equatorial orbit over an equatorial station closes
