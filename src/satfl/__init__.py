@@ -28,11 +28,9 @@ from .orbital import (
     Pass,
     compute_contact_plan,
     elevation_angle,
-    is_visible,
     max_pass_distance,
     orbital_period,
     satellite_position_eci,
-    slant_range,
 )
 from .scenario import Scenario, load_scenario, with_overrides
 from .scheduler import Mode, TransmissionSchedule, extract_schedule

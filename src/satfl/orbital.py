@@ -62,7 +62,9 @@ class GroundStation:
 @dataclass(frozen=True)
 class Pass:
     """One maximal visibility interval [rise_s, set_s] of a satellite within
-    the horizon, and its longest slant range (see max_pass_distance)."""
+    the horizon, and its longest slant range (see compute_contact_plan).
+    For a pass clipped at both ends, in view over the whole horizon,
+    max_distance_m is an upper bound: the range at the mask elevation."""
 
     rise_s: float
     set_s: float
@@ -119,6 +121,8 @@ class _OrbitTerms(NamedTuple):
 
 
 def _orbit_terms(orbit: OrbitSpec, sat_index: int) -> _OrbitTerms:
+    if not 0 <= sat_index < orbit.satellite_count:
+        raise ValueError("sat_index out of range for this orbit")
     ci, si = math.cos(orbit.inclination_rad), math.sin(orbit.inclination_rad)
     co, so = math.cos(orbit.raan_rad), math.sin(orbit.raan_rad)
     return _OrbitTerms(
@@ -187,8 +191,6 @@ def satellite_position_eci(
 
     Returns shape (3,) for scalar t and (n, 3) for an array of times.
     """
-    if sat_index >= orbit.satellite_count:
-        raise ValueError("sat_index out of range for this orbit")
     t = np.asarray(t, dtype=float)
     return np.stack(_position(_orbit_terms(orbit, sat_index), t), axis=-1)
 
@@ -208,21 +210,6 @@ def elevation_angle(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarr
     gs_xyz = np.moveaxis(np.asarray(gs_pos, dtype=float), -1, 0)
     result = _elevation(*sat_xyz, *gs_xyz)
     return float(result) if result.ndim == 0 else result
-
-
-def is_visible(
-    sat_pos: np.ndarray, gs: GroundStation, gs_pos: np.ndarray
-) -> bool | np.ndarray:
-    """Visibility state: elevation >= minimum elevation (closed boundary)."""
-    elev = elevation_angle(sat_pos, gs_pos)
-    result = np.asarray(elev) >= gs.min_elevation_rad
-    return bool(result) if result.ndim == 0 else result
-
-
-def slant_range(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarray:
-    """Euclidean satellite-to-station distance in meters."""
-    d = np.linalg.norm(np.asarray(sat_pos) - np.asarray(gs_pos), axis=-1)
-    return float(d) if d.ndim == 0 else d
 
 
 # coarse-scan windows: grid steps per window and the bound's margin; the
@@ -246,9 +233,16 @@ def _visible(terms, gs, t):
     return _elevation(*_position(terms, t), *_station(gs, t)) >= gs.min_elevation_rad
 
 
+def _slant_range(terms, gs, t):
+    """Slant range of satellites terms at times t, meters, summed in
+    _elevation's (x + y) + z order; both broadcast elementwise."""
+    lx, ly, lz = (s - g for s, g in zip(_position(terms, t), _station(gs, t)))
+    return np.sqrt(lx * lx + ly * ly + lz * lz)
+
+
 def _candidate_windows(terms, gs, grid):
     """Window ends (grid indices), the (satellite, window) mask of the
-    windows whose bound does not rule out a visible grid point, and the
+    windows whose bound does not rule out a visible instant, and the
     (satellite, end) visibility at every window end.
 
     Window i spans grid points ends[i]..ends[i + 1]; the last one ends at
@@ -306,27 +300,21 @@ def _changes(terms, gs, grid):
     columns 0 and len(grid) are changes from and to the off-time before t=0
     and after the horizon.
 
-    A grid point is scanned when it lies in a window kept by
-    _candidate_windows, and a point not scanned counts as not visible. The
-    ends come from the window bound's evaluation; the inner points of the
-    kept windows are evaluated here, a block of windows at a time, with the
-    station position computed once per grid point.
+    Only the windows kept by _candidate_windows are scanned, and every
+    change lies in one: a skipped window holds no visible instant, and a
+    visible window end lies between kept windows (see compute_contact_plan).
+    The ends come from the window bound's evaluation; the inner points of
+    the kept windows are evaluated here, a block of windows at a time, with
+    the station position computed once per grid point.
     """
     last = len(grid) - 1
     alpha = gs.min_elevation_rad
     ends, kept, visible = _candidate_windows(terms, gs, grid)
-    scanned = np.zeros_like(visible)
-    scanned[:, :-1] = kept
-    scanned[:, 1:] |= kept
-    visible &= scanned
-    # a window holds a change only when it is kept or one of its ends is
-    # visible; each change lies in one window, from its start to its end
-    held = kept | visible[:, :-1] | visible[:, 1:]
     sats = [np.flatnonzero(visible[:, 0]), np.flatnonzero(visible[:, -1])]
     cols = [np.zeros(len(sats[0]), dtype=int), np.full(len(sats[1]), last + 1)]
     steps = np.arange(1, _WINDOW_STEPS)
     for start, stop in _blocks(len(ends) - 1, len(terms.r)):
-        s, k = np.nonzero(held[:, start:stop])
+        s, k = np.nonzero(kept[:, start:stop])
         w = start + k
         inner = ends[start:stop, None] + steps
         t = grid[np.minimum(inner, last)]
@@ -335,8 +323,7 @@ def _changes(terms, gs, grid):
         # each window's points in order; the end stands in for the inner
         # points a last window narrower than _WINDOW_STEPS does not have
         left, right = visible[s, w][:, None], visible[s, w + 1][:, None]
-        scan = np.where(inner[k] < ends[w + 1, None],
-                        (elev >= alpha) & kept[s, w][:, None], right)
+        scan = np.where(inner[k] < ends[w + 1, None], elev >= alpha, right)
         i, j = np.nonzero(np.diff(np.hstack((left, scan, right)), axis=1))
         sats.append(s[i])
         cols.append(ends[w[i]] + j + 1)
@@ -370,13 +357,20 @@ def compute_contact_plan(
     below (theta_a + theta_b - (n + omega_e) w) / 2. The elevation e is
     evaluated at every window end, and theta = arccos(r_e cos(e) / r) - e
     follows from it. Windows of 12 grid steps where that bound exceeds
-    lam + 1e-6 rad hold no visible grid point and are skipped; the inner
+    lam + 1e-6 rad hold no visible instant and are skipped; the inner
     points of every other window are evaluated, and the visibility changes
-    are read off each window's points in turn, with points of skipped
-    windows not visible (see _changes). Every evaluated point goes through
+    are read off each window's points in turn (see _changes). At a visible
+    window end theta <= lam, so the bound of each window beside it is at
+    most that end's theta: every visible end lies between kept windows, and
+    the margin absorbs the rounding. Every evaluated point goes through
     the elevation of elevation_angle with the float operations of a scan of
     the full grid, so the changes, and with them the plan, are the full
     scan's to the bit.
+
+    A pass is priced at the larger range of its two ends (see
+    max_pass_distance), but one clipped at both ends may dip lower between
+    them: it gets the range at the mask, sqrt(r^2 - r_e^2 cos^2(alpha)) -
+    r_e sin(alpha), which no visible instant of a circular orbit exceeds.
 
     No satellites x grid array is built. The bound and the scan go through
     the windows in blocks of at most _BLOCK_CELLS (satellite, window) cells,
@@ -400,17 +394,19 @@ def compute_contact_plan(
     # change c lies between grid points c - 1 and c, each held to the grid:
     # a pass under way at t=0 or at the horizon changes in a zero-width
     # bracket, so it is clipped at exactly 0.0 or horizon_s. Each
-    # satellite's changes alternate rise (0->1) and set (1->0); each pass's
-    # longest range is the larger of its two ends' (see max_pass_distance)
+    # satellite's changes alternate rise (0->1) and set (1->0)
     crossing_terms = terms.take(sat)
     t = _refine_crossings(crossing_terms, gs, grid[np.maximum(col - 1, 0)],
                           grid[np.minimum(col, n_steps)])
-    d = slant_range(np.stack(_position(crossing_terms, t), axis=-1),
-                    ground_station_position_eci(gs, t))
+    d = _slant_range(crossing_terms, gs, t)
+    r, alpha = crossing_terms.r[0::2], gs.min_elevation_rad
+    mask_range = np.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2) - EARTH.r_e * math.sin(alpha)
+    dmax = np.where((t[0::2] == 0.0) & (t[1::2] == horizon_s), mask_range,
+                    np.maximum(d[0::2], d[1::2]))
     plan = ContactPlan(passes=[[] for _ in terms.r])
-    for k, r, s, dmax in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist(),
-                             np.maximum(d[0::2], d[1::2]).tolist()):
-        plan.passes[k].append(Pass(r, s, dmax))
+    for k, a, b, dist in zip(sat[0::2].tolist(), t[0::2].tolist(), t[1::2].tolist(),
+                             dmax.tolist()):
+        plan.passes[k].append(Pass(a, b, dist))
     return plan
 
 
@@ -424,9 +420,9 @@ def max_pass_distance(
     rise and set instants.
 
     On a circular orbit the slant range grows as the elevation falls, and
-    over a contiguous pass the elevation is lowest at its two ends.
+    over a pass that rises or sets within the horizon the elevation is
+    lowest at an end. This keeps the two-ends rule for every pass; the plan
+    prices one clipped at both ends at the mask instead.
     """
     times = np.array([pass_.rise_s, pass_.set_s])
-    sp = satellite_position_eci(orbit, sat_index, times)
-    gp = ground_station_position_eci(gs, times)
-    return float(np.max(slant_range(sp, gp)))
+    return float(np.max(_slant_range(_orbit_terms(orbit, sat_index), gs, times)))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satfl import orbital
@@ -16,11 +16,9 @@ from satfl.orbital import (
     flatten_constellation,
     elevation_angle,
     ground_station_position_eci,
-    is_visible,
     max_pass_distance,
     orbital_period,
     satellite_position_eci,
-    slant_range,
 )
 
 from conftest import brute_force_passes
@@ -52,12 +50,17 @@ def clipped_brackets(visible, grid):
     return grid[np.maximum(changes - 1, 0)], grid[np.minimum(changes, len(grid) - 1)]
 
 
+def coarse_grid(horizon_s, step_s=10.0):
+    """The planner's coarse grid: min(i * step_s, horizon_s)."""
+    return np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
+                      horizon_s)
+
+
 def scalar_reference_passes(orbit, gs, horizon_s, step_s=10.0, tol=0.1):
     """(rise, set) of satellite 0 from the planner's coarse grid, each
     crossing refined on its own by the scalar reference; a pass under way
     at t=0 or at the horizon is clipped there."""
-    grid = np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
-                      horizon_s)
+    grid = coarse_grid(horizon_s, step_s)
     alpha = gs.min_elevation_rad
     visible = elevation_angle(satellite_position_eci(orbit, 0, grid),
                               ground_station_position_eci(gs, grid)) >= alpha
@@ -94,6 +97,12 @@ def stacked_elevation(sat_pos, gs_pos):
     return np.pi / 2 - np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
+def stacked_slant_range(sat_pos, gs_pos):
+    """Reference: the satellite-to-station distance of stacked (n, 3)
+    positions through np.linalg.norm, as the planner had it."""
+    return np.linalg.norm(sat_pos - gs_pos, axis=-1)
+
+
 def reference_elevation(orbit, sat_index, gs, t):
     return stacked_elevation(reference_position(orbit, sat_index, t),
                              ground_station_position_eci(gs, t))
@@ -102,8 +111,7 @@ def reference_elevation(orbit, sat_index, gs, t):
 def reference_contact_plan(orbits, gs, horizon_s, step_s=10.0, tol=0.1):
     """Reference: the full-grid planner, one satellite at a time, clipping
     passes at the horizon ends; returns (rise, set) lists per satellite."""
-    grid = np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
-                      horizon_s)
+    grid = coarse_grid(horizon_s, step_s)
     alpha = gs.min_elevation_rad
     plan = []
     for orbit, j in flatten_constellation(orbits):
@@ -124,22 +132,47 @@ def reference_contact_plan(orbits, gs, horizon_s, step_s=10.0, tol=0.1):
     return plan
 
 
-def reference_max_distances(plan, orbits, gs):
-    """Reference: the per-pass endpoint maximum, one call per pass."""
+def reference_max_distances(plan, orbits, gs, horizon_s):
+    """Reference: the per-pass endpoint maximum, one call per pass; a pass
+    clipped at both ends gets the range at the mask elevation."""
+    alpha = gs.min_elevation_rad
     dists = []
     for (orbit, j), passes in zip(flatten_constellation(orbits), plan):
+        r = EARTH.r_e + orbit.altitude_m
         dists.append([])
         for rise, set_ in passes:
+            if rise == 0.0 and set_ == horizon_s:
+                dists[-1].append(math.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2)
+                                 - EARTH.r_e * math.sin(alpha))
+                continue
             times = np.array([rise, set_])
             sp = reference_position(orbit, j, times)
             gp = ground_station_position_eci(gs, times)
-            dists[-1].append(float(np.max(slant_range(sp, gp))))
+            dists[-1].append(float(np.max(stacked_slant_range(sp, gp))))
     return dists
+
+
+def unkept_visible_ends(kept, visible):
+    """(satellite, end) of every visible window end beside a window that the
+    bound rules out."""
+    beside = np.ones_like(visible)
+    beside[:, :-1] &= kept
+    beside[:, 1:] &= kept
+    return np.argwhere(visible & ~beside)
 
 
 orbit_specs = st.builds(
     OrbitSpec,
     altitude_m=st.floats(200e3, 3000e3),
+    inclination_rad=st.floats(0.0, math.pi),
+    raan_rad=st.floats(0.0, 2 * math.pi),
+    initial_arg_latitude_rad=st.floats(0.0, 2 * math.pi),
+    satellite_count=st.integers(1, 3),
+)
+# the same, out to 10^6 km
+far_orbit_specs = st.builds(
+    OrbitSpec,
+    altitude_m=st.one_of(st.floats(200e3, 3000e3), st.floats(200e3, 1e9)),
     inclination_rad=st.floats(0.0, math.pi),
     raan_rad=st.floats(0.0, 2 * math.pi),
     initial_arg_latitude_rad=st.floats(0.0, 2 * math.pi),
@@ -160,8 +193,9 @@ def dense_max_distance(pass_, orbit, sat_index, gs, sample_step_s=1.0):
     """Reference: largest slant range over a pass sampled at <= 1 s."""
     n = max(2, int(math.ceil(pass_.duration_s / sample_step_s)) + 1)
     times = np.linspace(pass_.rise_s, pass_.set_s, n)
-    return float(np.max(slant_range(satellite_position_eci(orbit, sat_index, times),
-                                    ground_station_position_eci(gs, times))))
+    return float(np.max(stacked_slant_range(
+        satellite_position_eci(orbit, sat_index, times),
+        ground_station_position_eci(gs, times))))
 
 # frozen oracles: manual evaluation of T = 2*pi*(r_E + h) / sqrt(mu/(r_E + h))
 # with r_E = 6371e3 m and mu = 3.98e14 m^3/s^2
@@ -219,6 +253,14 @@ class TestSatellitePosition:
         orbit = OrbitSpec(500e3, 1.0, satellite_count=2)
         with pytest.raises(ValueError):
             satellite_position_eci(orbit, 2, 0.0)
+
+    def test_negative_index_rejected(self, bremen_gs):
+        # -1 must not wrap around to the orbit's last satellite
+        orbit = OrbitSpec(500e3, 1.0, satellite_count=4)
+        with pytest.raises(ValueError):
+            satellite_position_eci(orbit, -1, 0.0)
+        with pytest.raises(ValueError):
+            max_pass_distance(Pass(0.0, 10.0, 0.0), orbit, -1, bremen_gs)
 
 
 class TestGroundStationPosition:
@@ -283,41 +325,61 @@ class TestElevationAndVisibility:
         assert elevation_angle(sat, gs).tobytes() == expected
 
     def test_visibility_closed_boundary(self):
-        alpha = math.radians(10.0)
-        gs = GroundStation(0.0, 0.0, alpha)
-        gs_pos = np.array([EARTH.r_e, 0.0, 0.0])
-        d = 1000e3
-        sat_pos = gs_pos + d * np.array([math.sin(alpha), math.cos(alpha), 0.0])
-        assert elevation_angle(sat_pos, gs_pos) == pytest.approx(alpha)
-        assert is_visible(sat_pos, gs, gs_pos)
+        # the planner's visibility test: a satellite exactly at the mask is
+        # visible, and one ulp of mask above its elevation it is not
+        terms = orbital._orbit_terms(OrbitSpec(1000e3, 0.3), 0)
+        t = 60.0
+        elev = float(orbital._elevation(*orbital._position(terms, t),
+                                        *orbital._station(GroundStation(0.0, 0.0, 0.0), t)))
+        assert 0.0 < elev < math.pi / 2
+        assert orbital._visible(terms, GroundStation(0.0, 0.0, elev), t)
+        assert not orbital._visible(
+            terms, GroundStation(0.0, 0.0, float(np.nextafter(elev, np.inf))), t)
 
     def test_zenith_visible_antipodal_not(self):
+        # at t=0 an equatorial satellite at phase 0 is above the station at
+        # (0, 0), and one at phase pi on the far side of the Earth
         gs = GroundStation(0.0, 0.0, math.radians(10.0))
-        gs_pos = np.array([EARTH.r_e, 0.0, 0.0])
-        assert is_visible(2.0 * gs_pos, gs, gs_pos)
-        assert not is_visible(-2.0 * gs_pos, gs, gs_pos)
+        zenith = orbital._orbit_terms(OrbitSpec(500e3, 0.0), 0)
+        antipodal = orbital._orbit_terms(OrbitSpec(500e3, 0.0, 0.0, math.pi), 0)
+        assert orbital._visible(zenith, gs, 0.0)
+        assert not orbital._visible(antipodal, gs, 0.0)
 
 
 class TestSlantRange:
+    """The planner's slant range, from orbit terms and a time."""
+
+    GS = GroundStation(0.0, 0.0, 0.0)
+
     def test_zenith_distance(self):
-        gs_pos = np.array([EARTH.r_e, 0.0, 0.0])
-        sat_pos = np.array([EARTH.r_e + 500e3, 0.0, 0.0])
-        assert slant_range(sat_pos, gs_pos) == pytest.approx(500e3)
+        terms = orbital._orbit_terms(OrbitSpec(500e3, 0.0), 0)
+        assert orbital._slant_range(terms, self.GS, 0.0) == pytest.approx(500e3)
 
     def test_coincident_zero(self):
-        p = np.array([EARTH.r_e, 0.0, 0.0])
-        assert slant_range(p, p) == 0.0
+        # a satellite on the Earth's surface, at the station at t=0
+        terms = orbital._OrbitTerms(r=EARTH.r_e, n=0.0, u0=0.0, co=1.0, so=0.0,
+                                    si=0.0, so_ci=0.0, co_ci=1.0)
+        assert orbital._slant_range(terms, self.GS, 0.0) == 0.0
 
     def test_horizon_right_triangle(self):
         h = 500e3
         r, R = EARTH.r_e, EARTH.r_e + h
-        gs_pos = np.array([r, 0.0, 0.0])
         # satellite at elevation 0: LOS tangent, right angle at the station
         d = math.sqrt(R**2 - r**2)
-        sat_pos = gs_pos + d * np.array([0.0, 1.0, 0.0])
-        assert np.linalg.norm(sat_pos) == pytest.approx(R)
-        assert elevation_angle(sat_pos, gs_pos) == pytest.approx(0.0, abs=1e-12)
-        assert slant_range(sat_pos, gs_pos) == pytest.approx(d)
+        terms = orbital._orbit_terms(OrbitSpec(h, 0.0, 0.0, math.acos(r / R)), 0)
+        sat_xyz, gs_xyz = orbital._position(terms, 0.0), orbital._station(self.GS, 0.0)
+        assert float(orbital._elevation(*sat_xyz, *gs_xyz)) == pytest.approx(0.0, abs=1e-12)
+        assert orbital._slant_range(terms, self.GS, 0.0) == pytest.approx(d)
+
+    @settings(max_examples=100, deadline=None)
+    @given(orbit=far_orbit_specs, gs=stations,
+           t=st.lists(st.floats(0.0, 1e6), min_size=1, max_size=20))
+    def test_equals_stacked_slant_range(self, orbit, gs, t):
+        t = np.array(t)
+        expected = stacked_slant_range(satellite_position_eci(orbit, 0, t),
+                                       ground_station_position_eci(gs, t))
+        terms = orbital._orbit_terms(orbit, 0)
+        assert orbital._slant_range(terms, gs, t).tobytes() == expected.tobytes()
 
 
 class TestContactPlan:
@@ -429,7 +491,7 @@ class TestWindowedScan:
         plan = compute_contact_plan(orbits, gs, horizon, step)
         assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
         assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
-            reference_max_distances(expected, orbits, gs))
+            reference_max_distances(expected, orbits, gs, horizon))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -440,8 +502,7 @@ class TestWindowedScan:
     def test_skipped_windows_are_invisible(self, orbits, gs, horizon):
         # every window the bound skips is below the mask on a 1 s grid,
         # not only at its coarse grid points
-        grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
-                          horizon)
+        grid = coarse_grid(horizon)
         terms = orbital._constellation_terms(orbits)
         ends, kept, _ = orbital._candidate_windows(terms, gs, grid)
         assert ends[0] == 0 and ends[-1] == len(grid) - 1
@@ -451,6 +512,30 @@ class TestWindowedScan:
                 t = np.append(np.arange(a, b, 1.0), b)
                 assert np.all(reference_elevation(orbit, j, gs, t)
                               < gs.min_elevation_rad)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        orbits=st.lists(far_orbit_specs, min_size=1, max_size=3),
+        gs=st.builds(
+            GroundStation,
+            latitude_rad=st.floats(-math.pi / 2, math.pi / 2),
+            longitude_rad=st.floats(0.0, 2 * math.pi),
+            min_elevation_rad=st.one_of(
+                st.sampled_from([0.0, 1e-9, math.radians(86.0)]),
+                st.floats(0.0, math.radians(86.0))),
+        ),
+        step=st.floats(0.01, 10.0, exclude_max=True),
+        cells=st.integers(1, 3000),
+        last=st.floats(0.001, 1.0),
+    )
+    def test_visible_ends_lie_between_kept_windows(self, orbits, gs, step, cells, last):
+        # the scan reads changes off kept windows only; that is complete
+        # because every visible window end has a kept window on each side,
+        # for grazing masks, far orbits, fine steps and narrow last windows
+        grid = coarse_grid(step * (cells - 1 + last), step)
+        _, kept, visible = orbital._candidate_windows(
+            orbital._constellation_terms(orbits), gs, grid)
+        assert unkept_visible_ends(kept, visible).size == 0
 
     # at t=0 at the zenith of the bremen station: inclined at the station's
     # latitude, at its northernmost point above the station's longitude;
@@ -468,8 +553,7 @@ class TestWindowedScan:
     ], ids=lambda v: v if isinstance(v, str) else "")
     def test_run_boundaries_equal_full_grid_planner(self, bremen_gs, orbit, horizon,
                                                     case):
-        grid = np.minimum(np.arange(int(math.ceil(horizon / 10.0)) + 1) * 10.0,
-                          horizon)
+        grid = coarse_grid(horizon)
         ends, kept, _ = orbital._candidate_windows(
             orbital._constellation_terms([orbit]), bremen_gs, grid)
         kept = kept[0]
@@ -488,7 +572,7 @@ class TestWindowedScan:
         expected = reference_contact_plan([orbit], bremen_gs, horizon)
         assert [passes] == expected
         assert [[p.max_distance_m for p in plan.passes[0]]] == (
-            reference_max_distances(expected, [orbit], bremen_gs))
+            reference_max_distances(expected, [orbit], bremen_gs, horizon))
 
     def test_smallest_blocks_give_the_same_plan(self, bremen_scenario, monkeypatch):
         # the bundled orbits over three days: 21 600 (satellite, window) cells
@@ -565,16 +649,33 @@ class TestMaxPassDistance:
         dmax = max_pass_distance(p, orbit, 0, bremen_gs)
         from satfl.orbital import ground_station_position_eci, satellite_position_eci
         mid = 0.5 * (p.rise_s + p.set_s)
-        d_mid = slant_range(
+        d_mid = stacked_slant_range(
             satellite_position_eci(orbit, 0, mid),
             ground_station_position_eci(bremen_gs, mid),
         )
         assert dmax >= d_mid
-        d_rise = slant_range(
+        d_rise = stacked_slant_range(
             satellite_position_eci(orbit, 0, p.rise_s),
             ground_station_position_eci(bremen_gs, p.rise_s),
         )
         assert dmax == pytest.approx(d_rise, rel=5e-3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        orbits=st.lists(far_orbit_specs, min_size=1, max_size=3),
+        gs=stations,
+        horizon=st.floats(1000.0, 30000.0),
+    )
+    # in view over the whole day, and lower in the sky at t = 40 603 s than
+    # at either end
+    @example(orbits=[OrbitSpec(1e9, math.pi / 2, 0.0, math.radians(60.0))],
+             gs=GroundStation(math.radians(53.07), math.radians(8.8), math.radians(10.0)),
+             horizon=86400.0)
+    def test_priced_at_least_the_dense_maximum(self, orbits, gs, horizon):
+        plan = compute_contact_plan(orbits, gs, horizon)
+        for (orbit, j), passes in zip(flatten_constellation(orbits), plan.passes):
+            for p in passes:
+                assert p.max_distance_m >= dense_max_distance(p, orbit, j, gs)
 
     def test_matches_mask_elevation_closed_form(self, bremen_gs):
         # slant range at the 10 deg elevation mask for h = 500 km:

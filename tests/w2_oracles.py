@@ -3,10 +3,11 @@
 W2 is the shell of 20 planes x 10 satellites that perfbench's `shell_week`
 workload plans one satellite at a time, here run as one scenario: 7 days,
 with learner.samples_per_class 2000. Its contact plan must equal the
-full-grid planner's (`tests/test_orbital.py`), and under every policy the
-run must pass the oracles of `tests/test_properties.py`: the reference
-scheduler, the run checks and the naive replay, with equal rows and
-bitwise-equal final models.
+full-grid planner's (`tests/test_orbital.py`), and every visible window
+end of its scan must lie between kept windows, the invariant that lets the
+scan read only kept windows. Under every policy the run must pass the
+oracles of `tests/test_properties.py`: the reference scheduler, the run
+checks and the naive replay, with equal rows and bitwise-equal final models.
 
     PYTHONPATH=src python3 tests/w2_oracles.py --seed 0
 
@@ -28,12 +29,17 @@ import time
 import numpy as np
 import yaml
 
-from satfl import bundled_scenario_path
+from satfl import bundled_scenario_path, orbital
 from satfl.engine import prepare, replay
 from satfl.orbital import compute_contact_plan
 from satfl.scenario import Scenario, scenario_from_dict
 
-from test_orbital import reference_contact_plan, reference_max_distances
+from test_orbital import (
+    coarse_grid,
+    reference_contact_plan,
+    reference_max_distances,
+    unkept_visible_ends,
+)
 from test_properties import POLICIES, check_run, reference_replay, reference_schedule
 
 
@@ -75,9 +81,14 @@ def main(argv=None) -> int:
     expected = reference_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
     assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
     assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
-        reference_max_distances(expected, orbits, gs))
+        reference_max_distances(expected, orbits, gs, scenario.horizon_s))
+    _, kept, visible = orbital._candidate_windows(
+        orbital._constellation_terms(orbits), gs,
+        coarse_grid(scenario.horizon_s, scenario.coarse_step_s))
+    assert unkept_visible_ends(kept, visible).size == 0
     print(f"seed {seed}: plan of {sum(map(len, plan.passes))} passes equals the "
-          f"full-grid planner ({time.perf_counter() - start:.1f} s)", flush=True)
+          f"full-grid planner, and its {int(visible.sum())} visible window ends lie "
+          f"between kept windows ({time.perf_counter() - start:.1f} s)", flush=True)
 
     for policy in POLICIES:
         start = time.perf_counter()
