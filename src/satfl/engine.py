@@ -21,7 +21,7 @@ into. Training consumes simulated time, but the SGD itself runs when its
 result is first read: at the update's upload for the asynchronous
 policies, at the round's aggregation for the synchronous baseline. That
 first read trains, from the snapshots taken at their downloads, every
-downloaded update that is not trained yet, as one stack per dataset size;
+downloaded update that is not trained yet, as one stack per shard length;
 the others keep their results until their own uploads arrive. Updates
 that are never uploaded or never aggregated are never trained, and the
 learning outcome is independent of the configured training duration and
@@ -48,11 +48,10 @@ from .learning import (
     generate_synthetic_task,
     local_sgd,
     partition_non_iid,
-    training_time,
 )
 from .link import pass_comm_time
 from .orbital import ContactPlan, compute_contact_plan
-from .scenario import Scenario
+from .scenario import POLICIES, Scenario
 from .scheduler import TransmissionSchedule, check_link_cap, extract_schedule
 
 # timeline event kinds, valued in their same-time replay order
@@ -133,10 +132,10 @@ def _replay(prep, policy, params, timeline):
     """Replay a timeline under policy from the global model params; return
     the metrics rows, the final global model and its epoch (the
     aggregation count)."""
-    learner, datasets, weights = prep.learner, prep.datasets, prep.weights
+    learner, shards, weights = prep.learner, prep.shards, prep.weights
     profile = prep.scenario.compute_profile()
     sync = policy == "fedavg_sync"
-    n_sats = len(datasets)
+    n_sats = len(shards)
     # per-cycle state keyed by (satellite, cycle): the download's snapshot,
     # time and epoch; the downloaded cycles not yet trained, in download
     # order; and the trained updates not yet read
@@ -153,19 +152,20 @@ def _replay(prep, policy, params, timeline):
 
         An untrained cycle is trained together with every pending one (only
         cycles with an upload are downloaded): their starts are fixed, so
-        one local_sgd stack per dataset size gives each the bits it would
+        one local_sgd stack per shard length gives each the bits it would
         get alone. Each update is stored as its own array, so that a kept
         update (prev_upload) does not pin its whole stack."""
         if key not in trained:
-            by_size: dict[int, list[tuple[int, int]]] = {}
+            by_length: dict[int, list[tuple[int, int]]] = {}
             for c in pending:
-                by_size.setdefault(datasets[c[0]].size, []).append(c)
+                by_length.setdefault(len(shards[c[0]]), []).append(c)
             pending.clear()
-            for keys in by_size.values():
+            for keys in by_length.values():
                 trained.update(zip(keys, map(np.copy, local_sgd(
                     learner,
                     [started[c][0] for c in keys],
-                    [datasets[k] for k, _ in keys],
+                    prep.train,
+                    [shards[k] for k, _ in keys],
                     profile,
                     [np.random.SeedSequence([prep.scenario.seed, k, c]) for k, c in keys],
                 ))))
@@ -227,7 +227,9 @@ def plan_and_price(scenario: Scenario) -> tuple[ContactPlan, list[list[float]]]:
 @dataclass(frozen=True)
 class Prepared:
     """What every policy's replay of one scenario reads: the priced plan,
-    each satellite's training time, and the learning task."""
+    each satellite's training time, and the learning task, one training set
+    and each satellite's shard of its rows. Shards and weights keep
+    altitude-group order, the order fedavg_sync sums in."""
 
     scenario: Scenario
     plan: ContactPlan
@@ -235,7 +237,8 @@ class Prepared:
     train_time_s: list[float]
     learner: LogisticRegressionLearner | MLPLearner
     test_set: LocalDataset
-    datasets: dict[int, LocalDataset]
+    train: LocalDataset
+    shards: dict[int, np.ndarray]
     weights: dict[int, float]
 
 
@@ -255,21 +258,20 @@ def prepare(scenario: Scenario) -> Prepared:
 
     if n_sats > 0:
         groups, lpg = scenario.label_split()
-        datasets = partition_non_iid(train, groups, lpg, scenario.seed)
-        total = sum(d.size for d in datasets.values())
-        weights = {k: d.size / total for k, d in datasets.items()}
+        shards = partition_non_iid(train, groups, lpg, scenario.seed)
+        total = sum(map(len, shards.values()))
+        weights = {k: len(rows) / total for k, rows in shards.items()}
     else:
-        datasets, weights = {}, {}
+        shards, weights = {}, {}
 
     if scenario.train_time_s is not None:
         t_l = [scenario.train_time_s] * n_sats
     else:
-        profile = scenario.compute_profile()
-        t_l = [
-            training_time(profile, 32.0 * datasets[k].size * scenario.feature_dim)
-            for k in range(n_sats)
-        ]
-    return Prepared(scenario, plan, comm_s, t_l, scenario.learner(), test, datasets, weights)
+        t_l = [scenario.cycles_per_bit * scenario.local_iters
+               * (32.0 * len(shards[k]) * scenario.feature_dim) / scenario.cpu_hz
+               for k in range(n_sats)]
+    return Prepared(scenario, plan, comm_s, t_l, scenario.learner(), test, train, shards,
+                    weights)
 
 
 def replay(prep: Prepared, policy: str) -> SimResult:
@@ -301,13 +303,15 @@ def compare_runs(
 ) -> tuple[dict[str, SimResult], list[dict]]:
     """Run the same scenario under several policies and tabulate outcomes.
 
-    The policies replay one preparation, hence one contact plan. The accuracy
-    threshold is the midpoint between the first policy's initial and final
-    accuracy.
+    Every policy is checked before any work. The policies replay one
+    preparation, hence one contact plan. The accuracy threshold is the
+    midpoint between the first policy's initial and final accuracy.
     """
     if len(policies) < 2:
         raise ScenarioError("compare needs at least two policies")
     for i, policy in enumerate(policies):
+        if policy not in POLICIES:
+            raise ScenarioError(f"policy {policy!r} must be one of {POLICIES}")
         if policy in policies[:i]:
             raise ScenarioError(f"policy {policy!r} is listed twice")
     prep = prepare(scenario)

@@ -17,7 +17,8 @@ WIRE_BITS_PER_PARAM = 32
 
 @dataclass
 class LocalDataset:
-    """Feature matrix and integer class labels for one satellite."""
+    """Feature matrix and integer class labels: the training set, which
+    each satellite reads through its shard of row indices, or a test set."""
 
     features: np.ndarray  # (n, d)
     labels: np.ndarray    # (n,)
@@ -35,13 +36,11 @@ class LocalDataset:
 
 @dataclass(frozen=True)
 class ComputeProfile:
-    """Per-satellite compute parameters for local training."""
+    """The local SGD settings every satellite trains with."""
 
     eta: float
     batch_size: int
     local_iters: int = 1
-    cycles_per_bit: float | None = None
-    cpu_hz: float | None = None
 
     def __post_init__(self):
         if not 0.0 < self.eta <= 1.0:
@@ -180,40 +179,42 @@ def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
 def local_sgd(
     learner,
     starts,
-    datasets: list[LocalDataset],
+    data: LocalDataset,
+    shards,
     profile: ComputeProfile,
     seeds,
 ) -> np.ndarray:
     """Run local mini-batch SGD for a stack of K updates; return (K, P).
 
-    Update i starts from starts[i], trains on datasets[i] and shuffles with
-    a generator seeded by seeds[i]; row i of the result is bitwise what
-    update i gives when trained alone. The datasets must share one size, so
-    that every update steps through the same batch boundaries and the stack
-    pays numpy's per-call cost once per batch for all K updates.
+    Update i starts from starts[i], trains on the rows shards[i] of data and
+    shuffles with a generator seeded by seeds[i]; row i of the result is
+    bitwise what update i gives when trained alone. The shards must share
+    one length, so that every update steps through the same batch
+    boundaries and the stack pays numpy's per-call cost once per batch for
+    all K updates.
 
-    Each of the local_iters epochs draws every update's permutation, then
-    gathers the shuffled rows one chunk at a time: n // K rows per update,
-    rounded down to a multiple of batch_size (at least one batch), so the
-    stack holds no more rows than one update's whole epoch. Each batch
-    writes the gradient into one (K, P) buffer laid out like the
-    parameters, which are then updated in place.
+    Each of the local_iters epochs draws every update's permutation of its
+    shard, then gathers the shuffled rows of data one chunk at a time, in
+    one indexing per chunk: n // K rows per update, rounded down to a
+    multiple of batch_size (at least one batch), so the stack holds no more
+    rows than one update's whole epoch. Each batch writes the gradient into
+    one (K, P) buffer laid out like the parameters, which are then updated
+    in place.
     """
-    n, bs = datasets[0].size, profile.batch_size
-    if any(d.size != n for d in datasets):
-        raise ValueError("stacked datasets must share one size")
+    n, bs = len(shards[0]), profile.batch_size
+    if any(len(rows) != n for rows in shards):
+        raise ValueError("stacked shards must share one length")
     rngs = [np.random.default_rng(seed) for seed in seeds]
     w = np.array(starts, dtype=float)
     g = np.empty_like(w)
     blocks, grads = learner._unpack(w), learner._unpack(g)
-    span = max(bs, n // len(datasets) // bs * bs)
+    span = max(bs, n // len(shards) // bs * bs)
     for _ in range(profile.local_iters):
         orders = [rng.permutation(n) for rng in rngs]
         for lo in range(0, n, span):
-            rows = [order[lo:lo + span] for order in orders]
-            X = np.stack([d.features[r] for d, r in zip(datasets, rows)])
-            labels = np.stack([d.labels[r] for d, r in zip(datasets, rows)])
-            Y = _one_hot(labels, learner.classes)
+            idx = np.stack([rows[order[lo:lo + span]]
+                            for rows, order in zip(shards, orders)])
+            X, Y = data.features[idx], _one_hot(data.labels[idx], learner.classes)
             for b in range(0, X.shape[1], bs):
                 learner._backprop(blocks, X[:, b:b + bs], Y[:, b:b + bs], grads)
                 g *= profile.eta
@@ -221,26 +222,18 @@ def local_sgd(
     return w
 
 
-def training_time(profile: ComputeProfile, data_bits: float) -> float:
-    """Compute time: cycles_per_bit * iterations * data_bits / cpu_hz."""
-    if profile.cycles_per_bit is None or profile.cpu_hz is None:
-        raise ValueError("profile lacks cycles_per_bit / cpu_hz")
-    if profile.cycles_per_bit <= 0 or profile.cpu_hz <= 0 or data_bits <= 0:
-        raise ValueError("compute parameters must be strictly positive")
-    return profile.cycles_per_bit * profile.local_iters * data_bits / profile.cpu_hz
-
-
 def partition_non_iid(
     dataset: LocalDataset,
     groups: list[list[int]],
     labels_per_group: int,
     seed: int = 0,
-) -> dict[int, LocalDataset]:
+) -> dict[int, np.ndarray]:
     """Label-skewed split: group g keeps labels [g*lpg, (g+1)*lpg).
 
     Each label's samples are shuffled deterministically and dealt round-robin
-    to the group's satellites. Returns satellite id -> LocalDataset; the
-    shards are pairwise disjoint and their union is the input dataset.
+    to the group's satellites. Returns satellite id -> the sorted row
+    indices of its shard, in group order; the shards are pairwise disjoint
+    and their union is every row of the dataset.
     """
     rng = np.random.default_rng(seed)
     n_labels = labels_per_group * len(groups)
@@ -265,11 +258,7 @@ def partition_non_iid(
             idx = rng.permutation(idx)
             for i, k in enumerate(members):
                 shards[k].append(idx[i::len(members)])
-    rows = {k: np.sort(np.concatenate(v)) for k, v in shards.items()}
-    return {
-        k: LocalDataset(dataset.features[r], dataset.labels[r])
-        for k, r in rows.items()
-    }
+    return {k: np.sort(np.concatenate(v)) for k, v in shards.items()}
 
 
 def evaluate_accuracy(learner, params: np.ndarray, test_set: LocalDataset) -> float:

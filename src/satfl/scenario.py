@@ -127,8 +127,6 @@ class Scenario:
             eta=self.eta,
             batch_size=self.batch_size,
             local_iters=self.local_iters,
-            cycles_per_bit=self.cycles_per_bit,
-            cpu_hz=self.cpu_hz,
         )
 
     @property

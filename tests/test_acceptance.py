@@ -185,7 +185,7 @@ def test_criterion_7_single_satellite_equivalence():
         scenario.seed, spread=scenario.spread,
         test_samples_per_class=scenario.test_samples_per_class,
     )
-    data = partition_non_iid(
+    rows = partition_non_iid(
         train, [[0]], scenario.label_split()[1], scenario.seed
     )[0]
     w = learner.init_params(
@@ -193,7 +193,7 @@ def test_criterion_7_single_satellite_equivalence():
     )
     for cycle in range(len(uploads)):
         seed = np.random.SeedSequence([scenario.seed, 0, cycle])
-        w = local_sgd(learner, [w], [data], scenario.compute_profile(), [seed])[0]
+        w = local_sgd(learner, [w], train, [rows], scenario.compute_profile(), [seed])[0]
     diff = float(np.max(np.abs(result.final_params - w)))
     report(
         7, diff <= 1e-12 and len(uploads) >= 2,

@@ -163,6 +163,19 @@ class TestCompare:
         assert not out.exists()
         assert "error: policy 'fedsat' is listed twice" in capsys.readouterr().err
 
+    def test_unknown_policy_refused_before_any_work(self, scenario_file, tmp_path,
+                                                    capsys, monkeypatch):
+        # a misspelt policy is named before the plan is built or any SGD runs
+        calls = []
+        monkeypatch.setattr(engine, "prepare", lambda *args: calls.append(args))
+        monkeypatch.setattr(engine, "local_sgd", lambda *args: calls.append(args))
+        out = tmp_path / "cmp"
+        assert main(["compare", "--scenario", str(scenario_file), "--out", str(out),
+                     "--policies", "fedsat,fedsatshedule"]) == 2
+        assert "error: policy 'fedsatshedule' must be one of" in capsys.readouterr().err
+        assert calls == []
+        assert not out.exists()
+
 
 # scenario values (key=YAML literal) and flags that exit 2 at load, with the
 # message naming their key

@@ -97,14 +97,15 @@ class TestSingleSatelliteChain:
             scenario.seed, spread=scenario.spread,
             test_samples_per_class=scenario.test_samples_per_class,
         )
-        data = partition_non_iid(train, [[0]], scenario.label_split()[1],
+        rows = partition_non_iid(train, [[0]], scenario.label_split()[1],
                                  scenario.seed)[0]
         w = learner.init_params(
             np.random.default_rng(np.random.SeedSequence([scenario.seed]))
         )
         for cycle in range(len(uploads)):
             seed = np.random.SeedSequence([scenario.seed, 0, cycle])
-            w = local_sgd(learner, [w], [data], scenario.compute_profile(), [seed])[0]
+            w = local_sgd(learner, [w], train, [rows], scenario.compute_profile(),
+                          [seed])[0]
         assert np.max(np.abs(result.final_params - w)) <= 1e-12
 
 
@@ -236,6 +237,45 @@ class TestLearningCalls:
         assert calls["eval"] == len({row.global_epoch for row in r.eval_rows()}) > 1
 
 
+class TestTrainingTime:
+    """Without train_time_s, prepare prices each satellite's training by the
+    compute model: cycles_per_bit * local_iters * data_bits / cpu_hz, with
+    32 bits per feature of each row of its shard."""
+
+    MODEL = dict(train_time_s=None, cycles_per_bit=37.3, cpu_hz=1.7e9, local_iters=3)
+
+    def prepared(self, **overrides):
+        # four satellites in one altitude group: shards of 52, 52, 48 and 48 rows
+        return engine.prepare(small_scenario(
+            orbits=[OrbitConfig(altitude_m=2000e3, inclination_deg=80.0, raan_deg=r)
+                    for r in (0.0, 30.0, 60.0, 90.0)],
+            **{**self.MODEL, **overrides},
+        ))
+
+    def test_bits(self):
+        bundled = dataclasses.replace(load_scenario(bundled_scenario_path()), **self.MODEL)
+        assert ([t.hex() for t in engine.prepare(bundled).train_time_s]
+                == ["0x1.141579fe0c233p-7"] * 10)
+        assert [t.hex() for t in self.prepared().train_time_s] == (
+            ["0x1.cb675229ce909p-12"] * 2 + ["0x1.a8109a9cbeacep-12"] * 2)
+
+    def test_each_shard_by_its_length(self):
+        prep = self.prepared()
+        assert list(map(len, prep.shards.values())) == [52, 52, 48, 48]
+        assert prep.train_time_s == pytest.approx(
+            [37.3 * 3 * 32.0 * len(rows) * 4 / 1.7e9 for rows in prep.shards.values()])
+
+    @pytest.mark.parametrize("field, scale", [
+        ("cycles_per_bit", 2.0), ("local_iters", 2.0), ("feature_dim", 2.0),
+        ("cpu_hz", 0.5),
+    ])
+    def test_linear_in_each_factor(self, field, scale):
+        prep = self.prepared()
+        doubled = self.prepared(**{field: 2 * getattr(prep.scenario, field)})
+        assert doubled.train_time_s == pytest.approx(
+            [scale * t for t in prep.train_time_s])
+
+
 class TestStackedTraining:
     """A stacked run gives every update the bits it gets trained alone."""
 
@@ -257,9 +297,9 @@ class TestStackedTraining:
         completes (an upload at the same instant is replayed first)."""
         rows, stacks, starts, models = {}, [], {}, []
 
-        def recorded(learner, start_models, datasets, profile, seeds):
-            out = sgd(learner, start_models, datasets, profile, seeds)
-            stacks.append(sorted(d.size for d in datasets))
+        def recorded(learner, start_models, data, shards, profile, seeds):
+            out = sgd(learner, start_models, data, shards, profile, seeds)
+            stacks.append(sorted(map(len, shards)))
             for start, seed, row in zip(start_models, seeds, out):
                 _, k, cycle = seed.entropy
                 starts[(k, cycle)] = start.copy()
@@ -301,10 +341,10 @@ class TestStackedTraining:
 
     @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
     def test_matches_one_call_per_update(self, policy, monkeypatch):
-        def one_per_row(learner, starts, datasets, profile, seeds):
+        def one_per_row(learner, starts, data, shards, profile, seeds):
             return np.array([
-                local_sgd(learner, [w], [d], profile, [s])[0]
-                for w, d, s in zip(starts, datasets, seeds)
+                local_sgd(learner, [w], data, [rows], profile, [s])[0]
+                for w, rows, s in zip(starts, shards, seeds)
             ])
 
         r, rows, stacks = self.run(policy, local_sgd, monkeypatch)

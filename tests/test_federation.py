@@ -108,20 +108,21 @@ class TestSequentialSgdEquivalence:
         learner = LogisticRegressionLearner(3, 2)
         rng = np.random.default_rng(0)
         data = LocalDataset(rng.standard_normal((30, 2)), rng.integers(0, 3, 30))
+        rows = [np.arange(30)]
         profile = ComputeProfile(eta=0.1, batch_size=10, local_iters=1)
         w0 = learner.init_params()
 
         global_w = w0
         prev_upload = None
         for m in range(5):
-            trained = local_sgd(learner, [global_w], [data], profile, [m])[0]
+            trained = local_sgd(learner, [global_w], data, rows, profile, [m])[0]
             prev = prev_upload if prev_upload is not None else global_w
             global_w = fedsat_aggregate(global_w, 1.0, prev, trained)
             prev_upload = trained
 
         w = w0.copy()
         for m in range(5):
-            w = local_sgd(learner, [w], [data], profile, [m])[0]
+            w = local_sgd(learner, [w], data, rows, profile, [m])[0]
 
         assert np.max(np.abs(global_w - w)) <= 1e-12
 

@@ -15,7 +15,6 @@ from satfl.learning import (
     local_sgd,
     make_learner,
     partition_non_iid,
-    training_time,
 )
 
 
@@ -69,34 +68,36 @@ class TestLocalSgd:
         a, w0, eta = 3.0, 1.0, 0.05
         data = LocalDataset(np.zeros((1, 1)), np.zeros(1, dtype=int))
         profile = ComputeProfile(eta=eta, batch_size=1, local_iters=1)
-        w1 = local_sgd(_Quadratic(a), [np.array([w0])], [data], profile, [0])[0]
+        w1 = local_sgd(_Quadratic(a), [np.array([w0])], data, [np.arange(1)], profile,
+                       [0])[0]
         assert w1[0] == pytest.approx(w0 - 2 * eta * (w0 - a))
 
     def test_zero_gradient_fixed_point(self):
         data = LocalDataset(np.zeros((3, 1)), np.zeros(3, dtype=int))
         profile = ComputeProfile(eta=0.1, batch_size=3, local_iters=5)
-        w = local_sgd(_Quadratic(2.0), [np.array([2.0])], [data], profile, [0])[0]
+        w = local_sgd(_Quadratic(2.0), [np.array([2.0])], data, [np.arange(3)], profile,
+                      [0])[0]
         assert w[0] == pytest.approx(2.0)
 
     def test_deterministic_under_seed(self):
         learner = LogisticRegressionLearner(4, 3)
         X, y = small_instance(7, n=30)
-        data = LocalDataset(X, y)
+        data, rows = LocalDataset(X, y), [np.arange(30)]
         profile = ComputeProfile(eta=0.1, batch_size=5, local_iters=2)
         w0 = learner.init_params()
-        a = local_sgd(learner, [w0], [data], profile, [42])[0]
-        b = local_sgd(learner, [w0], [data], profile, [42])[0]
+        a = local_sgd(learner, [w0], data, rows, profile, [42])[0]
+        b = local_sgd(learner, [w0], data, rows, profile, [42])[0]
         np.testing.assert_array_equal(a, b)
-        c = local_sgd(learner, [w0], [data], profile, [43])[0]
+        c = local_sgd(learner, [w0], data, rows, profile, [43])[0]
         assert not np.array_equal(a, c)
 
-    def test_stack_of_unequal_sizes_rejected(self):
+    def test_stack_of_unequal_lengths_rejected(self):
         learner = LogisticRegressionLearner(4, 3)
-        datasets = [LocalDataset(*small_instance(0, n=12)),
-                    LocalDataset(*small_instance(1, n=11))]
+        data = LocalDataset(*small_instance(0, n=24))
         profile = ComputeProfile(eta=0.1, batch_size=4)
-        with pytest.raises(ValueError):
-            local_sgd(learner, [learner.init_params()] * 2, datasets, profile, [0, 1])
+        with pytest.raises(ValueError, match="share one length"):
+            local_sgd(learner, [learner.init_params()] * 2, data,
+                      [np.arange(12), np.arange(12, 23)], profile, [0, 1])
 
     def test_full_batch_descent_is_monotone(self):
         learner = LogisticRegressionLearner(4, 3)
@@ -106,7 +107,7 @@ class TestLocalSgd:
         w = learner.init_params()
         losses = [learner.loss(w, X, y)]
         for i in range(10):
-            w = local_sgd(learner, [w], [data], profile, [i])[0]
+            w = local_sgd(learner, [w], data, [np.arange(40)], profile, [i])[0]
             losses.append(learner.loss(w, X, y))
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
@@ -137,15 +138,16 @@ def _reference_gradient(learner, params, X, y):
                            p.sum(axis=0)])
 
 
-def _reference_sgd(learner, start, data, profile, seed):
-    """local_sgd as a loop that fancy-indexes every batch."""
+def _reference_sgd(learner, start, data, rows, profile, seed):
+    """local_sgd of one update on the rows of data, as a loop that
+    fancy-indexes every batch."""
     rng = np.random.default_rng(seed)
     w = np.array(start, dtype=float, copy=True)
-    n = data.size
+    n = len(rows)
     for _ in range(profile.local_iters):
         order = rng.permutation(n)
         for lo in range(0, n, profile.batch_size):
-            idx = order[lo:lo + profile.batch_size]
+            idx = rows[order[lo:lo + profile.batch_size]]
             g = _reference_gradient(learner, w, data.features[idx], data.labels[idx])
             w -= profile.eta * g
     return w
@@ -160,6 +162,7 @@ class TestLocalSgdMatchesReference:
         hidden=st.integers(1, 8),
         k=st.integers(1, 4),
         n=st.integers(1, 40),
+        extra=st.integers(0, 39),
         batch_size=st.integers(1, 50),
         local_iters=st.integers(1, 3),
         eta=st.floats(0.01, 1.0),
@@ -167,35 +170,38 @@ class TestLocalSgdMatchesReference:
     )
     # stacks whose chunks of n // k rows batch_size does not divide, so a
     # chunk span that is not a multiple of batch_size moves batch boundaries
-    @example(kind="logreg", classes=3, dim=2, hidden=1, k=2, n=21, batch_size=4,
+    @example(kind="logreg", classes=3, dim=2, hidden=1, k=2, n=21, extra=5, batch_size=4,
              local_iters=2, eta=0.5, seed=0)
-    @example(kind="mlp", classes=3, dim=2, hidden=3, k=3, n=31, batch_size=3,
+    @example(kind="mlp", classes=3, dim=2, hidden=3, k=3, n=31, extra=5, batch_size=3,
              local_iters=1, eta=0.5, seed=1)
     # one-row batches, and a batch larger than the dataset
-    @example(kind="mlp", classes=4, dim=3, hidden=2, k=4, n=9, batch_size=1,
+    @example(kind="mlp", classes=4, dim=3, hidden=2, k=4, n=9, extra=5, batch_size=1,
              local_iters=3, eta=0.2, seed=2)
-    @example(kind="logreg", classes=4, dim=3, hidden=1, k=3, n=10, batch_size=11,
+    @example(kind="logreg", classes=4, dim=3, hidden=1, k=3, n=10, extra=5, batch_size=11,
              local_iters=2, eta=0.2, seed=3)
-    def test_bitwise_equal(self, kind, classes, dim, hidden, k, n, batch_size,
+    def test_bitwise_equal(self, kind, classes, dim, hidden, k, n, extra, batch_size,
                            local_iters, eta, seed):
         # every row of a stack of k updates equals that update trained alone
-        # by the per-batch reference loop
+        # by the per-batch reference loop; the k shards of n rows are drawn
+        # from one dataset of fewer than 2n rows, so any two of them overlap
         rng = np.random.default_rng(seed)
         learner = make_learner(kind, classes, dim, hidden)
-        datasets = [LocalDataset(rng.standard_normal((n, dim)),
-                                 rng.integers(0, classes, n)) for _ in range(k)]
+        size = n + extra % n
+        data = LocalDataset(rng.standard_normal((size, dim)),
+                            rng.integers(0, classes, size))
+        shards = [np.sort(rng.choice(size, n, replace=False)) for _ in range(k)]
         starts = rng.standard_normal((k, learner.param_dim))
         profile = ComputeProfile(eta=eta, batch_size=batch_size, local_iters=local_iters)
-        data, w0 = datasets[0], starts[0]
+        w0 = starts[0]
         assert np.array_equal(
             learner.gradient(w0, data.features, data.labels),
             _reference_gradient(learner, w0, data.features, data.labels),
         )
-        stacked = local_sgd(learner, list(starts), datasets, profile,
+        stacked = local_sgd(learner, list(starts), data, shards, profile,
                             [np.random.SeedSequence([seed, i]) for i in range(k)])
         assert stacked.shape == (k, learner.param_dim)
         for i in range(k):
-            alone = _reference_sgd(learner, starts[i], datasets[i], profile,
+            alone = _reference_sgd(learner, starts[i], data, shards[i], profile,
                                    np.random.SeedSequence([seed, i]))
             assert np.array_equal(stacked[i], alone), i
 
@@ -221,30 +227,6 @@ class TestGradients:
             assert np.max(np.abs(analytic - fd)) / scale <= 1e-5
 
 
-class TestTrainingTime:
-    def test_unit_case(self):
-        p = ComputeProfile(eta=0.1, batch_size=1, local_iters=1,
-                           cycles_per_bit=1.0, cpu_hz=1e6)
-        assert training_time(p, 1e6) == pytest.approx(1.0)
-
-    def test_linear_in_each_factor(self):
-        base = ComputeProfile(eta=0.1, batch_size=1, local_iters=2,
-                              cycles_per_bit=3.0, cpu_hz=2e6)
-        t = training_time(base, 1e5)
-        assert training_time(base, 2e5) == pytest.approx(2 * t)
-        doubled_iters = ComputeProfile(eta=0.1, batch_size=1, local_iters=4,
-                                       cycles_per_bit=3.0, cpu_hz=2e6)
-        assert training_time(doubled_iters, 1e5) == pytest.approx(2 * t)
-        doubled_cpu = ComputeProfile(eta=0.1, batch_size=1, local_iters=2,
-                                     cycles_per_bit=3.0, cpu_hz=4e6)
-        assert training_time(doubled_cpu, 1e5) == pytest.approx(t / 2)
-
-    def test_missing_compute_fields_rejected(self):
-        p = ComputeProfile(eta=0.1, batch_size=1)
-        with pytest.raises(ValueError):
-            training_time(p, 1e6)
-
-
 class TestPartition:
     def make(self, classes=10, per_class=20):
         X = np.arange(classes * per_class * 2, dtype=float).reshape(-1, 2)
@@ -256,22 +238,28 @@ class TestPartition:
         groups = [[0, 1, 2, 3, 4], [5, 6, 7, 8, 9]]
         shards = partition_non_iid(data, groups, labels_per_group=5, seed=0)
         for k in groups[0]:
-            assert set(shards[k].labels) <= {0, 1, 2, 3, 4}
+            assert set(data.labels[shards[k]]) <= {0, 1, 2, 3, 4}
         for k in groups[1]:
-            assert set(shards[k].labels) <= {5, 6, 7, 8, 9}
+            assert set(data.labels[shards[k]]) <= {5, 6, 7, 8, 9}
 
-    def test_union_is_partition(self):
+    def test_shards_are_sorted_disjoint_and_cover_the_rows(self):
         data = self.make()
         groups = [[0, 1, 2], [3, 4, 5]]
         shards = partition_non_iid(data, groups, labels_per_group=5, seed=1)
-        all_rows = np.concatenate([s.features[:, 0] for s in shards.values()])
-        assert len(all_rows) == data.size
-        assert len(np.unique(all_rows)) == data.size
+        assert list(shards) == [0, 1, 2, 3, 4, 5]
+        for rows in shards.values():
+            assert rows.dtype == np.intp
+            assert np.all(np.diff(rows) > 0)
+        for i, a in shards.items():
+            for j, b in shards.items():
+                assert i == j or np.intersect1d(a, b).size == 0
+        np.testing.assert_array_equal(np.sort(np.concatenate(list(shards.values()))),
+                                      np.arange(data.size))
 
     def test_single_satellite_gets_everything(self):
         data = self.make(classes=4)
         shards = partition_non_iid(data, [[0]], labels_per_group=4, seed=0)
-        assert shards[0].size == data.size
+        np.testing.assert_array_equal(shards[0], np.arange(data.size))
 
     def test_insufficient_samples_rejected(self):
         data = self.make(classes=2, per_class=1)
@@ -303,8 +291,13 @@ class TestPartition:
         shards = partition_non_iid(data, groups, labels_per_group, seed)
         assert shards.keys() == expected.keys()
         for k, rows in expected.items():
-            np.testing.assert_array_equal(shards[k].features, data.features[sorted(rows)])
-            np.testing.assert_array_equal(shards[k].labels, data.labels[sorted(rows)])
+            np.testing.assert_array_equal(shards[k], sorted(rows))
+        # the shards partition the rows, each within its group's labels
+        np.testing.assert_array_equal(np.sort(np.concatenate(list(shards.values()))),
+                                      np.arange(data.size))
+        for g_idx, members in enumerate(groups):
+            for k in members:
+                assert np.all(data.labels[shards[k]] // labels_per_group == g_idx)
 
     def test_deterministic_under_seed(self):
         data = self.make()
@@ -312,7 +305,7 @@ class TestPartition:
         a = partition_non_iid(data, groups, 5, seed=9)
         b = partition_non_iid(data, groups, 5, seed=9)
         for k in a:
-            np.testing.assert_array_equal(a[k].features, b[k].features)
+            np.testing.assert_array_equal(a[k], b[k])
 
 
 class TestEvaluationAndTask:
@@ -326,7 +319,8 @@ class TestEvaluationAndTask:
         learner = LogisticRegressionLearner(3, 2)
         train, _ = generate_synthetic_task(3, 2, 40, seed=5, spread=0.05)
         profile = ComputeProfile(eta=0.5, batch_size=120, local_iters=300)
-        w = local_sgd(learner, [learner.init_params()], [train], profile, [0])[0]
+        w = local_sgd(learner, [learner.init_params()], train, [np.arange(train.size)],
+                      profile, [0])[0]
         assert evaluate_accuracy(learner, w, train) == pytest.approx(1.0)
 
     def test_accuracy_in_unit_interval(self):
@@ -355,7 +349,8 @@ class TestEvaluationAndTask:
         learner = LogisticRegressionLearner(10, 8)
         train, test = generate_synthetic_task(10, 8, 100, seed=1, spread=0.02)
         profile = ComputeProfile(eta=0.3, batch_size=50, local_iters=120)
-        w = local_sgd(learner, [learner.init_params()], [train], profile, [0])[0]
+        w = local_sgd(learner, [learner.init_params()], train, [np.arange(train.size)],
+                      profile, [0])[0]
         assert evaluate_accuracy(learner, w, test) >= 0.99
 
     def test_mlp_param_dim(self):

@@ -342,8 +342,8 @@ def reference_replay(r):
         spread=s.spread, test_samples_per_class=s.test_samples_per_class,
     )
     shards = partition_non_iid(train, *s.label_split(), s.seed)
-    total = sum(d.size for d in shards.values())
-    weights = {k: d.size / total for k, d in shards.items()}
+    total = sum(map(len, shards.values()))
+    weights = {k: len(rows) / total for k, rows in shards.items()}
     params = learner.init_params(np.random.default_rng(np.random.SeedSequence([s.seed])))
     # the global epoch is the number of aggregations so far, len(agg_times)
     agg_times, models = [], [params]
@@ -355,7 +355,8 @@ def reference_replay(r):
 
     def trained(k, c):
         seed = np.random.SeedSequence([s.seed, k, c])
-        return local_sgd(learner, [download(k, c)[0]], [shards[k]], profile, [seed])[0]
+        return local_sgd(learner, [download(k, c)[0]], train, [shards[k]], profile,
+                         [seed])[0]
 
     uploads = [(cyc.ul_complete_s, 0, k, c)
                for k, cycles in enumerate(r.schedule.cycles)

@@ -12,10 +12,13 @@ checks and the naive replay, with equal rows and bitwise-equal final models.
     PYTHONPATH=src python3 tests/w2_oracles.py --seed 0
 
 The seed sets both the shell's phase offset and the scenario seed. pytest
-does not collect this script. It prints the contact plan's wall time and
-the process's peak RSS right after `prepare`. On a 2-vCPU machine, at
-seeds 0 and 7, the plan took 0.18-0.29 s, each seed 21-22 s, and the
-process peaked at 84 MB of RSS.
+does not collect this script. It prints the contact plan's wall time, the
+process's peak RSS right after `prepare`, and each policy's replay wall
+time apart from the time its oracles take. On a 2-vCPU machine at one
+OpenBLAS thread, at seeds 0 and 7, the plan took 0.14-0.15 s; the replays
+took 0.60-0.62 s under fedsat, 1.6-2.4 s under fedsatschedule and
+0.17-0.20 s under fedavg_sync; each seed took about 17 s, and the process
+peaked at 62 MB of RSS after `prepare`.
 """
 
 from __future__ import annotations
@@ -93,13 +96,15 @@ def main(argv=None) -> int:
     for policy in POLICIES:
         start = time.perf_counter()
         r = replay(prep, policy)
+        replay_s = time.perf_counter() - start
         assert r.schedule == reference_schedule(plan, policy, prep.train_time_s, prep.comm_s)
         check_run(r, policy, None)
         rows, final_params = reference_replay(r)
         assert r.rows == rows
         assert np.array_equal(r.final_params, final_params)
-        print(f"seed {seed}: {policy}, {len(r.upload_rows())} uploads, passes the "
-              f"oracles ({time.perf_counter() - start:.1f} s)", flush=True)
+        print(f"seed {seed}: {policy}, {len(r.upload_rows())} uploads, replayed in "
+              f"{replay_s:.2f} s, passes the oracles "
+              f"({time.perf_counter() - start - replay_s:.1f} s)", flush=True)
     return 0
 
 
