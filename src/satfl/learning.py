@@ -64,7 +64,7 @@ def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
 
 
 class _SoftmaxLearner:
-    """Loss, flat gradient and prediction of a softmax learner whose
+    """Flat gradient and prediction of a softmax learner whose
     `_unpack(params)` gives views of the parameter blocks and whose
     `_backprop(blocks, X, Y, grads)` writes into the blocks `grads` the mean
     cross-entropy gradient of each block over the rows of X with one-hot
@@ -73,10 +73,6 @@ class _SoftmaxLearner:
     Both work on leading stack axes: parameters (..., P) unpack to blocks
     (..., rows, cols), with biases as (..., 1, c) views, and X (..., n, d)
     and Y (..., n, c) hold one batch per stacked model."""
-
-    def loss(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-        p = _softmax(self.logits(params, X))
-        return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         g = np.empty_like(params, dtype=float)

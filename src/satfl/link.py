@@ -50,25 +50,6 @@ class LinkBudget:
     def noise_power_w(self) -> float:
         return BOLTZMANN_J_PER_K * self.noise_temp_k * self.bandwidth_hz
 
-    @classmethod
-    def from_db_units(
-        cls,
-        power_dbm: float,
-        gain_sat_dbi: float,
-        gain_gs_dbi: float,
-        bandwidth_hz: float,
-        noise_temp_k: float,
-        carrier_hz: float,
-    ) -> "LinkBudget":
-        return cls(
-            power_w=dbm_to_watts(power_dbm),
-            gain_sat=db_to_linear(gain_sat_dbi),
-            gain_gs=db_to_linear(gain_gs_dbi),
-            bandwidth_hz=bandwidth_hz,
-            noise_temp_k=noise_temp_k,
-            carrier_hz=carrier_hz,
-        )
-
 
 def path_loss(distance_m: float, carrier_hz: float) -> float:
     """Free-space path loss as a linear factor: (4 pi f d / c)^2, inf where

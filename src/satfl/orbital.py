@@ -221,6 +221,13 @@ _BLOCK_CELLS = 2**14
 _REFINE_TOL_S = 0.1
 
 
+def _instants(i, step, end):
+    """min(i * step, end) at indices i: grid point i of the coarse grid
+    (step coarse_step_s, end horizon_s), and window end i of the windows
+    (step _WINDOW_STEPS, end the last grid index)."""
+    return np.minimum(i * step, end)
+
+
 def _blocks(n_windows: int, n_sats: int) -> list[tuple[int, int]]:
     """(start, stop) of consecutive blocks of windows, each of at most
     _BLOCK_CELLS (satellite, window) cells and at least one window."""
@@ -240,37 +247,29 @@ def _slant_range(terms, gs, t):
     return np.sqrt(lx * lx + ly * ly + lz * lz)
 
 
-def _candidate_windows(terms, gs, grid):
-    """Window ends (grid indices), the (satellite, window) mask of the
-    windows whose bound does not rule out a visible instant, and the
-    (satellite, end) visibility at every window end.
-
-    Window i spans grid points ends[i]..ends[i + 1]; the last one ends at
-    the horizon and may hold fewer steps. The ends are evaluated once each,
-    in blocks (see _blocks).
-    """
-    last = len(grid) - 1
-    ends = np.append(np.arange(0, last, _WINDOW_STEPS), last)
+def _candidate_windows(terms, gs, step_s, horizon_s):
+    """The (satellite, window) mask of the windows whose bound does not rule
+    out a visible instant, and the (satellite, end) visibility at every
+    window end (see _instants). Each block of windows (see _blocks)
+    evaluates both ends of its windows; the last window may be narrower."""
+    last = int(math.ceil(horizon_s / step_s))
     col = terms.take(np.s_[:, None])
     alpha = gs.min_elevation_rad
     lam = np.arccos(EARTH.r_e * math.cos(alpha) / col.r) - alpha + _WINDOW_MARGIN_RAD
     rate = col.n + EARTH.omega_e
-    visible = np.empty((len(terms.r), len(ends)), dtype=bool)
-    kept = np.empty((len(terms.r), len(ends) - 1), dtype=bool)
-    theta, t = np.empty((len(terms.r), 0)), np.empty(0)
-    for start, stop in _blocks(len(ends), len(terms.r)):
-        t_end = grid[ends[start:stop]]
-        elev = _elevation(*_position(col, t_end), *_station(gs, t_end))
-        visible[:, start:stop] = elev >= alpha
-        # the central angle between the satellite and station directions,
-        # from the triangle of the Earth's center, the station and the
-        # satellite; each block carries the last end of the one before
-        theta = np.hstack((theta[:, -1:],
-                           np.arccos(EARTH.r_e * np.cos(elev) / col.r) - elev))
-        t = np.append(t[-1:], t_end)
+    kept = np.empty((len(terms.r), -(-last // _WINDOW_STEPS)), dtype=bool)
+    visible = np.empty((len(terms.r), kept.shape[1] + 1), dtype=bool)
+    for start, stop in _blocks(kept.shape[1], len(terms.r)):
+        ends = _instants(np.arange(start, stop + 1), _WINDOW_STEPS, last)
+        t = _instants(ends, step_s, horizon_s)
+        elev = _elevation(*_position(col, t), *_station(gs, t))
+        visible[:, start:stop + 1] = elev >= alpha
+        # the central angle between the satellite and station directions, from
+        # the triangle of the Earth's center, the station and the satellite
+        theta = np.arccos(EARTH.r_e * np.cos(elev) / col.r) - elev
         floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate * np.diff(t))
-        kept[:, max(start - 1, 0):stop - 1] = floor <= lam
-    return ends, kept, visible
+        kept[:, start:stop] = floor <= lam
+    return kept, visible
 
 
 def _refine_crossings(terms, gs, t_lo, t_hi):
@@ -294,11 +293,11 @@ def _refine_crossings(terms, gs, t_lo, t_hi):
     return 0.5 * (t_lo + t_hi)
 
 
-def _changes(terms, gs, grid):
-    """(satellite, column) of every visibility change on the grid, in
-    row-major order: column c is the change from grid point c - 1 to c, and
-    columns 0 and len(grid) are changes from and to the off-time before t=0
-    and after the horizon.
+def _changes(terms, gs, step_s, horizon_s):
+    """Satellite and grid bracket (t_lo, t_hi) of every visibility change,
+    in row-major order: change c lies between grid points c - 1 and c, each
+    held to the grid, so the changes from the off-time before t=0 and to
+    the one after the last grid point get zero-width brackets.
 
     Only the windows kept by _candidate_windows are scanned, and every
     change lies in one: a skipped window holds no visible instant, and a
@@ -307,29 +306,32 @@ def _changes(terms, gs, grid):
     the kept windows are evaluated here, a block of windows at a time, with
     the station position computed once per grid point.
     """
-    last = len(grid) - 1
+    last = int(math.ceil(horizon_s / step_s))
     alpha = gs.min_elevation_rad
-    ends, kept, visible = _candidate_windows(terms, gs, grid)
+    kept, visible = _candidate_windows(terms, gs, step_s, horizon_s)
     sats = [np.flatnonzero(visible[:, 0]), np.flatnonzero(visible[:, -1])]
     cols = [np.zeros(len(sats[0]), dtype=int), np.full(len(sats[1]), last + 1)]
     steps = np.arange(1, _WINDOW_STEPS)
-    for start, stop in _blocks(len(ends) - 1, len(terms.r)):
+    for start, stop in _blocks(kept.shape[1], len(terms.r)):
         s, k = np.nonzero(kept[:, start:stop])
         w = start + k
-        inner = ends[start:stop, None] + steps
-        t = grid[np.minimum(inner, last)]
+        ends = _instants(np.arange(start, stop + 1), _WINDOW_STEPS, last)
+        inner = ends[:-1, None] + steps
+        t = _instants(inner, step_s, horizon_s)
         gx, gy, gz = _station(gs, t)
         elev = _elevation(*_position(terms.take(s[:, None]), t[k]), gx[k], gy[k], gz)
         # each window's points in order; the end stands in for the inner
         # points a last window narrower than _WINDOW_STEPS does not have
         left, right = visible[s, w][:, None], visible[s, w + 1][:, None]
-        scan = np.where(inner[k] < ends[w + 1, None], elev >= alpha, right)
+        scan = np.where(inner[k] < ends[k + 1, None], elev >= alpha, right)
         i, j = np.nonzero(np.diff(np.hstack((left, scan, right)), axis=1))
         sats.append(s[i])
-        cols.append(ends[w[i]] + j + 1)
+        cols.append(ends[k[i]] + j + 1)
     sat, col = np.concatenate(sats), np.concatenate(cols)
     order = np.lexsort((col, sat))
-    return sat[order], col[order]
+    sat, col = sat[order], col[order]
+    return (sat, _instants(np.maximum(col - 1, 0), step_s, horizon_s),
+            _instants(np.minimum(col, last), step_s, horizon_s))
 
 
 def compute_contact_plan(
@@ -372,32 +374,24 @@ def compute_contact_plan(
     them: it gets the range at the mask, sqrt(r^2 - r_e^2 cos^2(alpha)) -
     r_e sin(alpha), which no visible instant of a circular orbit exceeds.
 
-    No satellites x grid array is built. The bound and the scan go through
-    the windows in blocks of at most _BLOCK_CELLS (satellite, window) cells,
-    so their memory follows the block and the passes, not the horizon: what
-    lives across blocks is a few bytes per (satellite, window).
+    No grid is built: grid points and window ends are read off their
+    indices through _instants. The bound and the scan go through the
+    windows in blocks of at most _BLOCK_CELLS (satellite, window) cells, and
+    what lives across blocks is two bytes per (satellite, window), the kept
+    mask and the end visibility, besides the passes.
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
         raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")
     if horizon_s <= 0:
         raise ScenarioError("horizon must be strictly positive")
 
-    n_steps = int(math.ceil(horizon_s / coarse_step_s))
-    # min(i * coarse_step_s, horizon_s), built in place: on a long horizon
-    # the grid alone takes tens of MB
-    grid = np.arange(n_steps + 1, dtype=float)
-    grid *= coarse_step_s
-    np.minimum(grid, horizon_s, out=grid)
     terms = _constellation_terms(orbits)
-    sat, col = _changes(terms, gs, grid)
-
-    # change c lies between grid points c - 1 and c, each held to the grid:
+    sat, t_lo, t_hi = _changes(terms, gs, coarse_step_s, horizon_s)
     # a pass under way at t=0 or at the horizon changes in a zero-width
     # bracket, so it is clipped at exactly 0.0 or horizon_s. Each
     # satellite's changes alternate rise (0->1) and set (1->0)
     crossing_terms = terms.take(sat)
-    t = _refine_crossings(crossing_terms, gs, grid[np.maximum(col - 1, 0)],
-                          grid[np.minimum(col, n_steps)])
+    t = _refine_crossings(crossing_terms, gs, t_lo, t_hi)
     d = _slant_range(crossing_terms, gs, t)
     r, alpha = crossing_terms.r[0::2], gs.min_elevation_rad
     mask_range = np.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2) - EARTH.r_e * math.sin(alpha)

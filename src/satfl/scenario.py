@@ -22,8 +22,8 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # libyaml's safe loader builds the same documents as the pure-Python one,
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-# grid bounds: `satfl plan` on the bundled 10 satellites peaks at about
-# 93 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
+# grid bounds: `satfl plan` on one or ten bundled orbits peaks at about
+# 55 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
 # 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds: `satfl run`
 # on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
 # MAX_TASK_POINTS task matrix entries or MAX_MODEL_POINTS satellite
@@ -110,14 +110,9 @@ class Scenario:
         )
 
     def link_budget(self) -> LinkBudget:
-        return LinkBudget.from_db_units(
-            power_dbm=self.power_dbm,
-            gain_sat_dbi=self.gain_sat_dbi,
-            gain_gs_dbi=self.gain_gs_dbi,
-            bandwidth_hz=self.bandwidth_hz,
-            noise_temp_k=self.noise_temp_k,
-            carrier_hz=self.carrier_hz,
-        )
+        return LinkBudget(dbm_to_watts(self.power_dbm), db_to_linear(self.gain_sat_dbi),
+                          db_to_linear(self.gain_gs_dbi), self.bandwidth_hz,
+                          self.noise_temp_k, self.carrier_hz)
 
     def learner(self):
         return make_learner(self.learner_kind, self.classes, self.feature_dim, self.hidden)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from satfl import bundled_scenario_path, load_scenario
+from satfl.learning import _softmax
 from satfl.orbital import (
     GroundStation,
     OrbitSpec,
@@ -25,6 +26,13 @@ def bremen_gs():
         longitude_rad=math.radians(8.8),
         min_elevation_rad=math.radians(10.0),
     )
+
+
+def softmax_loss(learner, params, X, y):
+    """Mean cross-entropy of a softmax learner's predictions for labels y,
+    the loss whose gradient the learner's `gradient` gives."""
+    p = _softmax(learner.logits(params, X))
+    return float(-np.mean(np.log(p[np.arange(len(y)), y] + 1e-300)))
 
 
 def brute_force_passes(orbit, sat_index, gs, horizon_s, step_s=1.0):

@@ -24,7 +24,7 @@ from satfl.orbital import (
 from satfl.scenario import load_scenario, with_overrides
 from satfl.scheduler import Mode
 
-from conftest import brute_force_passes
+from conftest import brute_force_passes, softmax_loss
 from test_engine import small_scenario
 from test_orbital import T_500_KM, T_2000_KM
 from test_scheduler import first_mode, make_plan
@@ -217,7 +217,8 @@ def test_criterion_8_gradient_check():
             up, dn = params.copy(), params.copy()
             up[i] += step
             dn[i] -= step
-            fd[i] = (learner.loss(up, X, y) - learner.loss(dn, X, y)) / (2 * step)
+            fd[i] = (softmax_loss(learner, up, X, y)
+                     - softmax_loss(learner, dn, X, y)) / (2 * step)
         scale = max(np.max(np.abs(fd)), 1e-8)
         worst = max(worst, float(np.max(np.abs(analytic - fd)) / scale))
     report(8, worst <= 1e-5, f"20 instances, worst relative gradient error "

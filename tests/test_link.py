@@ -25,14 +25,8 @@ GOLDEN_SNR_1690KM = 0.10752625221874915
 
 @pytest.fixture
 def reference_budget():
-    return LinkBudget.from_db_units(
-        power_dbm=40.0,
-        gain_sat_dbi=6.98,
-        gain_gs_dbi=6.98,
-        bandwidth_hz=20e6,
-        noise_temp_k=290.0,
-        carrier_hz=2.4e9,
-    )
+    return LinkBudget(dbm_to_watts(40.0), db_to_linear(6.98), db_to_linear(6.98),
+                      20e6, 290.0, 2.4e9)
 
 
 class TestPathLoss:

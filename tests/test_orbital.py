@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -54,6 +55,13 @@ def coarse_grid(horizon_s, step_s=10.0):
     """The planner's coarse grid: min(i * step_s, horizon_s)."""
     return np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
                       horizon_s)
+
+
+def window_ends(grid):
+    """Reference: the grid index of every window end, every _WINDOW_STEPS
+    grid points and at the last one."""
+    last = len(grid) - 1
+    return np.append(np.arange(0, last, orbital._WINDOW_STEPS), last)
 
 
 def scalar_reference_passes(orbit, gs, horizon_s, step_s=10.0, tol=0.1):
@@ -504,9 +512,13 @@ class TestWindowedScan:
         # not only at its coarse grid points
         grid = coarse_grid(horizon)
         terms = orbital._constellation_terms(orbits)
-        ends, kept, _ = orbital._candidate_windows(terms, gs, grid)
-        assert ends[0] == 0 and ends[-1] == len(grid) - 1
+        kept, visible = orbital._candidate_windows(terms, gs, 10.0, horizon)
+        ends = window_ends(grid)
+        assert kept.shape == (len(terms.r), len(ends) - 1)
+        assert visible.shape == (len(terms.r), len(ends))
         for k, (orbit, j) in enumerate(flatten_constellation(orbits)):
+            assert np.array_equal(visible[k], reference_elevation(
+                orbit, j, gs, grid[ends]) >= gs.min_elevation_rad)
             for w in np.flatnonzero(~kept[k]):
                 a, b = grid[ends[w]], grid[ends[w + 1]]
                 t = np.append(np.arange(a, b, 1.0), b)
@@ -532,9 +544,8 @@ class TestWindowedScan:
         # the scan reads changes off kept windows only; that is complete
         # because every visible window end has a kept window on each side,
         # for grazing masks, far orbits, fine steps and narrow last windows
-        grid = coarse_grid(step * (cells - 1 + last), step)
-        _, kept, visible = orbital._candidate_windows(
-            orbital._constellation_terms(orbits), gs, grid)
+        kept, visible = orbital._candidate_windows(
+            orbital._constellation_terms(orbits), gs, step, step * (cells - 1 + last))
         assert unkept_visible_ends(kept, visible).size == 0
 
     # at t=0 at the zenith of the bremen station: inclined at the station's
@@ -554,8 +565,9 @@ class TestWindowedScan:
     def test_run_boundaries_equal_full_grid_planner(self, bremen_gs, orbit, horizon,
                                                     case):
         grid = coarse_grid(horizon)
-        ends, kept, _ = orbital._candidate_windows(
-            orbital._constellation_terms([orbit]), bremen_gs, grid)
+        ends = window_ends(grid)
+        kept, _ = orbital._candidate_windows(
+            orbital._constellation_terms([orbit]), bremen_gs, 10.0, horizon)
         kept = kept[0]
         plan = compute_contact_plan([orbit], bremen_gs, horizon)
         passes = [(p.rise_s, p.set_s) for p in plan.passes[0]]
@@ -586,6 +598,19 @@ class TestWindowedScan:
         assert len(orbital._blocks(windows, len(orbits))) == windows
         assert compute_contact_plan(orbits, gs, horizon) == default
         assert sum(default.pass_counts()) > 150
+
+    def test_plan_memory_follows_windows_not_steps(self, bremen_scenario):
+        # one 500 km orbit over 1e8 s, 1e7 grid steps: the plan keeps two
+        # bytes per window, its passes and one block of the scan at a time
+        orbit, gs = bremen_scenario.orbit_specs()[0], bremen_scenario.ground_station()
+        tracemalloc.start()
+        try:
+            plan = compute_contact_plan([orbit], gs, 1e8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(plan.pass_counts()) > 4000
+        assert peak < 32 * 2**20
 
     def test_mask_touched_at_horizon_is_clipped(self):
         # A retrograde equatorial orbit over an equatorial station closes

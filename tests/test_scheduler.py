@@ -3,7 +3,7 @@ import math
 import pytest
 
 from satfl.errors import ScenarioError
-from satfl.link import LinkBudget, pass_comm_time
+from satfl.link import LinkBudget, db_to_linear, dbm_to_watts, pass_comm_time
 from satfl.orbital import ContactPlan, Pass
 from satfl.scheduler import Mode, check_link_cap, extract_schedule
 
@@ -74,7 +74,8 @@ class TestNextPassExchangesCountAgainstOnlineCycle:
     pass's duration minus its DL and UL times."""
 
     def budget(self):
-        return LinkBudget.from_db_units(40.0, 6.98, 6.98, 20e6, 290.0, 2.4e9)
+        return LinkBudget(dbm_to_watts(40.0), db_to_linear(6.98), db_to_linear(6.98),
+                          20e6, 290.0, 2.4e9)
 
     def test_subtracts_both_exchanges(self):
         exchange = pass_comm_time(self.budget(), 32.0 * 90, 1.5e6)

@@ -13,12 +13,14 @@ checks and the naive replay, with equal rows and bitwise-equal final models.
 
 The seed sets both the shell's phase offset and the scenario seed. pytest
 does not collect this script. It prints the contact plan's wall time, the
-process's peak RSS right after `prepare`, and each policy's replay wall
-time apart from the time its oracles take. On a 2-vCPU machine at one
-OpenBLAS thread, at seeds 0 and 7, the plan took 0.14-0.15 s; the replays
-took 0.60-0.62 s under fedsat, 1.6-2.4 s under fedsatschedule and
-0.17-0.20 s under fedavg_sync; each seed took about 17 s, and the process
-peaked at 62 MB of RSS after `prepare`.
+plan's `tracemalloc` peak from a second, traced plan call (so the timed
+call runs untraced), the process's peak RSS right after `prepare`, and
+each policy's replay wall time apart from the time its oracles take. On a
+2-vCPU machine at one OpenBLAS thread, at seeds 0 and 7, the plan took
+0.17-0.24 s with a traced peak of 3.7 MiB; the replays took 0.69-0.74 s
+under fedsat, 2.2-2.6 s under fedsatschedule and 0.28-0.30 s under
+fedavg_sync; each seed took about 19 s, and the process peaked at 65 MB of
+RSS after `prepare`.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import random
 import resource
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import yaml
@@ -37,12 +40,7 @@ from satfl.engine import prepare, replay
 from satfl.orbital import compute_contact_plan
 from satfl.scenario import Scenario, scenario_from_dict
 
-from test_orbital import (
-    coarse_grid,
-    reference_contact_plan,
-    reference_max_distances,
-    unkept_visible_ends,
-)
+from test_orbital import reference_contact_plan, reference_max_distances, unkept_visible_ends
 from test_properties import POLICIES, check_run, reference_replay, reference_schedule
 
 
@@ -76,18 +74,21 @@ def main(argv=None) -> int:
     plan_start = time.perf_counter()
     plan = compute_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
     plan_s = time.perf_counter() - plan_start
+    tracemalloc.start()
+    assert compute_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s) == plan
+    plan_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
     prep = prepare(scenario)
     assert prep.plan == plan
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"seed {seed}: contact plan in {plan_s:.2f} s; peak RSS after prepare "
-          f"{peak_mb:.0f} MB", flush=True)
+    print(f"seed {seed}: contact plan in {plan_s:.2f} s, traced peak "
+          f"{plan_peak_mib:.1f} MiB; peak RSS after prepare {peak_mb:.0f} MB", flush=True)
     expected = reference_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
     assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
     assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
         reference_max_distances(expected, orbits, gs, scenario.horizon_s))
-    _, kept, visible = orbital._candidate_windows(
-        orbital._constellation_terms(orbits), gs,
-        coarse_grid(scenario.horizon_s, scenario.coarse_step_s))
+    kept, visible = orbital._candidate_windows(
+        orbital._constellation_terms(orbits), gs, scenario.coarse_step_s, scenario.horizon_s)
     assert unkept_visible_ends(kept, visible).size == 0
     print(f"seed {seed}: plan of {sum(map(len, plan.passes))} passes equals the "
           f"full-grid planner, and its {int(visible.sum())} visible window ends lie "
