@@ -49,34 +49,39 @@ class ComputeProfile:
             raise ValueError("batch_size and local_iters must be >= 1")
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    """Softmax over the last axis, computed in place in z and returned."""
-    z -= np.maximum.reduce(z, axis=-1, keepdims=True)
-    np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=-1, keepdims=True)
-    return z
+def _scratch(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """A (..., rows, cols) buffer with the stack axes of parameters w."""
+    return np.empty(w.shape[:-1] + (rows, cols))
 
 
-def _one_hot(y: np.ndarray, classes: int) -> np.ndarray:
-    Y = np.zeros(y.shape + (classes,))
-    np.put_along_axis(Y, y[..., None], 1.0, axis=-1)
-    return Y
+def _softmax(z: np.ndarray, s: np.ndarray) -> None:
+    """Softmax over the last axis of z, in place; s is scratch shaped like z
+    with a last axis of 1."""
+    np.maximum.reduce(z, axis=-1, keepdims=True, out=s)
+    z -= s
+    np.exp(z, z)
+    np.add.reduce(z, axis=-1, keepdims=True, out=s)
+    z /= s
 
 
 class _SoftmaxLearner:
     """Flat gradient and prediction of a softmax learner whose
     `_unpack(params)` gives views of the parameter blocks and whose
-    `_backprop(blocks, X, Y, grads)` writes into the blocks `grads` the mean
-    cross-entropy gradient of each block over the rows of X with one-hot
-    labels Y; the blocks cover the whole parameter vector.
+    `_gradient_fn(w, g, rows)` returns a function of a batch (X, Y) of
+    `rows` rows with one-hot labels Y that writes into g, laid out like w,
+    the mean cross-entropy gradient at w over the batch. The function
+    closes over its scratch buffers and over the views of w and g, so it
+    sees every in-place update of w; it passes each ufunc its output
+    positionally, since numpy parses a keyword `out` more slowly and these
+    calls are the whole per-batch cost of local SGD.
 
-    Both work on leading stack axes: parameters (..., P) unpack to blocks
-    (..., rows, cols), with biases as (..., 1, c) views, and X (..., n, d)
-    and Y (..., n, c) hold one batch per stacked model."""
+    Both work on a leading stack axis or none: parameters (..., P) unpack
+    to blocks (..., rows, cols), with biases as (..., 1, c) views, and X
+    (..., n, d) and Y (..., n, c) hold one batch per stacked model."""
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         g = np.empty_like(params, dtype=float)
-        self._backprop(self._unpack(params), X, _one_hot(y, self.classes), self._unpack(g))
+        self._gradient_fn(params, g, X.shape[-2])(X, np.eye(self.classes)[y])
         return g
 
     def predict(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -103,16 +108,25 @@ class LogisticRegressionLearner(_SoftmaxLearner):
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         W, b = self._unpack(params)
-        return X @ W.mT + b
+        z = X @ W.mT
+        z += b
+        return z
 
-    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray, grads) -> None:
-        W, b = blocks
-        gW, gb = grads
-        p = _softmax(X @ W.mT + b)
-        p -= Y
-        p /= Y.shape[-2]
-        np.matmul(p.mT, X, out=gW)
-        np.add.reduce(p, axis=-2, keepdims=True, out=gb)
+    def _gradient_fn(self, w, g, rows):
+        (W, b), (gW, gb) = self._unpack(w), self._unpack(g)
+        WT = W.mT
+        p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
+        pT = p.mT
+
+        def gradient(X, Y):
+            np.matmul(X, WT, p)
+            np.add(p, b, p)
+            _softmax(p, s)
+            np.subtract(p, Y, p)
+            np.divide(p, rows, p)
+            np.matmul(pT, X, gW)
+            np.add.reduce(p, axis=-2, keepdims=True, out=gb)
+        return gradient
 
 
 class MLPLearner(_SoftmaxLearner):
@@ -144,21 +158,38 @@ class MLPLearner(_SoftmaxLearner):
 
     def logits(self, params: np.ndarray, X: np.ndarray) -> np.ndarray:
         W1, b1, W2, b2 = self._unpack(params)
-        return np.tanh(X @ W1.mT + b1) @ W2.mT + b2
+        a = X @ W1.mT
+        a += b1
+        np.tanh(a, a)
+        z = a @ W2.mT
+        z += b2
+        return z
 
-    def _backprop(self, blocks, X: np.ndarray, Y: np.ndarray, grads) -> None:
-        W1, b1, W2, b2 = blocks
-        gW1, gb1, gW2, gb2 = grads
-        a = np.tanh(X @ W1.mT + b1)
-        p = _softmax(a @ W2.mT + b2)
-        p -= Y
-        p /= Y.shape[-2]
-        da = p @ W2
-        da *= 1.0 - a * a
-        np.matmul(da.mT, X, out=gW1)
-        np.add.reduce(da, axis=-2, keepdims=True, out=gb1)
-        np.matmul(p.mT, a, out=gW2)
-        np.add.reduce(p, axis=-2, keepdims=True, out=gb2)
+    def _gradient_fn(self, w, g, rows):
+        (W1, b1, W2, b2), (gW1, gb1, gW2, gb2) = self._unpack(w), self._unpack(g)
+        W1T, W2T = W1.mT, W2.mT
+        a, da, t = (_scratch(w, rows, self.hidden) for _ in range(3))
+        p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
+        daT, pT = da.mT, p.mT
+
+        def gradient(X, Y):
+            np.matmul(X, W1T, a)
+            np.add(a, b1, a)
+            np.tanh(a, a)
+            np.matmul(a, W2T, p)
+            np.add(p, b2, p)
+            _softmax(p, s)
+            np.subtract(p, Y, p)
+            np.divide(p, rows, p)
+            np.matmul(p, W2, da)
+            np.multiply(a, a, t)
+            np.subtract(1.0, t, t)
+            np.multiply(da, t, da)
+            np.matmul(daT, X, gW1)
+            np.add.reduce(da, axis=-2, keepdims=True, out=gb1)
+            np.matmul(pT, a, gW2)
+            np.add.reduce(p, axis=-2, keepdims=True, out=gb2)
+        return gradient
 
 
 LEARNER_KINDS = ("logreg", "mlp")
@@ -187,35 +218,51 @@ def local_sgd(
     bitwise what update i gives when trained alone. The shards must share
     one length, so that every update steps through the same batch
     boundaries and the stack pays numpy's per-call cost once per batch for
-    all K updates.
+    all K updates. A lone update (K = 1) trains without the stack axis.
 
     Each of the local_iters epochs draws every update's permutation of its
     shard, then gathers the shuffled rows of data one chunk at a time, in
-    one indexing per chunk: n // K rows per update, rounded down to a
-    multiple of batch_size (at least one batch), so the stack holds no more
-    rows than one update's whole epoch. Each batch writes the gradient into
-    one (K, P) buffer laid out like the parameters, which are then updated
-    in place.
+    one indexing per chunk: a lone update's whole epoch, else n // K rows
+    per update, rounded down to a multiple of batch_size (at least one
+    batch), so the stack holds no more rows than one update's whole epoch.
+    The chunks are gathered into buffers made once per call, with the views
+    of every batch and the gradient functions (one per batch length) set
+    up once too. Each batch writes the gradient into one buffer laid out
+    like the parameters, which are then updated in place.
     """
-    n, bs = len(shards[0]), profile.batch_size
+    n, bs, k = len(shards[0]), profile.batch_size, len(shards)
     if any(len(rows) != n for rows in shards):
         raise ValueError("stacked shards must share one length")
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.array(starts, dtype=float)
+    eta = profile.eta
+    w = np.array(starts[0] if k == 1 else starts, dtype=float)
     g = np.empty_like(w)
-    blocks, grads = learner._unpack(w), learner._unpack(g)
-    span = max(bs, n // len(shards) // bs * bs)
+    span = max(bs, n if k == 1 else n // k // bs * bs)
+    chunk = w.shape[:-1] + (min(span, n),)
+    X = np.empty(chunk + data.features.shape[1:])
+    Y = np.empty(chunk + (learner.classes,))
+    eye = np.eye(learner.classes)
+    steps = {m: learner._gradient_fn(w, g, m) for m in {min(bs, n), n % bs} if m}
+    chunks = []
+    for lo in range(0, n, span):
+        size = min(span, n - lo)
+        Xc, Yc = X[..., :size, :], Y[..., :size, :]
+        chunks.append((lo, Xc, Yc, [
+            (Xc[..., b:b + bs, :], Yc[..., b:b + bs, :], steps[min(bs, size - b)])
+            for b in range(0, size, bs)
+        ]))
     for _ in range(profile.local_iters):
         orders = [rng.permutation(n) for rng in rngs]
-        for lo in range(0, n, span):
-            idx = np.stack([rows[order[lo:lo + span]]
-                            for rows, order in zip(shards, orders)])
-            X, Y = data.features[idx], _one_hot(data.labels[idx], learner.classes)
-            for b in range(0, X.shape[1], bs):
-                learner._backprop(blocks, X[:, b:b + bs], Y[:, b:b + bs], grads)
-                g *= profile.eta
+        for lo, Xc, Yc, batches in chunks:
+            idx = shards[0][orders[0]] if k == 1 else np.stack(
+                [rows[order[lo:lo + span]] for rows, order in zip(shards, orders)])
+            data.features.take(idx, axis=0, out=Xc)
+            eye.take(data.labels[idx], axis=0, out=Yc)
+            for Xb, Yb, step in batches:
+                step(Xb, Yb)
+                g *= eta
                 w -= g
-    return w
+    return w.reshape(k, -1)
 
 
 def partition_non_iid(
@@ -262,7 +309,7 @@ def evaluate_accuracy(learner, params: np.ndarray, test_set: LocalDataset) -> fl
     if test_set.size == 0:
         raise ValueError("test set is empty")
     pred = learner.predict(params, test_set.features)
-    return float(np.mean(pred == test_set.labels))
+    return int(np.count_nonzero(pred == test_set.labels)) / test_set.size
 
 
 def generate_synthetic_task(

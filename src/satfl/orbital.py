@@ -228,6 +228,15 @@ def _instants(i, step, end):
     return np.minimum(i * step, end)
 
 
+def _last_index(step_s: float, horizon_s: float) -> int:
+    """The first grid index i with i * step_s >= horizon_s, the last point
+    of the coarse grid; ceil(horizon_s / step_s) can miss it by one either
+    way, as the quotient and the product each round."""
+    i = math.ceil(horizon_s / step_s)
+    i += i * step_s < horizon_s
+    return i - ((i - 1) * step_s >= horizon_s)
+
+
 def _blocks(n_windows: int, n_sats: int) -> list[tuple[int, int]]:
     """(start, stop) of consecutive blocks of windows, each of at most
     _BLOCK_CELLS (satellite, window) cells and at least one window."""
@@ -252,7 +261,7 @@ def _candidate_windows(terms, gs, step_s, horizon_s):
     out a visible instant, and the (satellite, end) visibility at every
     window end (see _instants). Each block of windows (see _blocks)
     evaluates both ends of its windows; the last window may be narrower."""
-    last = int(math.ceil(horizon_s / step_s))
+    last = _last_index(step_s, horizon_s)
     col = terms.take(np.s_[:, None])
     alpha = gs.min_elevation_rad
     lam = np.arccos(EARTH.r_e * math.cos(alpha) / col.r) - alpha + _WINDOW_MARGIN_RAD
@@ -306,7 +315,7 @@ def _changes(terms, gs, step_s, horizon_s):
     the kept windows are evaluated here, a block of windows at a time, with
     the station position computed once per grid point.
     """
-    last = int(math.ceil(horizon_s / step_s))
+    last = _last_index(step_s, horizon_s)
     alpha = gs.min_elevation_rad
     kept, visible = _candidate_windows(terms, gs, step_s, horizon_s)
     sats = [np.flatnonzero(visible[:, 0]), np.flatnonzero(visible[:, -1])]

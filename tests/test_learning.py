@@ -17,7 +17,7 @@ from satfl.learning import (
     partition_non_iid,
 )
 
-from conftest import softmax_loss
+from conftest import reference_softmax, softmax_loss
 
 
 def small_instance(seed, classes=4, dim=3, n=12):
@@ -54,12 +54,10 @@ class _Quadratic:
     def __init__(self, a):
         self.a = a
 
-    def _unpack(self, w):
-        return (w,)
-
-    def _backprop(self, blocks, X, Y, grads):
-        (w,), (g,) = blocks, grads
-        g[...] = 2.0 * (w - self.a)
+    def _gradient_fn(self, w, g, rows):
+        def gradient(X, Y):
+            g[...] = 2.0 * (w - self.a)
+        return gradient
 
 
 class TestLocalSgd:
@@ -112,10 +110,13 @@ class TestLocalSgd:
         assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
 
 
-def _reference_softmax(logits):
-    z = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
+def _reference_logits(learner, params, X):
+    """Logits as the learners computed them, adding the bias to a copy."""
+    if isinstance(learner, LogisticRegressionLearner):
+        W, b = learner._unpack(params)
+        return X @ W.T + b
+    W1, b1, W2, b2 = learner._unpack(params)
+    return np.tanh(X @ W1.T + b1) @ W2.T + b2
 
 
 def _reference_gradient(learner, params, X, y):
@@ -124,13 +125,13 @@ def _reference_gradient(learner, params, X, y):
     n = len(y)
     if isinstance(learner, LogisticRegressionLearner):
         W, b = learner._unpack(params)
-        p = _reference_softmax(X @ W.T + b)
+        p = reference_softmax(X @ W.T + b)
         p[np.arange(n), y] -= 1.0
         p /= n
         return np.concatenate([p.T @ X, p.sum(axis=0)[:, None]], axis=1).ravel()
     W1, b1, W2, b2 = learner._unpack(params)
     a = np.tanh(X @ W1.T + b1)
-    p = _reference_softmax(a @ W2.T + b2)
+    p = reference_softmax(a @ W2.T + b2)
     p[np.arange(n), y] -= 1.0
     p /= n
     da = (p @ W2) * (1.0 - a * a)
@@ -179,6 +180,15 @@ class TestLocalSgdMatchesReference:
              local_iters=3, eta=0.2, seed=2)
     @example(kind="logreg", classes=4, dim=3, hidden=1, k=3, n=10, extra=5, batch_size=11,
              local_iters=2, eta=0.2, seed=3)
+    # a lone update, which trains without the stack axis, with a ragged
+    # last batch; and with one 1-row batch, where np.dot in place of
+    # np.matmul moves the bits
+    @example(kind="logreg", classes=4, dim=3, hidden=1, k=1, n=23, extra=5, batch_size=10,
+             local_iters=2, eta=0.3, seed=4)
+    @example(kind="mlp", classes=4, dim=3, hidden=5, k=1, n=23, extra=5, batch_size=10,
+             local_iters=2, eta=0.3, seed=5)
+    @example(kind="logreg", classes=2, dim=2, hidden=1, k=1, n=1, extra=0, batch_size=1,
+             local_iters=1, eta=1.0, seed=0)
     def test_bitwise_equal(self, kind, classes, dim, hidden, k, n, extra, batch_size,
                            local_iters, eta, seed):
         # every row of a stack of k updates equals that update trained alone
@@ -323,6 +333,21 @@ class TestEvaluationAndTask:
         w = local_sgd(learner, [learner.init_params()], train, [np.arange(train.size)],
                       profile, [0])[0]
         assert evaluate_accuracy(learner, w, train) == pytest.approx(1.0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["logreg", "mlp"]), size=st.integers(1, 3000),
+           seed=st.integers(0, 2**32 - 1))
+    def test_accuracy_is_the_mean_of_hits(self, kind, size, seed):
+        # the predictions are the argmax of the reference logits, and the
+        # count of hits over the size is their mean to the bit
+        rng = np.random.default_rng(seed)
+        learner = make_learner(kind, 3, 2, 4)
+        params = rng.standard_normal(learner.param_dim)
+        test = LocalDataset(rng.standard_normal((size, 2)), rng.integers(0, 3, size))
+        pred = np.argmax(_reference_logits(learner, params, test.features), axis=1)
+        accuracy = evaluate_accuracy(learner, params, test)
+        assert type(accuracy) is float
+        assert accuracy.hex() == float(np.mean(pred == test.labels)).hex()
 
     def test_accuracy_in_unit_interval(self):
         learner = LogisticRegressionLearner(4, 3)

@@ -52,9 +52,10 @@ def clipped_brackets(visible, grid):
 
 
 def coarse_grid(horizon_s, step_s=10.0):
-    """The planner's coarse grid: min(i * step_s, horizon_s)."""
-    return np.minimum(np.arange(int(math.ceil(horizon_s / step_s)) + 1) * step_s,
-                      horizon_s)
+    """The planner's coarse grid: min(i * step_s, horizon_s) for i up to the
+    first i with i * step_s >= horizon_s."""
+    i = np.arange(int(horizon_s / step_s) + 3)
+    return np.minimum(i[:np.argmax(i * step_s >= horizon_s) + 1] * step_s, horizon_s)
 
 
 def window_ends(grid):
@@ -442,6 +443,23 @@ class TestContactPlan:
         mid = 0.5 * (first.rise_s + first.set_s)
         passes = compute_contact_plan([orbit], bremen_gs, mid, 10.0).passes[0]
         assert [(p.rise_s, p.set_s) for p in passes] == [(first.rise_s, mid)]
+
+    @pytest.mark.parametrize("horizon, step", [(13672.600000000002, 0.1),
+                                               (1913062.8, 3.3)])
+    def test_last_grid_point_is_the_horizon(self, bremen_gs, horizon, step):
+        # ceil(horizon / step) * step rounds below the horizon, so the grid
+        # needs one more point to reach it; the satellite is in view at the
+        # horizon, so its last pass is clipped there
+        assert math.ceil(horizon / step) * step < horizon
+        orbit = OrbitSpec(1e9, math.pi / 2, 0.0, math.pi / 2)
+        passes = compute_contact_plan([orbit], bremen_gs, horizon, step).passes[0]
+        assert passes[-1].set_s == horizon
+        if len(passes) == 1:
+            # in view over the whole horizon: priced at the mask range
+            r, alpha = EARTH.r_e + orbit.altitude_m, bremen_gs.min_elevation_rad
+            mask_range = math.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2) \
+                - EARTH.r_e * math.sin(alpha)
+            assert passes == [Pass(0.0, horizon, mask_range)]
 
     def test_gaps_differ_from_orbital_period(self, bremen_gs):
         # Earth rotation makes successive same-satellite revisit gaps uneven

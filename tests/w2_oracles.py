@@ -17,10 +17,10 @@ plan's `tracemalloc` peak from a second, traced plan call (so the timed
 call runs untraced), the process's peak RSS right after `prepare`, and
 each policy's replay wall time apart from the time its oracles take. On a
 2-vCPU machine at one OpenBLAS thread, at seeds 0 and 7, the plan took
-0.17-0.24 s with a traced peak of 3.7 MiB; the replays took 0.69-0.74 s
-under fedsat, 2.2-2.6 s under fedsatschedule and 0.28-0.30 s under
-fedavg_sync; each seed took about 19 s, and the process peaked at 65 MB of
-RSS after `prepare`.
+0.13-0.20 s with a traced peak of 3.7 MiB; the replays took 0.50-0.53 s
+under fedsat, 1.21-1.43 s under fedsatschedule (once 2.11 s) and
+0.14-0.25 s under fedavg_sync; each seed took about 13 s, and the process
+peaked at 65 MB of RSS after `prepare`.
 """
 
 from __future__ import annotations
