@@ -121,9 +121,11 @@ def _timeline(
         for c, cyc in enumerate(cycles):
             if cyc.ul_complete_s is not None:
                 events += ((cyc.dl_complete_s, DL, k, c), (cyc.ul_complete_s, UL, k, c))
-    for i in range(math.floor(horizon_s / eval_period_s) + 1):
-        if i * eval_period_s <= horizon_s:
-            events.append((i * eval_period_s, EVAL, -1, i))
+    # the last i with i * eval_period_s <= horizon_s, whichever way the quotient rounds
+    n = math.floor(horizon_s / eval_period_s)
+    n += (n + 1) * eval_period_s <= horizon_s
+    n -= n * eval_period_s > horizon_s
+    events += ((i * eval_period_s, EVAL, -1, i) for i in range(n + 1))
     events.sort()
     return events
 

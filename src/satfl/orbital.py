@@ -256,29 +256,20 @@ def _slant_range(terms, gs, t):
     return np.sqrt(lx * lx + ly * ly + lz * lz)
 
 
-def _candidate_windows(terms, gs, step_s, horizon_s):
-    """The (satellite, window) mask of the windows whose bound does not rule
-    out a visible instant, and the (satellite, end) visibility at every
-    window end (see _instants). Each block of windows (see _blocks)
-    evaluates both ends of its windows; the last window may be narrower."""
-    last = _last_index(step_s, horizon_s)
-    col = terms.take(np.s_[:, None])
-    alpha = gs.min_elevation_rad
-    lam = np.arccos(EARTH.r_e * math.cos(alpha) / col.r) - alpha + _WINDOW_MARGIN_RAD
-    rate = col.n + EARTH.omega_e
-    kept = np.empty((len(terms.r), -(-last // _WINDOW_STEPS)), dtype=bool)
-    visible = np.empty((len(terms.r), kept.shape[1] + 1), dtype=bool)
-    for start, stop in _blocks(kept.shape[1], len(terms.r)):
-        ends = _instants(np.arange(start, stop + 1), _WINDOW_STEPS, last)
-        t = _instants(ends, step_s, horizon_s)
-        elev = _elevation(*_position(col, t), *_station(gs, t))
-        visible[:, start:stop + 1] = elev >= alpha
-        # the central angle between the satellite and station directions, from
-        # the triangle of the Earth's center, the station and the satellite
-        theta = np.arccos(EARTH.r_e * np.cos(elev) / col.r) - elev
-        floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate * np.diff(t))
-        kept[:, start:stop] = floor <= lam
-    return kept, visible
+def _window_bound(col_terms, gs, t_ends):
+    """For satellites col_terms (orbit terms as a column) at the window ends
+    t_ends of one block: the (satellite, end) visibility, and the (satellite,
+    window) mask of the windows between consecutive ends whose bound does
+    not rule out a visible instant (see compute_contact_plan)."""
+    alpha, r = gs.min_elevation_rad, col_terms.r
+    lam = np.arccos(EARTH.r_e * math.cos(alpha) / r) - alpha + _WINDOW_MARGIN_RAD
+    elev = _elevation(*_position(col_terms, t_ends), *_station(gs, t_ends))
+    # the central angle between the satellite and station directions, from
+    # the triangle of the Earth's center, the station and the satellite
+    theta = np.arccos(EARTH.r_e * np.cos(elev) / r) - elev
+    rate = col_terms.n + EARTH.omega_e
+    floor = 0.5 * (theta[:, :-1] + theta[:, 1:] - rate * np.diff(t_ends))
+    return elev >= alpha, floor <= lam
 
 
 def _refine_crossings(terms, gs, t_lo, t_hi):
@@ -308,31 +299,36 @@ def _changes(terms, gs, step_s, horizon_s):
     held to the grid, so the changes from the off-time before t=0 and to
     the one after the last grid point get zero-width brackets.
 
-    Only the windows kept by _candidate_windows are scanned, and every
-    change lies in one: a skipped window holds no visible instant, and a
-    visible window end lies between kept windows (see compute_contact_plan).
-    The ends come from the window bound's evaluation; the inner points of
-    the kept windows are evaluated here, a block of windows at a time, with
-    the station position computed once per grid point.
+    Each block of windows (see _blocks) is bounded by _window_bound at its
+    window ends (see _instants; the last window may be narrower), and only
+    its kept windows are scanned: a skipped window holds no visible
+    instant, and a visible window end lies between kept windows (see
+    compute_contact_plan). The inner points of the kept windows are
+    evaluated with the station position computed once per grid point.
     """
     last = _last_index(step_s, horizon_s)
-    alpha = gs.min_elevation_rad
-    kept, visible = _candidate_windows(terms, gs, step_s, horizon_s)
-    sats = [np.flatnonzero(visible[:, 0]), np.flatnonzero(visible[:, -1])]
-    cols = [np.zeros(len(sats[0]), dtype=int), np.full(len(sats[1]), last + 1)]
+    n_windows = -(-last // _WINDOW_STEPS)
+    col_terms = terms.take(np.s_[:, None])
+    sats, cols = [], []
     steps = np.arange(1, _WINDOW_STEPS)
-    for start, stop in _blocks(kept.shape[1], len(terms.r)):
-        s, k = np.nonzero(kept[:, start:stop])
-        w = start + k
+    for start, stop in _blocks(n_windows, len(terms.r)):
         ends = _instants(np.arange(start, stop + 1), _WINDOW_STEPS, last)
+        visible, kept = _window_bound(col_terms, gs, _instants(ends, step_s, horizon_s))
+        if start == 0:
+            sats.append(np.flatnonzero(visible[:, 0]))
+            cols.append(np.zeros(len(sats[-1]), dtype=int))
+        if stop == n_windows:
+            sats.append(np.flatnonzero(visible[:, -1]))
+            cols.append(np.full(len(sats[-1]), last + 1))
+        s, k = np.nonzero(kept)
         inner = ends[:-1, None] + steps
         t = _instants(inner, step_s, horizon_s)
         gx, gy, gz = _station(gs, t)
         elev = _elevation(*_position(terms.take(s[:, None]), t[k]), gx[k], gy[k], gz)
         # each window's points in order; the end stands in for the inner
         # points a last window narrower than _WINDOW_STEPS does not have
-        left, right = visible[s, w][:, None], visible[s, w + 1][:, None]
-        scan = np.where(inner[k] < ends[k + 1, None], elev >= alpha, right)
+        left, right = visible[s, k][:, None], visible[s, k + 1][:, None]
+        scan = np.where(inner[k] < ends[k + 1, None], elev >= gs.min_elevation_rad, right)
         i, j = np.nonzero(np.diff(np.hstack((left, scan, right)), axis=1))
         sats.append(s[i])
         cols.append(ends[k[i]] + j + 1)
@@ -385,9 +381,9 @@ def compute_contact_plan(
 
     No grid is built: grid points and window ends are read off their
     indices through _instants. The bound and the scan go through the
-    windows in blocks of at most _BLOCK_CELLS (satellite, window) cells, and
-    what lives across blocks is two bytes per (satellite, window), the kept
-    mask and the end visibility, besides the passes.
+    windows once, in blocks of at most _BLOCK_CELLS (satellite, window)
+    cells, so the plan keeps one block at a time besides the changes found
+    and the passes.
     """
     if coarse_step_s <= 0 or coarse_step_s > 10.0:
         raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")

@@ -23,7 +23,7 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # grid bounds: `satfl plan` on one or ten bundled orbits peaks at about
-# 55 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
+# 50 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
 # 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds: `satfl run`
 # on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
 # MAX_TASK_POINTS task matrix entries or MAX_MODEL_POINTS satellite

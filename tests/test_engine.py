@@ -4,6 +4,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from satfl import bundled_scenario_path, engine, load_scenario
 from satfl.engine import compare_runs, run_simulation
@@ -389,6 +391,43 @@ class TestTimeline:
             (900.0, engine.UL, 1, 0),
             (1200.0, engine.EVAL, -1, 2),
         ]
+
+    @staticmethod
+    def eval_instants(horizon_s, eval_period_s):
+        timeline = engine._timeline(TransmissionSchedule([]), horizon_s, eval_period_s)
+        assert [e[3] for e in timeline] == list(range(len(timeline)))
+        return [e[0] for e in timeline]
+
+    @pytest.mark.parametrize("horizon_s, eval_period_s, count", [
+        (256.2, 36.6, 8), (16.5, 1.1, 16), (4.3, 0.1, 44),
+    ])
+    def test_grid_keeps_an_instant_the_quotient_rounds_below(
+            self, horizon_s, eval_period_s, count):
+        # horizon_s / eval_period_s rounds just below the count - 1 periods
+        # whose product is exactly the horizon
+        assert horizon_s / eval_period_s < count - 1
+        assert (count - 1) * eval_period_s == horizon_s
+        instants = self.eval_instants(horizon_s, eval_period_s)
+        assert len(instants) == count and instants[-1] == horizon_s
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        period=st.floats(1e-3, 1e3),
+        periods=st.integers(0, 3000),
+        ulps=st.integers(-3, 3),
+    )
+    # the quotient rounds up to 2095 periods, which overshoot the horizon
+    @example(period=40.48533769639936, periods=2095, ulps=-1)
+    def test_grid_is_every_multiple_within_the_horizon(self, period, periods, ulps):
+        # horizons at and a few ulps around a whole number of periods, where
+        # the quotient's rounding decides the last instant
+        horizon = float(periods * period)
+        for _ in range(abs(ulps)):
+            horizon = np.nextafter(horizon, np.inf if ulps > 0 else 0.0)
+        horizon = float(horizon) if horizon > 0.0 else period
+        expected = [i * period for i in range(int(horizon / period) + 3)
+                    if i * period <= horizon]
+        assert self.eval_instants(horizon, period) == expected
 
 
 class TestConcurrencyCap:

@@ -161,6 +161,15 @@ def reference_max_distances(plan, orbits, gs, horizon_s):
     return dists
 
 
+def window_bound_at_every_end(orbits, gs, step_s, horizon_s):
+    """orbital._window_bound over the whole horizon in one call: the
+    (satellite, end) visibility at every window end of the reference grid
+    (see window_ends) and the (satellite, window) mask of kept windows."""
+    grid = coarse_grid(horizon_s, step_s)
+    col_terms = orbital._constellation_terms(orbits).take(np.s_[:, None])
+    return orbital._window_bound(col_terms, gs, grid[window_ends(grid)])
+
+
 def unkept_visible_ends(kept, visible):
     """(satellite, end) of every visible window end beside a window that the
     bound rules out."""
@@ -529,11 +538,11 @@ class TestWindowedScan:
         # every window the bound skips is below the mask on a 1 s grid,
         # not only at its coarse grid points
         grid = coarse_grid(horizon)
-        terms = orbital._constellation_terms(orbits)
-        kept, visible = orbital._candidate_windows(terms, gs, 10.0, horizon)
+        visible, kept = window_bound_at_every_end(orbits, gs, 10.0, horizon)
         ends = window_ends(grid)
-        assert kept.shape == (len(terms.r), len(ends) - 1)
-        assert visible.shape == (len(terms.r), len(ends))
+        n_sats = sum(o.satellite_count for o in orbits)
+        assert kept.shape == (n_sats, len(ends) - 1)
+        assert visible.shape == (n_sats, len(ends))
         for k, (orbit, j) in enumerate(flatten_constellation(orbits)):
             assert np.array_equal(visible[k], reference_elevation(
                 orbit, j, gs, grid[ends]) >= gs.min_elevation_rad)
@@ -562,8 +571,8 @@ class TestWindowedScan:
         # the scan reads changes off kept windows only; that is complete
         # because every visible window end has a kept window on each side,
         # for grazing masks, far orbits, fine steps and narrow last windows
-        kept, visible = orbital._candidate_windows(
-            orbital._constellation_terms(orbits), gs, step, step * (cells - 1 + last))
+        visible, kept = window_bound_at_every_end(orbits, gs, step,
+                                                  step * (cells - 1 + last))
         assert unkept_visible_ends(kept, visible).size == 0
 
     # at t=0 at the zenith of the bremen station: inclined at the station's
@@ -580,13 +589,15 @@ class TestWindowedScan:
         (OrbitSpec(500e3, 0.0), 86400.0, "never visible"),
         (ZENITH_AT_0, 55.0, "a horizon shorter than one window"),
     ], ids=lambda v: v if isinstance(v, str) else "")
+    # one window per block puts t=0 and the horizon in different blocks
+    @pytest.mark.parametrize("block_cells", [orbital._BLOCK_CELLS, 1],
+                             ids=["default blocks", "one window per block"])
     def test_run_boundaries_equal_full_grid_planner(self, bremen_gs, orbit, horizon,
-                                                    case):
+                                                    case, block_cells, monkeypatch):
         grid = coarse_grid(horizon)
         ends = window_ends(grid)
-        kept, _ = orbital._candidate_windows(
-            orbital._constellation_terms([orbit]), bremen_gs, 10.0, horizon)
-        kept = kept[0]
+        kept = window_bound_at_every_end([orbit], bremen_gs, 10.0, horizon)[1][0]
+        monkeypatch.setattr(orbital, "_BLOCK_CELLS", block_cells)
         plan = compute_contact_plan([orbit], bremen_gs, horizon)
         passes = [(p.rise_s, p.set_s) for p in plan.passes[0]]
         narrow = ends[-1] - ends[-2] < orbital._WINDOW_STEPS
@@ -618,8 +629,8 @@ class TestWindowedScan:
         assert sum(default.pass_counts()) > 150
 
     def test_plan_memory_follows_windows_not_steps(self, bremen_scenario):
-        # one 500 km orbit over 1e8 s, 1e7 grid steps: the plan keeps two
-        # bytes per window, its passes and one block of the scan at a time
+        # one 500 km orbit over 1e8 s, 1e7 grid steps: the plan keeps its
+        # passes and one block of windows at a time
         orbit, gs = bremen_scenario.orbit_specs()[0], bremen_scenario.ground_station()
         tracemalloc.start()
         try:

@@ -15,12 +15,12 @@ The seed sets both the shell's phase offset and the scenario seed. pytest
 does not collect this script. It prints the contact plan's wall time, the
 plan's `tracemalloc` peak from a second, traced plan call (so the timed
 call runs untraced), the process's peak RSS right after `prepare`, and
-each policy's replay wall time apart from the time its oracles take. On a
-2-vCPU machine at one OpenBLAS thread, at seeds 0 and 7, the plan took
-0.13-0.20 s with a traced peak of 3.7 MiB; the replays took 0.50-0.53 s
-under fedsat, 1.21-1.43 s under fedsatschedule (once 2.11 s) and
-0.14-0.25 s under fedavg_sync; each seed took about 13 s, and the process
-peaked at 65 MB of RSS after `prepare`.
+each policy's replay wall time apart from the time its oracles take; it
+fails if the traced peak reaches 8 MiB. On a 2-vCPU machine at one
+OpenBLAS thread, at seeds 0 and 7, the plan took 0.16 s with a traced peak
+of 3.6 MiB; the replays took 0.57-0.64 s under fedsat, 1.66-1.81 s under
+fedsatschedule and 0.20-0.22 s under fedavg_sync; each seed took 16-17 s
+(once 26 s), and the process peaked at 65 MB of RSS after `prepare`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,13 @@ import tracemalloc
 import numpy as np
 import yaml
 
-from satfl import bundled_scenario_path, orbital
+from satfl import bundled_scenario_path
 from satfl.engine import prepare, replay
 from satfl.orbital import compute_contact_plan
 from satfl.scenario import Scenario, scenario_from_dict
 
-from test_orbital import reference_contact_plan, reference_max_distances, unkept_visible_ends
+from test_orbital import (reference_contact_plan, reference_max_distances,
+                          unkept_visible_ends, window_bound_at_every_end)
 from test_properties import POLICIES, check_run, reference_replay, reference_schedule
 
 
@@ -83,12 +84,15 @@ def main(argv=None) -> int:
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"seed {seed}: contact plan in {plan_s:.2f} s, traced peak "
           f"{plan_peak_mib:.1f} MiB; peak RSS after prepare {peak_mb:.0f} MB", flush=True)
+    # the plan keeps one block of windows at a time besides its changes and
+    # passes; a (satellite, grid point) mask alone would take 11.5 MiB here
+    assert plan_peak_mib < 8, f"plan traced peak {plan_peak_mib:.1f} MiB"
     expected = reference_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
     assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
     assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
         reference_max_distances(expected, orbits, gs, scenario.horizon_s))
-    kept, visible = orbital._candidate_windows(
-        orbital._constellation_terms(orbits), gs, scenario.coarse_step_s, scenario.horizon_s)
+    visible, kept = window_bound_at_every_end(orbits, gs, scenario.coarse_step_s,
+                                              scenario.horizon_s)
     assert unkept_visible_ends(kept, visible).size == 0
     print(f"seed {seed}: plan of {sum(map(len, plan.passes))} passes equals the "
           f"full-grid planner, and its {int(visible.sum())} visible window ends lie "
