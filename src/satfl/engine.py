@@ -156,21 +156,23 @@ def _replay(prep, policy, params, timeline):
         cycles with an upload are downloaded): their starts are fixed, so
         one local_sgd stack per shard length gives each the bits it would
         get alone. Each update is stored as its own array, so that a kept
-        update (prev_upload) does not pin its whole stack."""
+        update (prev_upload) does not pin its whole stack: a lone update's
+        (1, P) result is its own copy, and a stack's rows are copied."""
         if key not in trained:
             by_length: dict[int, list[tuple[int, int]]] = {}
             for c in pending:
                 by_length.setdefault(len(shards[c[0]]), []).append(c)
             pending.clear()
             for keys in by_length.values():
-                trained.update(zip(keys, map(np.copy, local_sgd(
+                updates = local_sgd(
                     learner,
                     [started[c][0] for c in keys],
                     prep.train,
                     [shards[k] for k, _ in keys],
                     profile,
                     [np.random.SeedSequence([prep.scenario.seed, k, c]) for k, c in keys],
-                ))))
+                )
+                trained.update(zip(keys, updates if len(keys) == 1 else map(np.copy, updates)))
         return trained.pop(key), started.pop(key)
 
     for t, kind, k, c in timeline:

@@ -54,14 +54,20 @@ def _scratch(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return np.empty(w.shape[:-1] + (rows, cols))
 
 
-def _softmax(z: np.ndarray, s: np.ndarray) -> None:
-    """Softmax over the last axis of z, in place; s is scratch shaped like z
-    with a last axis of 1."""
-    np.maximum.reduce(z, axis=-1, keepdims=True, out=s)
-    z -= s
-    np.exp(z, z)
-    np.add.reduce(z, axis=-1, keepdims=True, out=s)
-    z /= s
+def _softmax_fn(z: np.ndarray, s: np.ndarray):
+    """A function of no arguments that takes the softmax over the last axis
+    of z in place; s is scratch shaped like z with a last axis of 1."""
+    s0 = s[..., 0]
+    maximum, add, subtract, exp, divide = (
+        np.maximum.reduce, np.add.reduce, np.subtract, np.exp, np.divide)
+
+    def softmax():
+        maximum(z, -1, None, s0)
+        subtract(z, s, z)
+        exp(z, z)
+        add(z, -1, None, s0)
+        divide(z, s, z)
+    return softmax
 
 
 class _SoftmaxLearner:
@@ -71,13 +77,28 @@ class _SoftmaxLearner:
     `rows` rows with one-hot labels Y that writes into g, laid out like w,
     the mean cross-entropy gradient at w over the batch. The function
     closes over its scratch buffers and over the views of w and g, so it
-    sees every in-place update of w; it passes each ufunc its output
-    positionally, since numpy parses a keyword `out` more slowly and these
-    calls are the whole per-batch cost of local SGD.
+    sees every in-place update of w.
+
+    These calls are the whole per-batch cost of local SGD, so each is made
+    at numpy's per-call floor: ufuncs are bound as closure locals, every
+    output is passed positionally (numpy parses a keyword `out` more
+    slowly), a reduction writes into a flat view of its output rather than
+    taking keepdims, and every scalar operand is a 0-d float64 array made
+    once, which numpy takes faster than a Python number and with the same
+    bits.
 
     Both work on a leading stack axis or none: parameters (..., P) unpack
     to blocks (..., rows, cols), with biases as (..., 1, c) views, and X
-    (..., n, d) and Y (..., n, c) hold one batch per stacked model."""
+    (..., n, d) and Y (..., n, c) hold one batch per stacked model.
+
+    A learner keeps the workspaces of its lone local_sgd updates in
+    `_workspaces` (see local_sgd), so it is not to be shared between
+    threads that train at once."""
+
+    def __init__(self, classes: int, feature_dim: int):
+        self.classes = classes
+        self.feature_dim = feature_dim
+        self._workspaces = {}
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
         g = np.empty_like(params, dtype=float)
@@ -90,10 +111,6 @@ class _SoftmaxLearner:
 
 class LogisticRegressionLearner(_SoftmaxLearner):
     """Multinomial logistic regression with bias, cross-entropy loss."""
-
-    def __init__(self, classes: int, feature_dim: int):
-        self.classes = classes
-        self.feature_dim = feature_dim
 
     @property
     def param_dim(self) -> int:
@@ -114,18 +131,21 @@ class LogisticRegressionLearner(_SoftmaxLearner):
 
     def _gradient_fn(self, w, g, rows):
         (W, b), (gW, gb) = self._unpack(w), self._unpack(g)
-        WT = W.mT
+        WT, gb0 = W.mT, gb[..., 0, :]
         p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
-        pT = p.mT
+        pT, n = p.mT, np.array(rows, dtype=float)
+        softmax = _softmax_fn(p, s)
+        matmul, add, subtract, divide, add_reduce = (
+            np.matmul, np.add, np.subtract, np.divide, np.add.reduce)
 
         def gradient(X, Y):
-            np.matmul(X, WT, p)
-            np.add(p, b, p)
-            _softmax(p, s)
-            np.subtract(p, Y, p)
-            np.divide(p, rows, p)
-            np.matmul(pT, X, gW)
-            np.add.reduce(p, axis=-2, keepdims=True, out=gb)
+            matmul(X, WT, p)
+            add(p, b, p)
+            softmax()
+            subtract(p, Y, p)
+            divide(p, n, p)
+            matmul(pT, X, gW)
+            add_reduce(p, -2, None, gb0)
         return gradient
 
 
@@ -133,8 +153,7 @@ class MLPLearner(_SoftmaxLearner):
     """One-hidden-layer tanh network with softmax output."""
 
     def __init__(self, classes: int, feature_dim: int, hidden: int = 16):
-        self.classes = classes
-        self.feature_dim = feature_dim
+        super().__init__(classes, feature_dim)
         self.hidden = hidden
 
     @property
@@ -167,28 +186,32 @@ class MLPLearner(_SoftmaxLearner):
 
     def _gradient_fn(self, w, g, rows):
         (W1, b1, W2, b2), (gW1, gb1, gW2, gb2) = self._unpack(w), self._unpack(g)
-        W1T, W2T = W1.mT, W2.mT
+        W1T, W2T, gb1_0, gb2_0 = W1.mT, W2.mT, gb1[..., 0, :], gb2[..., 0, :]
         a, da, t = (_scratch(w, rows, self.hidden) for _ in range(3))
         p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
         daT, pT = da.mT, p.mT
+        n, one = np.array(rows, dtype=float), np.array(1.0)
+        softmax = _softmax_fn(p, s)
+        matmul, add, subtract, multiply, divide, tanh, add_reduce = (
+            np.matmul, np.add, np.subtract, np.multiply, np.divide, np.tanh, np.add.reduce)
 
         def gradient(X, Y):
-            np.matmul(X, W1T, a)
-            np.add(a, b1, a)
-            np.tanh(a, a)
-            np.matmul(a, W2T, p)
-            np.add(p, b2, p)
-            _softmax(p, s)
-            np.subtract(p, Y, p)
-            np.divide(p, rows, p)
-            np.matmul(p, W2, da)
-            np.multiply(a, a, t)
-            np.subtract(1.0, t, t)
-            np.multiply(da, t, da)
-            np.matmul(daT, X, gW1)
-            np.add.reduce(da, axis=-2, keepdims=True, out=gb1)
-            np.matmul(pT, a, gW2)
-            np.add.reduce(p, axis=-2, keepdims=True, out=gb2)
+            matmul(X, W1T, a)
+            add(a, b1, a)
+            tanh(a, a)
+            matmul(a, W2T, p)
+            add(p, b2, p)
+            softmax()
+            subtract(p, Y, p)
+            divide(p, n, p)
+            matmul(p, W2, da)
+            multiply(a, a, t)
+            subtract(one, t, t)
+            multiply(da, t, da)
+            matmul(daT, X, gW1)
+            add_reduce(da, -2, None, gb1_0)
+            matmul(pT, a, gW2)
+            add_reduce(p, -2, None, gb2_0)
         return gradient
 
 
@@ -201,6 +224,32 @@ def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
     if kind == "mlp":
         return MLPLearner(classes, feature_dim, hidden)
     raise ValueError(f"unknown learner kind: {kind!r}")
+
+
+def _workspace(learner, starts, n, bs, row_shape):
+    """What a stack of updates from starts trains in on shards of n rows of
+    shape row_shape in batches of bs: the parameters w, (K, P), or (P,) for
+    a lone update, set to the starts; the gradient buffer g laid out like w;
+    np.eye(classes); the chunk span; and each chunk's first row, its
+    buffers and every batch's views with the gradient function of the
+    batch's length (see local_sgd)."""
+    k = len(starts)
+    w = np.array(starts[0] if k == 1 else starts, dtype=float)
+    g = np.empty_like(w)
+    span = max(bs, n if k == 1 else n // k // bs * bs)
+    chunk = w.shape[:-1] + (min(span, n),)
+    X = np.empty(chunk + row_shape)
+    Y = np.empty(chunk + (learner.classes,))
+    steps = {m: learner._gradient_fn(w, g, m) for m in {min(bs, n), n % bs} if m}
+    chunks = []
+    for lo in range(0, n, span):
+        size = min(span, n - lo)
+        Xc, Yc = X[..., :size, :], Y[..., :size, :]
+        chunks.append((lo, Xc, Yc, [
+            (Xc[..., b:b + bs, :], Yc[..., b:b + bs, :], steps[min(bs, size - b)])
+            for b in range(0, size, bs)
+        ]))
+    return w, g, np.eye(learner.classes), span, chunks
 
 
 def local_sgd(
@@ -225,44 +274,47 @@ def local_sgd(
     one indexing per chunk: a lone update's whole epoch, else n // K rows
     per update, rounded down to a multiple of batch_size (at least one
     batch), so the stack holds no more rows than one update's whole epoch.
-    The chunks are gathered into buffers made once per call, with the views
-    of every batch and the gradient functions (one per batch length) set
-    up once too. Each batch writes the gradient into one buffer laid out
-    like the parameters, which are then updated in place.
+    Each batch writes the gradient into one buffer laid out like the
+    parameters, which are then updated in place, with eta as a 0-d array.
+
+    The parameters, the gradient, the chunk buffers and the views of every
+    batch with its gradient function (one per batch length) form the
+    workspace, set up before the first epoch. A stack builds its own and
+    returns its parameters. A lone update trains in a workspace the
+    learner keeps in its `_workspaces` dict, one per (shard length,
+    batch_size, row shape), for as long as the learner lives: each call
+    copies its start into the workspace's parameters and returns a copy
+    of them, so no result aliases the workspace. Each kept workspace holds
+    one more copy of a shard's rows and their one-hot labels.
     """
     n, bs, k = len(shards[0]), profile.batch_size, len(shards)
     if any(len(rows) != n for rows in shards):
         raise ValueError("stacked shards must share one length")
+    row_shape = data.features.shape[1:]
+    # a stack's workspace lives for the call, a lone update's in the learner
+    workspaces = learner._workspaces if k == 1 else {}
+    key = (n, bs, row_shape)
+    workspace = workspaces.get(key)
+    if workspace is None:
+        workspace = workspaces[key] = _workspace(learner, starts, n, bs, row_shape)
+    else:
+        workspace[0][...] = starts[0]
+    w, g, eye, span, chunks = workspace
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    eta = profile.eta
-    w = np.array(starts[0] if k == 1 else starts, dtype=float)
-    g = np.empty_like(w)
-    span = max(bs, n if k == 1 else n // k // bs * bs)
-    chunk = w.shape[:-1] + (min(span, n),)
-    X = np.empty(chunk + data.features.shape[1:])
-    Y = np.empty(chunk + (learner.classes,))
-    eye = np.eye(learner.classes)
-    steps = {m: learner._gradient_fn(w, g, m) for m in {min(bs, n), n % bs} if m}
-    chunks = []
-    for lo in range(0, n, span):
-        size = min(span, n - lo)
-        Xc, Yc = X[..., :size, :], Y[..., :size, :]
-        chunks.append((lo, Xc, Yc, [
-            (Xc[..., b:b + bs, :], Yc[..., b:b + bs, :], steps[min(bs, size - b)])
-            for b in range(0, size, bs)
-        ]))
+    eta = np.array(profile.eta, dtype=float)
+    features, labels, multiply, subtract = data.features, data.labels, np.multiply, np.subtract
     for _ in range(profile.local_iters):
         orders = [rng.permutation(n) for rng in rngs]
         for lo, Xc, Yc, batches in chunks:
             idx = shards[0][orders[0]] if k == 1 else np.stack(
                 [rows[order[lo:lo + span]] for rows, order in zip(shards, orders)])
-            data.features.take(idx, axis=0, out=Xc)
-            eye.take(data.labels[idx], axis=0, out=Yc)
+            features.take(idx, 0, Xc)
+            eye.take(labels[idx], 0, Yc)
             for Xb, Yb, step in batches:
                 step(Xb, Yb)
-                g *= eta
-                w -= g
-    return w.reshape(k, -1)
+                multiply(g, eta, g)
+                subtract(w, g, w)
+    return w[None].copy() if k == 1 else w
 
 
 def partition_non_iid(

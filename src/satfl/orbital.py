@@ -304,7 +304,8 @@ def _changes(terms, gs, step_s, horizon_s):
     its kept windows are scanned: a skipped window holds no visible
     instant, and a visible window end lies between kept windows (see
     compute_contact_plan). The inner points of the kept windows are
-    evaluated with the station position computed once per grid point.
+    evaluated with the station position computed once per grid point, and
+    only at the windows some satellite keeps.
     """
     last = _last_index(step_s, horizon_s)
     n_windows = -(-last // _WINDOW_STEPS)
@@ -321,14 +322,17 @@ def _changes(terms, gs, step_s, horizon_s):
             sats.append(np.flatnonzero(visible[:, -1]))
             cols.append(np.full(len(sats[-1]), last + 1))
         s, k = np.nonzero(kept)
-        inner = ends[:-1, None] + steps
+        # the windows some satellite keeps, and each kept cell's place among them
+        used = kept.any(axis=0)
+        at = np.cumsum(used)[k] - 1
+        inner = ends[np.flatnonzero(used), None] + steps
         t = _instants(inner, step_s, horizon_s)
         gx, gy, gz = _station(gs, t)
-        elev = _elevation(*_position(terms.take(s[:, None]), t[k]), gx[k], gy[k], gz)
+        elev = _elevation(*_position(terms.take(s[:, None]), t[at]), gx[at], gy[at], gz)
         # each window's points in order; the end stands in for the inner
         # points a last window narrower than _WINDOW_STEPS does not have
         left, right = visible[s, k][:, None], visible[s, k + 1][:, None]
-        scan = np.where(inner[k] < ends[k + 1, None], elev >= gs.min_elevation_rad, right)
+        scan = np.where(inner[at] < ends[k + 1, None], elev >= gs.min_elevation_rad, right)
         i, j = np.nonzero(np.diff(np.hstack((left, scan, right)), axis=1))
         sats.append(s[i])
         cols.append(ends[k[i]] + j + 1)

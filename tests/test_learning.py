@@ -53,6 +53,7 @@ class _Quadratic:
 
     def __init__(self, a):
         self.a = a
+        self._workspaces = {}
 
     def _gradient_fn(self, w, g, rows):
         def gradient(X, Y):
@@ -214,6 +215,48 @@ class TestLocalSgdMatchesReference:
             alone = _reference_sgd(learner, starts[i], data, shards[i], profile,
                                    np.random.SeedSequence([seed, i]))
             assert np.array_equal(stacked[i], alone), i
+
+
+class TestLocalSgdWorkspaceReuse:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["logreg", "mlp"]),
+        batch_size=st.integers(2, 8),
+        batches=st.integers(0, 4),
+        ragged=st.integers(0, 6),
+        calls=st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)), min_size=2,
+                       max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(kind="logreg", batch_size=4, batches=2, ragged=2,
+             calls=[(1, 2), (3, 1), (1, 1), (2, 2), (1, 3)], seed=0)
+    @example(kind="mlp", batch_size=3, batches=1, ragged=0,
+             calls=[(1, 1), (1, 3), (2, 1), (1, 2)], seed=1)
+    def test_interleaved_calls_equal_the_reference(self, kind, batch_size, batches, ragged,
+                                                   calls, seed):
+        # one learner takes lone calls, which reuse its workspace, and
+        # stacked calls (k, local_iters) in turn, from new starts, seeds and
+        # shards of one length with a ragged last batch; every result equals
+        # the per-batch reference, and still does after every later call
+        rng = np.random.default_rng(seed)
+        learner = make_learner(kind, 3, 2, 4)
+        n = batches * batch_size + 1 + ragged % (batch_size - 1)
+        size = 2 * n
+        data = LocalDataset(rng.standard_normal((size, 2)), rng.integers(0, 3, size))
+        results = []
+        for c, (k, local_iters) in enumerate(calls):
+            profile = ComputeProfile(eta=0.3, batch_size=batch_size, local_iters=local_iters)
+            shards = [np.sort(rng.choice(size, n, replace=False)) for _ in range(k)]
+            starts = rng.standard_normal((k, learner.param_dim))
+            out = local_sgd(learner, list(starts), data, shards, profile,
+                            [np.random.SeedSequence([seed, c, i]) for i in range(k)])
+            results += [(out[i], _reference_sgd(learner, starts[i], data, shards[i], profile,
+                                                np.random.SeedSequence([seed, c, i])))
+                        for i in range(k)]
+            for got, expected in results:
+                assert np.array_equal(got, expected)
+        assert n % batch_size
+        assert len(learner._workspaces) == any(k == 1 for k, _ in calls)
 
 
 class TestGradients:

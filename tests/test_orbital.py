@@ -628,6 +628,27 @@ class TestWindowedScan:
         assert compute_contact_plan(orbits, gs, horizon) == default
         assert sum(default.pass_counts()) > 150
 
+    @pytest.mark.parametrize("sats, horizon", [(1, 1e7), (10, 3 * 86400.0)],
+                             ids=["one orbit over 1e7 s", "ten orbits over 3 days"])
+    def test_station_is_evaluated_at_kept_windows_only(self, bremen_scenario, monkeypatch,
+                                                      sats, horizon):
+        # the scan evaluates the station at the inner points of each window
+        # that some satellite keeps, and at no other inner point; its calls
+        # are the 2-D (window, inner point) ones, the bound's are 1-D
+        orbits, gs = bremen_scenario.orbit_specs()[:sats], bremen_scenario.ground_station()
+        _, kept = window_bound_at_every_end(orbits, gs, 10.0, horizon)
+        used = int(kept.any(axis=0).sum())
+        assert 0 < used < kept.shape[1] // 2
+        points, station = [], orbital._station
+
+        def counted(gs, t):
+            if np.ndim(t) == 2:
+                points.append(np.size(t))
+            return station(gs, t)
+        monkeypatch.setattr(orbital, "_station", counted)
+        compute_contact_plan(orbits, gs, horizon)
+        assert sum(points) == (orbital._WINDOW_STEPS - 1) * used
+
     def test_plan_memory_follows_windows_not_steps(self, bremen_scenario):
         # one 500 km orbit over 1e8 s, 1e7 grid steps: the plan keeps its
         # passes and one block of windows at a time
