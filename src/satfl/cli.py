@@ -84,8 +84,9 @@ def cmd_run(args) -> int:
     if scenario.policy != "fedavg_sync":  # the sync schedule is not exported yet
         exports.write_schedule_csv(result.schedule, out / "schedule.csv")
     exports.write_metrics_csv(result, out / "metrics.csv")
-    exports.write_run_summary(result, out / "summary.txt")
-    for line in exports.run_summary_lines(result):
+    lines = exports.run_summary_lines(result)
+    exports.write_run_summary(lines, out / "summary.txt")
+    for line in lines:
         print(line)
     return 0
 

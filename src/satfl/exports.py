@@ -70,9 +70,10 @@ def run_summary_lines(result: SimResult) -> list[str]:
     return lines
 
 
-def write_run_summary(result: SimResult, path) -> None:
+def write_run_summary(lines: list[str], path) -> None:
+    """Write the lines of run_summary_lines, one per line."""
     with open(path, "w") as fh:
-        fh.write("\n".join(run_summary_lines(result)) + "\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_comparison_csv(table: list[dict], path) -> None:

@@ -88,12 +88,17 @@ class _SoftmaxLearner:
     bits.
 
     Both work on a leading stack axis or none: parameters (..., P) unpack
-    to blocks (..., rows, cols), with biases as (..., 1, c) views, and X
-    (..., n, d) and Y (..., n, c) hold one batch per stacked model.
+    to blocks (..., rows, cols), and X (..., n, d) and Y (..., n, c) hold
+    one batch per stacked model. A learner whose `bias_column` is set
+    trains on rows that end in a constant 1, X (..., n, d + 1), so that
+    its bias rides in the matmuls; `gradient` appends that column, and
+    local_sgd keeps it in its buffers.
 
     A learner keeps the workspaces of its lone local_sgd updates in
     `_workspaces` (see local_sgd), so it is not to be shared between
     threads that train at once."""
+
+    bias_column = False
 
     def __init__(self, classes: int, feature_dim: int):
         self.classes = classes
@@ -101,7 +106,9 @@ class _SoftmaxLearner:
         self._workspaces = {}
 
     def gradient(self, params: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        g = np.empty_like(params, dtype=float)
+        if self.bias_column:
+            X = np.concatenate([X, np.ones(X.shape[:-1] + (1,))], -1)
+        g = np.empty(np.shape(params))
         self._gradient_fn(params, g, X.shape[-2])(X, np.eye(self.classes)[y])
         return g
 
@@ -110,7 +117,12 @@ class _SoftmaxLearner:
 
 
 class LogisticRegressionLearner(_SoftmaxLearner):
-    """Multinomial logistic regression with bias, cross-entropy loss."""
+    """Multinomial logistic regression with bias, cross-entropy loss.
+
+    The parameters are the rows (w_c, b_c) of a (c, d + 1) matrix, so on
+    rows (x, 1) one matmul gives the logits and one the whole gradient."""
+
+    bias_column = True
 
     @property
     def param_dim(self) -> int:
@@ -130,22 +142,19 @@ class LogisticRegressionLearner(_SoftmaxLearner):
         return z
 
     def _gradient_fn(self, w, g, rows):
-        (W, b), (gW, gb) = self._unpack(w), self._unpack(g)
-        WT, gb0 = W.mT, gb[..., 0, :]
+        shape = w.shape[:-1] + (self.classes, self.feature_dim + 1)
+        wbT, gwb = w.reshape(shape).mT, g.reshape(shape)
         p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
         pT, n = p.mT, np.array(rows, dtype=float)
         softmax = _softmax_fn(p, s)
-        matmul, add, subtract, divide, add_reduce = (
-            np.matmul, np.add, np.subtract, np.divide, np.add.reduce)
+        matmul, subtract, divide = np.matmul, np.subtract, np.divide
 
         def gradient(X, Y):
-            matmul(X, WT, p)
-            add(p, b, p)
+            matmul(X, wbT, p)
             softmax()
             subtract(p, Y, p)
             divide(p, n, p)
-            matmul(pT, X, gW)
-            add_reduce(p, -2, None, gb0)
+            matmul(pT, X, gwb)
         return gradient
 
 
@@ -226,26 +235,28 @@ def make_learner(kind: str, classes: int, feature_dim: int, hidden: int = 16):
     raise ValueError(f"unknown learner kind: {kind!r}")
 
 
-def _workspace(learner, starts, n, bs, row_shape):
+def _workspace(learner, starts, n, bs, d):
     """What a stack of updates from starts trains in on shards of n rows of
-    shape row_shape in batches of bs: the parameters w, (K, P), or (P,) for
-    a lone update, set to the starts; the gradient buffer g laid out like w;
-    np.eye(classes); the chunk span; and each chunk's first row, its
-    buffers and every batch's views with the gradient function of the
-    batch's length (see local_sgd)."""
+    d features in batches of bs: the parameters w, (K, P), or (P,) for a
+    lone update, set to the starts; the gradient buffer g laid out like w;
+    np.eye(classes); the chunk span; and each chunk's first row, the views
+    its features and labels are gathered into, and every batch's views
+    with the gradient function of the batch's length (see local_sgd). A
+    bias column is set to 1 here and never written again."""
     k = len(starts)
     w = np.array(starts[0] if k == 1 else starts, dtype=float)
     g = np.empty_like(w)
     span = max(bs, n if k == 1 else n // k // bs * bs)
     chunk = w.shape[:-1] + (min(span, n),)
-    X = np.empty(chunk + row_shape)
+    X = np.empty(chunk + (d + learner.bias_column,))
+    X[..., d:] = 1.0
     Y = np.empty(chunk + (learner.classes,))
     steps = {m: learner._gradient_fn(w, g, m) for m in {min(bs, n), n % bs} if m}
     chunks = []
     for lo in range(0, n, span):
         size = min(span, n - lo)
         Xc, Yc = X[..., :size, :], Y[..., :size, :]
-        chunks.append((lo, Xc, Yc, [
+        chunks.append((lo, Xc[..., :d], Yc, [
             (Xc[..., b:b + bs, :], Yc[..., b:b + bs, :], steps[min(bs, size - b)])
             for b in range(0, size, bs)
         ]))
@@ -279,24 +290,27 @@ def local_sgd(
 
     The parameters, the gradient, the chunk buffers and the views of every
     batch with its gradient function (one per batch length) form the
-    workspace, set up before the first epoch. A stack builds its own and
-    returns its parameters. A lone update trains in a workspace the
+    workspace, set up before the first epoch. The rows of a learner with a
+    bias column end in a 1 that the chunk buffer keeps, so the gather
+    writes only the features before it. A stack builds its own workspace
+    and returns its parameters. A lone update trains in a workspace the
     learner keeps in its `_workspaces` dict, one per (shard length,
-    batch_size, row shape), for as long as the learner lives: each call
-    copies its start into the workspace's parameters and returns a copy
-    of them, so no result aliases the workspace. Each kept workspace holds
-    one more copy of a shard's rows and their one-hot labels.
+    batch_size, feature count), for as long as the learner lives: each
+    call copies its start into the workspace's parameters and returns a
+    copy of them, so no result aliases the workspace. Each kept workspace
+    holds one more copy of a shard's rows (with the bias column, if any)
+    and their one-hot labels.
     """
     n, bs, k = len(shards[0]), profile.batch_size, len(shards)
     if any(len(rows) != n for rows in shards):
         raise ValueError("stacked shards must share one length")
-    row_shape = data.features.shape[1:]
+    d = data.features.shape[1]
     # a stack's workspace lives for the call, a lone update's in the learner
     workspaces = learner._workspaces if k == 1 else {}
-    key = (n, bs, row_shape)
+    key = (n, bs, d)
     workspace = workspaces.get(key)
     if workspace is None:
-        workspace = workspaces[key] = _workspace(learner, starts, n, bs, row_shape)
+        workspace = workspaces[key] = _workspace(learner, starts, n, bs, d)
     else:
         workspace[0][...] = starts[0]
     w, g, eye, span, chunks = workspace
@@ -305,10 +319,10 @@ def local_sgd(
     features, labels, multiply, subtract = data.features, data.labels, np.multiply, np.subtract
     for _ in range(profile.local_iters):
         orders = [rng.permutation(n) for rng in rngs]
-        for lo, Xc, Yc, batches in chunks:
+        for lo, Xg, Yc, batches in chunks:
             idx = shards[0][orders[0]] if k == 1 else np.stack(
                 [rows[order[lo:lo + span]] for rows, order in zip(shards, orders)])
-            features.take(idx, 0, Xc)
+            features.take(idx, 0, Xg)
             eye.take(labels[idx], 0, Yc)
             for Xb, Yb, step in batches:
                 step(Xb, Yb)

@@ -66,6 +66,11 @@ class TestRun:
         assert header == ("sim_time_s,global_epoch,satellite_id,"
                           "epoch_staleness,time_staleness_s,test_accuracy")
 
+    def test_prints_the_summary_it_writes(self, scenario_file, tmp_path, capsys):
+        out = tmp_path / "run_out"
+        assert self.run(scenario_file, out) == 0
+        assert capsys.readouterr().out == (out / "summary.txt").read_text()
+
     def test_repeat_runs_byte_identical(self, scenario_file, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         assert self.run(scenario_file, a) == 0

@@ -50,6 +50,7 @@ class _Quadratic:
     """Scalar test learner with loss (w - a)^2, independent of the data."""
 
     classes = 1
+    bias_column = False
 
     def __init__(self, a):
         self.a = a
@@ -122,14 +123,16 @@ def _reference_logits(learner, params, X):
 
 def _reference_gradient(learner, params, X, y):
     """Flat gradient as the learners computed it with per-sample label
-    indexing, before the per-block kernels."""
+    indexing, before the per-block kernels; logistic regression's from
+    rows that end in a 1, with the bias as the last column of (W, b)."""
     n = len(y)
     if isinstance(learner, LogisticRegressionLearner):
-        W, b = learner._unpack(params)
-        p = reference_softmax(X @ W.T + b)
+        wb = params.reshape(learner.classes, learner.feature_dim + 1)
+        Xa = np.concatenate([X, np.ones((n, 1))], axis=1)
+        p = reference_softmax(Xa @ wb.T)
         p[np.arange(n), y] -= 1.0
         p /= n
-        return np.concatenate([p.T @ X, p.sum(axis=0)[:, None]], axis=1).ravel()
+        return (p.T @ Xa).ravel()
     W1, b1, W2, b2 = learner._unpack(params)
     a = np.tanh(X @ W1.T + b1)
     p = reference_softmax(a @ W2.T + b2)
@@ -190,6 +193,12 @@ class TestLocalSgdMatchesReference:
              local_iters=2, eta=0.3, seed=5)
     @example(kind="logreg", classes=2, dim=2, hidden=1, k=1, n=1, extra=0, batch_size=1,
              local_iters=1, eta=1.0, seed=0)
+    # 1-row batches, which BLAS computes as matrix-vector products: a lone
+    # update on one feature, and a stack whose last chunk is one row
+    @example(kind="logreg", classes=3, dim=1, hidden=1, k=1, n=7, extra=3, batch_size=1,
+             local_iters=2, eta=0.4, seed=6)
+    @example(kind="logreg", classes=3, dim=3, hidden=1, k=2, n=21, extra=5, batch_size=10,
+             local_iters=2, eta=0.4, seed=7)
     def test_bitwise_equal(self, kind, classes, dim, hidden, k, n, extra, batch_size,
                            local_iters, eta, seed):
         # every row of a stack of k updates equals that update trained alone
@@ -279,6 +288,27 @@ class TestGradients:
                          - softmax_loss(learner, dn, X, y)) / (2 * step)
             scale = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(analytic - fd)) / scale <= 1e-5
+
+    @pytest.mark.parametrize("stack", [(), (3,)])
+    def test_logreg_is_close_to_the_bias_sum(self, stack):
+        # the gradient from rows that end in a 1 agrees, to rounding, with
+        # the formula that adds the bias to X @ W.T and sums p for its
+        # gradient, for lone parameters (P,) and stacked ones (3, P)
+        learner = LogisticRegressionLearner(4, 3)
+        for trial in range(20):
+            rng = np.random.default_rng(trial)
+            n = 1 + trial % 12
+            params = rng.standard_normal(stack + (learner.param_dim,))
+            X = rng.standard_normal(stack + (n, 3))
+            y = rng.integers(0, 4, stack + (n,))
+            got = learner.gradient(params, X, y)
+            for i in np.ndindex(stack):
+                W, b = learner._unpack(params[i])
+                p = reference_softmax(X[i] @ W.T + b)
+                p[np.arange(n), y[i]] -= 1.0
+                p /= n
+                expected = np.concatenate([p.T @ X[i], p.sum(0)[:, None]], 1).ravel()
+                np.testing.assert_allclose(got[i], expected, rtol=1e-13)
 
 
 class TestPartition:
