@@ -24,8 +24,7 @@ print(f"constellation: {scenario.satellite_count} satellites, "
       f"elevation mask {scenario.gs_min_elevation_deg:.0f} deg")
 print(f"horizon: {scenario.horizon_s / 3600:.0f} h\n")
 
-plan = compute_contact_plan(orbits, gs, scenario.horizon_s,
-                            scenario.coarse_step_s)
+plan = compute_contact_plan(orbits, gs, scenario.horizon_s)
 flat = flatten_constellation(orbits)
 
 # ---------------------------------------------------------------------------

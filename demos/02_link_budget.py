@@ -48,8 +48,7 @@ for d in np.array([500e3, 1000e3, 1690e3, 2500e3, 3900e3]):
 print("\nworst-pass exchange time per satellite (max range convention):")
 orbits = scenario.orbit_specs()
 gs = scenario.ground_station()
-plan = compute_contact_plan(orbits, gs, scenario.horizon_s,
-                            scenario.coarse_step_s)
+plan = compute_contact_plan(orbits, gs, scenario.horizon_s)
 for k, (orbit, _) in enumerate(flatten_constellation(orbits)):
     dmax = max(p.max_distance_m for p in plan.passes[k])
     rate = data_rate(budget, snr(budget, dmax))

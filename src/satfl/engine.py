@@ -218,9 +218,7 @@ def plan_and_price(scenario: Scenario) -> tuple[ContactPlan, list[list[float]]]:
     is priced and no link is refused.
     """
     gs = scenario.ground_station()
-    plan = compute_contact_plan(
-        scenario.orbit_specs(), gs, scenario.horizon_s, scenario.coarse_step_s
-    )
+    plan = compute_contact_plan(scenario.orbit_specs(), gs, scenario.horizon_s)
     model_bits = scenario.model_bits or WIRE_BITS_PER_PARAM * scenario.learner().param_dim
     budget = scenario.link_budget()
     comm_s = [[pass_comm_time(budget, model_bits, p.max_distance_m) for p in ps]

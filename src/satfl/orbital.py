@@ -212,9 +212,10 @@ def elevation_angle(sat_pos: np.ndarray, gs_pos: np.ndarray) -> float | np.ndarr
     return float(result) if result.ndim == 0 else result
 
 
-# coarse-scan windows: grid steps per window and the bound's margin; the
-# (satellite, window) cells of one block of the scan; the bracket width at
-# which bisection stops (see compute_contact_plan)
+# the coarse scan's grid step; coarse-scan windows: grid steps per window
+# and the bound's margin; the (satellite, window) cells of one block of the
+# scan; the bracket width at which bisection stops (see compute_contact_plan)
+_STEP_S = 10.0
 _WINDOW_STEPS = 12
 _WINDOW_MARGIN_RAD = 1e-6
 _BLOCK_CELLS = 2**14
@@ -223,18 +224,18 @@ _REFINE_TOL_S = 0.1
 
 def _instants(i, step, end):
     """min(i * step, end) at indices i: grid point i of the coarse grid
-    (step coarse_step_s, end horizon_s), and window end i of the windows
-    (step _WINDOW_STEPS, end the last grid index)."""
+    (step _STEP_S, end horizon_s), and window end i of the windows (step
+    _WINDOW_STEPS, end the last grid index)."""
     return np.minimum(i * step, end)
 
 
-def _last_index(step_s: float, horizon_s: float) -> int:
-    """The first grid index i with i * step_s >= horizon_s, the last point
-    of the coarse grid; ceil(horizon_s / step_s) can miss it by one either
-    way, as the quotient and the product each round."""
-    i = math.ceil(horizon_s / step_s)
-    i += i * step_s < horizon_s
-    return i - ((i - 1) * step_s >= horizon_s)
+def _last_index(horizon_s: float) -> int:
+    """The first grid index i with i * _STEP_S >= horizon_s, the last point
+    of the coarse grid. For an integer m, 10m is an exact float and ulp(10m)
+    >= 8 ulp(m), so a float h > 10m gives h / 10 - m >= 0.8 ulp(m), which
+    rounds above m, and h <= 10m never rounds above m: the quotient's
+    ceiling is exact, save that h <= 5 * 2**-1074 rounds to 0."""
+    return max(1, math.ceil(horizon_s / _STEP_S))
 
 
 def _blocks(n_windows: int, n_sats: int) -> list[tuple[int, int]]:
@@ -293,7 +294,7 @@ def _refine_crossings(terms, gs, t_lo, t_hi):
     return 0.5 * (t_lo + t_hi)
 
 
-def _changes(terms, gs, step_s, horizon_s):
+def _changes(terms, gs, horizon_s):
     """Satellite and grid bracket (t_lo, t_hi) of every visibility change,
     in row-major order: change c lies between grid points c - 1 and c, each
     held to the grid, so the changes from the off-time before t=0 and to
@@ -307,14 +308,14 @@ def _changes(terms, gs, step_s, horizon_s):
     evaluated with the station position computed once per grid point, and
     only at the windows some satellite keeps.
     """
-    last = _last_index(step_s, horizon_s)
+    last = _last_index(horizon_s)
     n_windows = -(-last // _WINDOW_STEPS)
     col_terms = terms.take(np.s_[:, None])
     sats, cols = [], []
     steps = np.arange(1, _WINDOW_STEPS)
     for start, stop in _blocks(n_windows, len(terms.r)):
         ends = _instants(np.arange(start, stop + 1), _WINDOW_STEPS, last)
-        visible, kept = _window_bound(col_terms, gs, _instants(ends, step_s, horizon_s))
+        visible, kept = _window_bound(col_terms, gs, _instants(ends, _STEP_S, horizon_s))
         if start == 0:
             sats.append(np.flatnonzero(visible[:, 0]))
             cols.append(np.zeros(len(sats[-1]), dtype=int))
@@ -326,7 +327,7 @@ def _changes(terms, gs, step_s, horizon_s):
         used = kept.any(axis=0)
         at = np.cumsum(used)[k] - 1
         inner = ends[np.flatnonzero(used), None] + steps
-        t = _instants(inner, step_s, horizon_s)
+        t = _instants(inner, _STEP_S, horizon_s)
         gx, gy, gz = _station(gs, t)
         elev = _elevation(*_position(terms.take(s[:, None]), t[at]), gx[at], gy[at], gz)
         # each window's points in order; the end stands in for the inner
@@ -339,25 +340,24 @@ def _changes(terms, gs, step_s, horizon_s):
     sat, col = np.concatenate(sats), np.concatenate(cols)
     order = np.lexsort((col, sat))
     sat, col = sat[order], col[order]
-    return (sat, _instants(np.maximum(col - 1, 0), step_s, horizon_s),
-            _instants(np.minimum(col, last), step_s, horizon_s))
+    return (sat, _instants(np.maximum(col - 1, 0), _STEP_S, horizon_s),
+            _instants(np.minimum(col, last), _STEP_S, horizon_s))
 
 
 def compute_contact_plan(
     orbits: list[OrbitSpec],
     gs: GroundStation,
     horizon_s: float,
-    coarse_step_s: float = 10.0,
 ) -> ContactPlan:
     """Find every pass of every satellite over [0, horizon_s]; a pass under
     way at t=0 or at horizon_s is clipped there.
 
-    A coarse visibility scan on a coarse_step_s grid locates the grid cells
-    holding a rise or set; all crossings of the constellation are then
-    bisected together until each bracket is at most _REFINE_TOL_S = 0.1 s
-    wide (see _refine_crossings). The last cell ends at horizon_s and may be
-    narrower than the step. Passes shorter than coarse_step_s may be missed,
-    hence the step is capped at 10 s.
+    A coarse visibility scan on a grid of step _STEP_S = 10 s locates the
+    grid cells holding a rise or set; all crossings of the constellation
+    are then bisected together until each bracket is at most _REFINE_TOL_S
+    = 0.1 s wide (see _refine_crossings). The last cell ends at horizon_s
+    and may be narrower than the step. Passes shorter than the step may be
+    missed.
 
     The scan evaluates the elevation only where a pass is possible. A
     satellite at radius r is visible only while the central angle theta
@@ -389,13 +389,11 @@ def compute_contact_plan(
     cells, so the plan keeps one block at a time besides the changes found
     and the passes.
     """
-    if coarse_step_s <= 0 or coarse_step_s > 10.0:
-        raise ScenarioError("coarse_step_s must lie in (0, 10] seconds")
     if horizon_s <= 0:
         raise ScenarioError("horizon must be strictly positive")
 
     terms = _constellation_terms(orbits)
-    sat, t_lo, t_hi = _changes(terms, gs, coarse_step_s, horizon_s)
+    sat, t_lo, t_hi = _changes(terms, gs, horizon_s)
     # a pass under way at t=0 or at the horizon changes in a zero-width
     # bracket, so it is clipped at exactly 0.0 or horizon_s. Each
     # satellite's changes alternate rise (0->1) and set (1->0)

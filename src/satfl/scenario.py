@@ -23,12 +23,12 @@ POLICIES = ("fedsat", "fedsatschedule", "fedavg_sync")
 # several times faster; PyYAML ships without it when libyaml is absent
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # grid bounds: `satfl plan` on one or ten bundled orbits peaks at about
-# 50 MB at MAX_SCAN_POINTS satellite scan steps, and `satfl run` at about
-# 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds: `satfl run`
-# on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
+# 50 MB at MAX_SCAN_SECONDS satellite-seconds of contact plan, and `satfl
+# run` at about 0.34 GB at MAX_EVAL_POINTS evaluation instants; task bounds:
+# `satfl run` on one or ten of the bundled orbits peaks at 0.3-0.95 GB at
 # MAX_TASK_POINTS task matrix entries or MAX_MODEL_POINTS satellite
 # parameters
-MAX_SCAN_POINTS = 5 * 10**7
+MAX_SCAN_SECONDS = 5 * 10**8
 MAX_EVAL_POINTS = 10**6
 MAX_TASK_POINTS = 2 * 10**7
 MAX_MODEL_POINTS = 2 * 10**7
@@ -80,9 +80,9 @@ class Scenario:
     classes: int = _key("learner.classes", 10, least=2)
     feature_dim: int = _key("learner.feature_dim", 8, least=1)
     hidden: int = _key("learner.hidden", 16, least=1)
-    eta: float = _key("learner.eta", 0.1)
-    batch_size: int = _key("learner.batch_size", 10)
-    local_iters: int = _key("learner.local_iters", 1)
+    eta: float = _key("learner.eta", 0.1, positive=True, most=1)
+    batch_size: int = _key("learner.batch_size", 10, least=1)
+    local_iters: int = _key("learner.local_iters", 1, least=1)
     samples_per_class: int = _key("learner.samples_per_class", 200, least=1)
     test_samples_per_class: int = _key("learner.test_samples_per_class", 100, least=1)
     spread: float = _key("learner.spread", 1.0, least=0)
@@ -93,7 +93,6 @@ class Scenario:
     horizon_s: float = _key("sim.horizon_s", 86400.0, positive=True)
     eval_period_s: float = _key("sim.eval_period_s", 600.0, positive=True)
     seed: int = _key("sim.seed", 1, least=0)
-    coarse_step_s: float = _key("sim.coarse_step_s", 10.0, positive=True, most=10)
     model_bits: int | None = _key("sim.model_bits", None, least=1)
     max_concurrent_links: int | None = _key("sim.max_concurrent_links", None, least=1)
 
@@ -154,9 +153,9 @@ class Scenario:
         widest = ("learner.feature_dim, learner.classes and learner.hidden" if mlp
                   else "learner.feature_dim and learner.classes")
         for key, points, most, unit in (
-            ("constellation satellites x sim.horizon_s / sim.coarse_step_s",
-             max(self.satellite_count, 1) * self.horizon_s / self.coarse_step_s,
-             MAX_SCAN_POINTS, "grid points"),
+            ("constellation satellites x sim.horizon_s",
+             max(self.satellite_count, 1) * self.horizon_s,
+             MAX_SCAN_SECONDS, "satellite-seconds"),
             ("sim.horizon_s / sim.eval_period_s", self.horizon_s / self.eval_period_s,
              MAX_EVAL_POINTS, "grid points"),
             ("learner.classes x (learner.samples_per_class + "
@@ -181,7 +180,7 @@ class Scenario:
         for i, o in enumerate(self.orbits):
             _named(f"{_KEY_OF['orbits']}[{i}]", o.spec)
         for section, build in (("ground_station", self.ground_station),
-                               ("link", self.link_budget), ("learner", self.compute_profile)):
+                               ("link", self.link_budget)):
             _named(section, build)
         # each label is dealt to every satellite of one altitude group
         groups, _ = self.label_split()

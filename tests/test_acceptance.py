@@ -42,10 +42,8 @@ def bundled(bremen_scenario):
 
 @pytest.fixture(scope="module")
 def bundled_plan(bundled):
-    return compute_contact_plan(
-        bundled.orbit_specs(), bundled.ground_station(),
-        bundled.horizon_s, bundled.coarse_step_s,
-    )
+    return compute_contact_plan(bundled.orbit_specs(), bundled.ground_station(),
+                                bundled.horizon_s)
 
 
 def test_criterion_1_orbital_periods():

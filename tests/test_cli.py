@@ -184,8 +184,8 @@ class TestCompare:
 
 # scenario values (key=YAML literal) and flags that exit 2 at load, with the
 # message naming their key
-SCAN_BOUND = ("constellation satellites x sim.horizon_s / sim.coarse_step_s must be at "
-              "most 50,000,000 grid points")
+SCAN_BOUND = ("constellation satellites x sim.horizon_s must be at most 500,000,000 "
+              "satellite-seconds")
 EVAL_BOUND = "sim.horizon_s / sim.eval_period_s must be at most 1,000,000 grid points"
 TASK_BOUND = ("learner.classes x (learner.samples_per_class + "
               "learner.test_samples_per_class) x the widest of learner.feature_dim and "
@@ -205,10 +205,10 @@ BAD_VALUES = [
     ("--tl inf", "compute.train_time_s must be a finite number, got inf"),
     ("--horizon inf", "sim.horizon_s must be a finite number, got inf"),
     # grids too large to build: refused before the contact plan allocates one
-    ("--horizon 1e300", f"{SCAN_BOUND}, got 3.6e+303"),
-    ("--horizon 1e12", f"{SCAN_BOUND}, got 3.6e+15"),
-    # 10 satellites x 5.04e6 steps, just over the bound
-    ("--horizon 14000", f"{SCAN_BOUND}, got 5.04e+07"),
+    ("--horizon 1e300", f"{SCAN_BOUND}, got 3.6e+304"),
+    ("--horizon 1e12", f"{SCAN_BOUND}, got 3.6e+16"),
+    # 10 satellites x 5.04e7 s, just over the bound
+    ("--horizon 14000", f"{SCAN_BOUND}, got 5.04e+08"),
     ("sim.eval_period_s=1.0e-9", f"{EVAL_BOUND}, got 8.64e+13"),
     ("sim.eval_period_s=0.05", f"{EVAL_BOUND}, got 1.73e+06"),
     # learning tasks too large to build, the one-hot of 20 000 classes included
@@ -220,8 +220,9 @@ BAD_VALUES = [
      "constellation.orbits[0]: altitude must be strictly positive"),
     ("ground_station.latitude_deg=95",
      "ground_station: latitude must lie in [-pi/2, pi/2]"),
-    ("learner.eta=2.0", "learner: eta must lie in (0, 1]"),
-    ("learner.batch_size=0", "learner: batch_size and local_iters must be >= 1"),
+    ("learner.eta=2.0", "learner.eta must be at most 1"),
+    ("learner.batch_size=0", "learner.batch_size must be at least 1"),
+    ("learner.local_iters=0", "learner.local_iters must be at least 1"),
     ("constellation.orbits=5", "constellation.orbits must be a list"),
     ("constellation.orbits=null", "constellation.orbits must be a list"),
     ("constellation.orbits={altitude_m: 500000.0, inclination_deg: 80.0}",
@@ -229,6 +230,8 @@ BAD_VALUES = [
     ("constellation.orbits=leo", "constellation.orbits must be a list"),
     ("constellation.orbits=[leo]", "constellation.orbits[0] must be a mapping"),
     ("constellation.orbits[0].colour=red", "unknown key constellation.orbits[0].colour"),
+    # the coarse scan step is the planner's constant, no longer a key
+    ("sim.coarse_step_s=10.0", "unknown key sim.coarse_step_s"),
     ("constellation.orbits=[{inclination_deg: 80.0}]",
      "missing key constellation.orbits[0].altitude_m"),
 ]
@@ -278,8 +281,6 @@ class TestErrorPaths:
     @pytest.mark.parametrize("section, key, value", [
         ("compute", "cycles_per_bit", -5.0),
         ("compute", "cpu_hz", 0.0),
-        ("sim", "coarse_step_s", 60.0),
-        ("sim", "coarse_step_s", 0.0),
     ])
     def test_bad_setting_exits_2_with_path(self, section, key, value,
                                            scenario_file, tmp_path, capsys):

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from satfl import orbital
-from satfl.errors import ScenarioError
 from satfl.orbital import (
     EARTH,
     GroundStation,
@@ -56,6 +55,22 @@ def coarse_grid(horizon_s, step_s=10.0):
     first i with i * step_s >= horizon_s."""
     i = np.arange(int(horizon_s / step_s) + 3)
     return np.minimum(i[:np.argmax(i * step_s >= horizon_s) + 1] * step_s, horizon_s)
+
+
+def repaired_last_index(step_s, horizon_s):
+    """Reference: the first grid index i with i * step_s >= horizon_s at any
+    step; ceil(horizon_s / step_s) can miss it by one either way, as the
+    quotient and the product each round."""
+    i = math.ceil(horizon_s / step_s)
+    i += i * step_s < horizon_s
+    return i - ((i - 1) * step_s >= horizon_s)
+
+
+def ulps_from(x, k):
+    """The float k ulps above x (below it for a negative k)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 def window_ends(grid):
@@ -403,12 +418,12 @@ class TestSlantRange:
 class TestContactPlan:
     def test_bremen_single_sat_pass_count(self, bremen_gs):
         orbit = OrbitSpec(500e3, math.radians(80.0))
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         assert 3 <= len(plan.passes[0]) <= 8
 
     def test_matches_brute_force_scan(self, bremen_gs):
         orbit = OrbitSpec(500e3, math.radians(80.0), raan_rad=0.5)
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         oracle = brute_force_passes(orbit, 0, bremen_gs, 86400.0, 1.0)
         assert len(plan.passes[0]) == len(oracle)
         for p, (rise_grid, set_grid) in zip(plan.passes[0], oracle):
@@ -422,7 +437,7 @@ class TestContactPlan:
             satellite_position_eci as spos,
         )
         orbit = OrbitSpec(2000e3, math.radians(80.0))
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         alpha = bremen_gs.min_elevation_rad
         eps = 0.1
         for p in plan.passes[0]:
@@ -436,44 +451,52 @@ class TestContactPlan:
     def test_polar_station_equatorial_orbit_no_passes(self):
         gs = GroundStation(math.pi / 2, 0.0, math.radians(10.0))
         orbit = OrbitSpec(500e3, 0.0)
-        plan = compute_contact_plan([orbit], gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], gs, 86400.0)
         assert plan.passes[0] == []
-
-    def test_coarse_step_validated(self, bremen_gs):
-        orbit = OrbitSpec(500e3, math.radians(80.0))
-        with pytest.raises(ScenarioError):
-            compute_contact_plan([orbit], bremen_gs, 86400.0, 60.0)
-        with pytest.raises(ScenarioError):
-            compute_contact_plan([orbit], bremen_gs, 86400.0, 0.0)
 
     def test_horizon_inside_pass_clips_it(self, bremen_gs):
         orbit = OrbitSpec(500e3, math.radians(80.0))
-        first = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0).passes[0][0]
+        first = compute_contact_plan([orbit], bremen_gs, 86400.0).passes[0][0]
         mid = 0.5 * (first.rise_s + first.set_s)
-        passes = compute_contact_plan([orbit], bremen_gs, mid, 10.0).passes[0]
+        passes = compute_contact_plan([orbit], bremen_gs, mid).passes[0]
         assert [(p.rise_s, p.set_s) for p in passes] == [(first.rise_s, mid)]
 
-    @pytest.mark.parametrize("horizon, step", [(13672.600000000002, 0.1),
-                                               (1913062.8, 3.3)])
-    def test_last_grid_point_is_the_horizon(self, bremen_gs, horizon, step):
-        # ceil(horizon / step) * step rounds below the horizon, so the grid
-        # needs one more point to reach it; the satellite is in view at the
-        # horizon, so its last pass is clipped there
-        assert math.ceil(horizon / step) * step < horizon
+    @pytest.mark.parametrize("horizon", [
+        math.nextafter(86400.0, 0.0), math.nextafter(86400.0, math.inf),
+        math.nextafter(13670.0, 0.0), math.nextafter(13670.0, math.inf),
+        math.nextafter(10.0, math.inf), 5e-324,
+    ])
+    def test_last_grid_point_is_the_horizon(self, bremen_gs, horizon):
+        # one ulp either side of a multiple of the 10 s step, and the
+        # smallest horizon: the grid ends at its first point at or past the
+        # horizon, held to it. The satellite is in view over the whole
+        # horizon, so its one pass is clipped at exactly the horizon and
+        # priced at the mask range
+        last = orbital._last_index(horizon)
+        assert (last - 1) * 10.0 < horizon <= last * 10.0
         orbit = OrbitSpec(1e9, math.pi / 2, 0.0, math.pi / 2)
-        passes = compute_contact_plan([orbit], bremen_gs, horizon, step).passes[0]
-        assert passes[-1].set_s == horizon
-        if len(passes) == 1:
-            # in view over the whole horizon: priced at the mask range
-            r, alpha = EARTH.r_e + orbit.altitude_m, bremen_gs.min_elevation_rad
-            mask_range = math.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2) \
-                - EARTH.r_e * math.sin(alpha)
-            assert passes == [Pass(0.0, horizon, mask_range)]
+        passes = compute_contact_plan([orbit], bremen_gs, horizon).passes[0]
+        r, alpha = EARTH.r_e + orbit.altitude_m, bremen_gs.min_elevation_rad
+        mask_range = math.sqrt(r * r - (EARTH.r_e * math.cos(alpha)) ** 2) \
+            - EARTH.r_e * math.sin(alpha)
+        assert passes == [Pass(0.0, horizon, mask_range)]
+
+    @settings(max_examples=500, deadline=None)
+    @given(horizon=st.one_of(
+        st.floats(0.0, 1e15, exclude_min=True),
+        st.builds(ulps_from, st.integers(0, 10**14).map(lambda m: 10.0 * m),
+                  st.integers(-2, 2)).filter(lambda h: h > 0.0)))
+    @example(horizon=5e-324)
+    @example(horizon=2.5e-323)
+    @example(horizon=3e-323)
+    def test_last_index_equals_repaired_quotient(self, horizon):
+        # at the fixed 10 s step the quotient's ceiling needs no repair
+        assert orbital._last_index(horizon) == repaired_last_index(10.0, horizon)
 
     def test_gaps_differ_from_orbital_period(self, bremen_gs):
         # Earth rotation makes successive same-satellite revisit gaps uneven
         orbit = OrbitSpec(2000e3, math.radians(80.0))
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         rises = [p.rise_s for p in plan.passes[0]]
         gaps = np.diff(rises)
         period = orbital_period(2000e3)
@@ -492,7 +515,7 @@ class TestBatchedRefinement:
     def test_equals_scalar_bisection(self, bremen_gs, h, inc, raan, phase):
         orbit = OrbitSpec(h, inc, raan, phase)
         expected = scalar_reference_passes(orbit, bremen_gs, 86400.0)
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         assert [(p.rise_s, p.set_s) for p in plan.passes[0]] == expected
 
     def test_narrow_last_cell_equals_scalar_bisection(self, bremen_gs):
@@ -500,11 +523,11 @@ class TestBatchedRefinement:
         # bracket is the last grid cell, narrower than the 10 s step, while
         # the other brackets of the same satellite keep the full step
         orbit = OrbitSpec(500e3, math.radians(80.0))
-        set_s = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0).passes[0][2].set_s
+        set_s = compute_contact_plan([orbit], bremen_gs, 86400.0).passes[0][2].set_s
         cell_start = 10.0 * math.floor(set_s / 10.0)
         horizon = 0.5 * (set_s + cell_start + 10.0)
         assert cell_start < set_s < horizon < cell_start + 10.0
-        plan = compute_contact_plan([orbit], bremen_gs, horizon, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, horizon)
         assert len(plan.passes[0]) == 3
         expected = scalar_reference_passes(orbit, bremen_gs, horizon)
         assert [(p.rise_s, p.set_s) for p in plan.passes[0]] == expected
@@ -519,11 +542,10 @@ class TestWindowedScan:
         orbits=st.lists(orbit_specs, min_size=1, max_size=3),
         gs=stations,
         horizon=st.floats(1000.0, 30000.0),
-        step=st.sampled_from([10.0, 7.3]),
     )
-    def test_equals_full_grid_planner(self, orbits, gs, horizon, step):
-        expected = reference_contact_plan(orbits, gs, horizon, step)
-        plan = compute_contact_plan(orbits, gs, horizon, step)
+    def test_equals_full_grid_planner(self, orbits, gs, horizon):
+        expected = reference_contact_plan(orbits, gs, horizon)
+        plan = compute_contact_plan(orbits, gs, horizon)
         assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
         assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
             reference_max_distances(expected, orbits, gs, horizon))
@@ -691,8 +713,7 @@ class TestMaxPassDistance:
     def test_equals_dense_sampling_on_bremen(self, bremen_scenario):
         orbits = bremen_scenario.orbit_specs()
         gs = bremen_scenario.ground_station()
-        plan = compute_contact_plan(orbits, gs, bremen_scenario.horizon_s,
-                                    bremen_scenario.coarse_step_s)
+        plan = compute_contact_plan(orbits, gs, bremen_scenario.horizon_s)
         checked = 0
         for (orbit, j), passes in zip(flatten_constellation(orbits), plan.passes):
             for p in passes:
@@ -719,7 +740,7 @@ class TestMaxPassDistance:
 
     def test_endpoints_symmetric_and_dominate_midpoint(self, bremen_gs):
         orbit = OrbitSpec(500e3, math.radians(80.0))
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         p = plan.passes[0][0]
         dmax = max_pass_distance(p, orbit, 0, bremen_gs)
         from satfl.orbital import ground_station_position_eci, satellite_position_eci
@@ -756,7 +777,7 @@ class TestMaxPassDistance:
         # slant range at the 10 deg elevation mask for h = 500 km:
         # r_E*(sqrt(((r_E+h)/r_E)^2 - cos^2(a)) - sin(a)) = 1694567.2 m
         orbit = OrbitSpec(500e3, math.radians(80.0))
-        plan = compute_contact_plan([orbit], bremen_gs, 86400.0, 10.0)
+        plan = compute_contact_plan([orbit], bremen_gs, 86400.0)
         p = max(plan.passes[0], key=lambda q: q.duration_s)
         dmax = max_pass_distance(p, orbit, 0, bremen_gs)
         assert dmax == pytest.approx(1694567.2211546786, rel=2e-3)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import math
 import re
 from pathlib import Path
 
@@ -161,22 +162,26 @@ class TestValidation:
         with pytest.raises(ScenarioError):
             self.base(learner_kind="cnn")
 
-    @pytest.mark.parametrize("field, value", [("eta", 2.0), ("batch_size", 0),
-                                              ("local_iters", 0)])
-    def test_sgd_settings_checked_with_fixed_training_time(self, field, value):
+    @pytest.mark.parametrize("field, value, message", [
+        ("eta", 2.0, "learner.eta must be at most 1"),
+        ("eta", 0.0, "learner.eta must be strictly positive"),
+        ("batch_size", 0, "learner.batch_size must be at least 1"),
+        ("local_iters", 0, "learner.local_iters must be at least 1"),
+    ])
+    def test_sgd_settings_checked_with_fixed_training_time(self, field, value, message):
         # local SGD runs under every training-time model, so its settings are
         # checked at load time, not when the first update trains
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match=f"^{re.escape(message)}$"):
             self.base(**{field: value})
 
     def test_grid_bound(self):
-        # 5 * 10**7 satellite scan points at the 10 s step are allowed, a finer
-        # step or one more satellite's worth is not; 10**6 evaluation instants
-        scan = re.escape("constellation satellites x sim.horizon_s / sim.coarse_step_s "
-                         "must be at most 50,000,000 grid points")
+        # 5 * 10**8 satellite-seconds of contact plan are allowed, one more
+        # satellite's worth is not; 10**6 evaluation instants
+        scan = re.escape("constellation satellites x sim.horizon_s must be at most "
+                         "500,000,000 satellite-seconds")
         assert self.base(horizon_s=5e8).horizon_s == 5e8
         with pytest.raises(ScenarioError, match=scan):
-            self.base(horizon_s=5e8, coarse_step_s=9.5)
+            self.base(horizon_s=math.nextafter(5e8, math.inf))
         ten = [OrbitConfig(altitude_m=500e3, inclination_deg=80.0, satellite_count=10)]
         assert self.base(orbits=ten, horizon_s=5e7).satellite_count == 10
         with pytest.raises(ScenarioError, match=scan):
@@ -221,12 +226,12 @@ class TestValidation:
             self.base(spread=-1.0)
 
     def test_shell_sized_scenario_builds(self):
-        # a 20 x 10 shell over 7 days at the 10 s step: 200 x 60 480 scan points
+        # a 20 x 10 shell over 7 days: 200 x 604 800 satellite-seconds
         shell = [OrbitConfig(altitude_m=550e3, inclination_deg=53.0, raan_deg=18.0 * p,
                              initial_arg_latitude_deg=36.0 * p, satellite_count=10)
                  for p in range(20)]
         s = self.base(orbits=shell, horizon_s=7 * 86400.0)
-        assert s.satellite_count * s.horizon_s / s.coarse_step_s == 12_096_000
+        assert s.satellite_count * s.horizon_s == 120_960_000
 
     def test_concurrency_cap_lower_bound(self):
         with pytest.raises(ScenarioError):

@@ -76,10 +76,10 @@ def main(argv=None) -> int:
     scenario = w2_scenario(seed)
     orbits, gs = scenario.orbit_specs(), scenario.ground_station()
     plan_start = time.perf_counter()
-    plan = compute_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
+    plan = compute_contact_plan(orbits, gs, scenario.horizon_s)
     plan_s = time.perf_counter() - plan_start
     tracemalloc.start()
-    assert compute_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s) == plan
+    assert compute_contact_plan(orbits, gs, scenario.horizon_s) == plan
     plan_peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
     tracemalloc.stop()
     prep = prepare(scenario)
@@ -102,12 +102,11 @@ def main(argv=None) -> int:
         print(f"seed {seed}: {policy} replayed in {replay_s:.2f} s; peak RSS after "
               f"the replay {peak_mb:.0f} MB", flush=True)
 
-    expected = reference_contact_plan(orbits, gs, scenario.horizon_s, scenario.coarse_step_s)
+    expected = reference_contact_plan(orbits, gs, scenario.horizon_s, 10.0)
     assert [[(p.rise_s, p.set_s) for p in ps] for ps in plan.passes] == expected
     assert [[p.max_distance_m for p in ps] for ps in plan.passes] == (
         reference_max_distances(expected, orbits, gs, scenario.horizon_s))
-    visible, kept = window_bound_at_every_end(orbits, gs, scenario.coarse_step_s,
-                                              scenario.horizon_s)
+    visible, kept = window_bound_at_every_end(orbits, gs, 10.0, scenario.horizon_s)
     assert unkept_visible_ends(kept, visible).size == 0
     print(f"seed {seed}: plan of {sum(map(len, plan.passes))} passes equals the "
           f"full-grid planner, and its {int(visible.sum())} visible window ends lie "
