@@ -2,12 +2,13 @@
 
 A Scenario is checked when it is built, so a run takes it as given. A run
 is a preparation, which does the policy-independent work once (`prepare`:
-the priced plan, the learning task, the training times), and a replay of
-one policy on it (`replay`), so policies compared on one scenario share
-one preparation. No policy's timing depends on a learned value, so every download, upload and
+the priced plan and the learning task), and a replay of one policy on it
+(`replay`), so policies compared on one scenario share one preparation. No
+policy's timing depends on a learned value, so every download, upload and
 evaluation instant is known before the first SGD step: `extract_schedule`
 places every policy's cycles from one exchange time per pass, which the
-pass's download and upload both take. The link cap is checked on that
+pass's download and upload both take, and the scenario's one training
+time, which every update takes. The link cap is checked on that
 schedule, before any training. Its upload (UL) completions, the
 download (DL) completions of the cycles that upload, and the evaluation
 (EVAL) grid are then merged into one sorted list of plain (time, kind,
@@ -228,15 +229,14 @@ def plan_and_price(scenario: Scenario) -> tuple[ContactPlan, list[list[float]]]:
 
 @dataclass(frozen=True)
 class Prepared:
-    """What every policy's replay of one scenario reads: the priced plan,
-    each satellite's training time, and the learning task, one training set
-    and each satellite's shard of its rows. Shards and weights keep
-    altitude-group order, the order fedavg_sync sums in."""
+    """What every policy's replay of one scenario reads: the priced plan
+    and the learning task, one training set and each satellite's shard of
+    its rows. Shards and weights keep altitude-group order, the order
+    fedavg_sync sums in."""
 
     scenario: Scenario
     plan: ContactPlan
     comm_s: list[list[float]]
-    train_time_s: list[float]
     learner: LogisticRegressionLearner | MLPLearner
     test_set: LocalDataset
     train: LocalDataset
@@ -246,9 +246,8 @@ class Prepared:
 
 def prepare(scenario: Scenario) -> Prepared:
     """The policy-independent stages of a run: plan, pricing, the synthetic
-    task and its partition, the aggregation weights and training times."""
+    task and its partition, and the aggregation weights."""
     plan, comm_s = plan_and_price(scenario)
-    n_sats = len(plan.passes)
     train, test = generate_synthetic_task(
         scenario.classes,
         scenario.feature_dim,
@@ -258,22 +257,14 @@ def prepare(scenario: Scenario) -> Prepared:
         test_samples_per_class=scenario.test_samples_per_class,
     )
 
-    if n_sats > 0:
+    if plan.passes:
         groups, lpg = scenario.label_split()
         shards = partition_non_iid(train, groups, lpg, scenario.seed)
         total = sum(map(len, shards.values()))
         weights = {k: len(rows) / total for k, rows in shards.items()}
     else:
         shards, weights = {}, {}
-
-    if scenario.train_time_s is not None:
-        t_l = [scenario.train_time_s] * n_sats
-    else:
-        t_l = [scenario.cycles_per_bit * scenario.local_iters
-               * (32.0 * len(shards[k]) * scenario.feature_dim) / scenario.cpu_hz
-               for k in range(n_sats)]
-    return Prepared(scenario, plan, comm_s, t_l, scenario.learner(), test, train, shards,
-                    weights)
+    return Prepared(scenario, plan, comm_s, scenario.learner(), test, train, shards, weights)
 
 
 def replay(prep: Prepared, policy: str) -> SimResult:
@@ -283,7 +274,7 @@ def replay(prep: Prepared, policy: str) -> SimResult:
     results, whichever other policies replay the same preparation.
     """
     scenario = replace(prep.scenario, policy=policy)
-    schedule = extract_schedule(prep.plan, policy, prep.train_time_s, prep.comm_s)
+    schedule = extract_schedule(prep.plan, policy, scenario.train_time_s, prep.comm_s)
     if scenario.max_concurrent_links is not None:
         check_link_cap(schedule, scenario.max_concurrent_links)
     init_rng = np.random.default_rng(np.random.SeedSequence([scenario.seed]))

@@ -8,6 +8,7 @@ a wire size of 32 bits per parameter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,9 +50,15 @@ class ComputeProfile:
             raise ValueError("batch_size and local_iters must be >= 1")
 
 
-def _scratch(w: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """A (..., rows, cols) buffer with the stack axes of parameters w."""
-    return np.empty(w.shape[:-1] + (rows, cols))
+def _scratch(lead: tuple, *shape: int) -> np.ndarray:
+    """A (*lead, *shape) buffer in which each stack row, one per index of
+    the lead axes, starts an even number of float64s after the first, so
+    every row starts 16-byte aligned, as a lone update's own buffer does.
+    OpenBLAS's Prescott kernel gives other bits for a 1 x 1 product whose
+    operand starts 8 bytes off that, and row i of a stack must give the
+    bits of update i trained alone."""
+    size = math.prod(shape)
+    return np.empty(lead + (size + size % 2,))[..., :size].reshape(lead + shape)
 
 
 def _softmax_fn(z: np.ndarray, s: np.ndarray):
@@ -142,9 +149,10 @@ class LogisticRegressionLearner(_SoftmaxLearner):
         return z
 
     def _gradient_fn(self, w, g, rows):
-        shape = w.shape[:-1] + (self.classes, self.feature_dim + 1)
+        lead = w.shape[:-1]
+        shape = lead + (self.classes, self.feature_dim + 1)
         wbT, gwb = w.reshape(shape).mT, g.reshape(shape)
-        p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
+        p, s = _scratch(lead, rows, self.classes), _scratch(lead, rows, 1)
         pT, n = p.mT, np.array(rows, dtype=float)
         softmax = _softmax_fn(p, s)
         matmul, subtract, divide = np.matmul, np.subtract, np.divide
@@ -196,8 +204,9 @@ class MLPLearner(_SoftmaxLearner):
     def _gradient_fn(self, w, g, rows):
         (W1, b1, W2, b2), (gW1, gb1, gW2, gb2) = self._unpack(w), self._unpack(g)
         W1T, W2T, gb1_0, gb2_0 = W1.mT, W2.mT, gb1[..., 0, :], gb2[..., 0, :]
-        a, da, t = (_scratch(w, rows, self.hidden) for _ in range(3))
-        p, s = _scratch(w, rows, self.classes), _scratch(w, rows, 1)
+        lead = w.shape[:-1]
+        a, da, t = (_scratch(lead, rows, self.hidden) for _ in range(3))
+        p, s = _scratch(lead, rows, self.classes), _scratch(lead, rows, 1)
         daT, pT = da.mT, p.mT
         n, one = np.array(rows, dtype=float), np.array(1.0)
         softmax = _softmax_fn(p, s)
@@ -242,15 +251,17 @@ def _workspace(learner, starts, n, bs, d):
     np.eye(classes); the chunk span; and each chunk's first row, the views
     its features and labels are gathered into, and every batch's views
     with the gradient function of the batch's length (see local_sgd). A
-    bias column is set to 1 here and never written again."""
+    bias column is set to 1 here and never written again. Every buffer
+    comes from _scratch, so each stack row starts where a lone update's
+    buffer does."""
     k = len(starts)
-    w = np.array(starts[0] if k == 1 else starts, dtype=float)
-    g = np.empty_like(w)
+    lead = () if k == 1 else (k,)
+    w, g = (_scratch(lead, len(starts[0])) for _ in range(2))
+    w[...] = starts[0] if k == 1 else starts
     span = max(bs, n if k == 1 else n // k // bs * bs)
-    chunk = w.shape[:-1] + (min(span, n),)
-    X = np.empty(chunk + (d + learner.bias_column,))
+    X = _scratch(lead, min(span, n), d + learner.bias_column)
     X[..., d:] = 1.0
-    Y = np.empty(chunk + (learner.classes,))
+    Y = _scratch(lead, min(span, n), learner.classes)
     steps = {m: learner._gradient_fn(w, g, m) for m in {min(bs, n), n % bs} if m}
     chunks = []
     for lo in range(0, n, span):

@@ -86,9 +86,7 @@ class Scenario:
     samples_per_class: int = _key("learner.samples_per_class", 200, least=1)
     test_samples_per_class: int = _key("learner.test_samples_per_class", 100, least=1)
     spread: float = _key("learner.spread", 1.0, least=0)
-    train_time_s: float | None = _key("compute.train_time_s", 30.0, positive=True)
-    cycles_per_bit: float | None = _key("compute.cycles_per_bit", None, positive=True)
-    cpu_hz: float | None = _key("compute.cpu_hz", None, positive=True)
+    train_time_s: float = _key("compute.train_time_s", 30.0, positive=True)
     policy: str = _key("scheduler.policy", "fedsat", one_of=POLICIES)
     horizon_s: float = _key("sim.horizon_s", 86400.0, positive=True)
     eval_period_s: float = _key("sim.eval_period_s", 600.0, positive=True)
@@ -137,17 +135,6 @@ class Scenario:
             _check_value(key, value, annotation)
         for f in own:
             _check_rules(getattr(self, f.name), f.metadata)
-        for name in ("cycles_per_bit", "cpu_hz"):
-            if self.train_time_s is not None and getattr(self, name) is not None:
-                raise ScenarioError(f"compute.train_time_s and {_KEY_OF[name]} are two "
-                                    "training-time models; give one")
-        if self.train_time_s is None and (
-            self.cycles_per_bit is None or self.cpu_hz is None
-        ):
-            raise ScenarioError(
-                "either compute.train_time_s or compute.{cycles_per_bit, cpu_hz} "
-                "must be given"
-            )
         # the learning task's matrices: its rows by their widest row
         mlp = self.learner_kind == "mlp"
         widest = ("learner.feature_dim, learner.classes and learner.hidden" if mlp
@@ -299,9 +286,6 @@ def scenario_from_dict(doc: dict) -> Scenario:
         raise ScenarioError(f"{_KEY_OF['orbits']} must be a list")
     values["orbits"] = [_orbit(f"{_KEY_OF['orbits']}[{i}]", o)
                         for i, o in enumerate(values["orbits"])]
-    if "cycles_per_bit" in values or "cpu_hz" in values:
-        # a compute model replaces the default training time
-        values.setdefault("train_time_s", None)
     return Scenario(**values)
 
 
@@ -324,14 +308,9 @@ def with_overrides(
     horizon_s: float | None = None,
 ) -> Scenario:
     """Copy of a scenario with CLI-style overrides applied, checked like
-    any Scenario.
-
-    A training time replaces the scenario's training-time model, fixed or
-    compute-derived."""
+    any Scenario."""
     updates = {key: value for key, value in (
         ("seed", seed), ("policy", policy), ("train_time_s", train_time_s),
         ("horizon_s", horizon_s),
     ) if value is not None}
-    if train_time_s is not None:
-        updates.update(cycles_per_bit=None, cpu_hz=None)
     return replace(scenario, **updates)

@@ -74,11 +74,12 @@ def _cycle(mode, passes, comm, download, train_time_s, first_ul):
 def extract_schedule(
     plan: ContactPlan,
     policy: str,
-    train_time_s: list[float],
+    train_time_s: float,
     comm_s: list[list[float]],
 ) -> TransmissionSchedule:
     """Concrete DL/UL instants of every satellite under policy.
 
+    Every satellite trains each update for train_time_s seconds.
     comm_s[k][n] is the exchange time of satellite k's n-th pass, computed
     from that pass's longest distance; the download and the upload both
     take it. policy is "fedsat", "fedsatschedule" or "fedavg_sync".
@@ -89,21 +90,22 @@ def extract_schedule(
         raise ValueError(f"unknown policy: {policy!r}")
     schedule = TransmissionSchedule()
     for k, passes in enumerate(plan.passes):
-        comm, t_l = comm_s[k], train_time_s[k]
+        comm = comm_s[k]
         cycles: list[ScheduledCycle] = []
         p, free = 0, 0.0
         while p < len(passes):
             q, c = p + 1, None
             if policy == "fedsatschedule" and q < len(passes):
                 rise = passes[q].rise_s
-                c = _cycle(Mode.TRAIN_ONLINE, passes, comm, (q, rise, rise + comm[q]), t_l, q)
+                c = _cycle(Mode.TRAIN_ONLINE, passes, comm, (q, rise, rise + comm[q]),
+                           train_time_s, q)
             if c is None or c.ul_pass != q:  # offline: no online cycle fits pass q
                 download = _first_fit(passes, comm, p, free)
                 if download[0] != p:
                     # the download misses this pass; decide again at the next
                     p += 1
                     continue
-                c = _cycle(Mode.TRAIN_OFFLINE, passes, comm, download, t_l, p + 1)
+                c = _cycle(Mode.TRAIN_OFFLINE, passes, comm, download, train_time_s, p + 1)
             cycles.append(c)
             if c.ul_pass is None:
                 break
@@ -117,11 +119,12 @@ def _sync_schedule(plan, train_time_s, comm_s):
 
     Round 0 starts at t=0 and round r when the last upload of round r-1
     lands. In each round every satellite downloads at the rise of its first
-    pass from then on that fits the exchange, trains, and uploads in the
-    first pass that fits after training. The schedule ends before the first
-    round in which some satellite cannot download, or after the first round
-    in which some upload finds no pass (those cycles keep no upload fields).
-    Passes lie inside the horizon, so every placed instant does too.
+    pass from then on that fits the exchange, trains for train_time_s
+    seconds, and uploads in the first pass that fits after training. The
+    schedule ends before the first round in which some satellite cannot
+    download, or after the first round in which some upload finds no pass
+    (those cycles keep no upload fields). Passes lie inside the horizon, so
+    every placed instant does too.
     """
     schedule = TransmissionSchedule([[] for _ in plan.passes])
     start = 0.0
@@ -137,7 +140,7 @@ def _sync_schedule(plan, train_time_s, comm_s):
             downloads.append(download)
         for k, download in enumerate(downloads):
             schedule.cycles[k].append(_cycle(Mode.TRAIN_OFFLINE, plan.passes[k], comm_s[k],
-                                             download, train_time_s[k], download[0]))
+                                             download, train_time_s, download[0]))
         ends = [cycles[-1].ul_complete_s for cycles in schedule.cycles]
         if None in ends:
             return schedule

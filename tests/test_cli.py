@@ -105,18 +105,6 @@ class TestRun:
         assert self.run(scenario_file, b, ["--tl", "15000"]) == 0
         assert (a / "schedule.csv").read_bytes() != (b / "schedule.csv").read_bytes()
 
-    def test_training_time_override_replaces_compute_model(self, scenario_file,
-                                                           tmp_path):
-        doc = yaml.safe_load(scenario_file.read_text())
-        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
-        compute = scenario_file.with_name("compute.yaml")
-        compute.write_text(yaml.safe_dump(doc))
-        a, b = tmp_path / "a", tmp_path / "b"
-        assert self.run(scenario_file, a, ["--tl", "45"]) == 0
-        assert self.run(compute, b, ["--tl", "45"]) == 0
-        for name in ("schedule.csv", "metrics.csv"):
-            assert (a / name).read_bytes() == (b / name).read_bytes()
-
     def test_empty_constellation_still_runs(self, scenario_file, tmp_path):
         doc = yaml.safe_load(scenario_file.read_text())
         doc["constellation"]["orbits"] = []
@@ -197,6 +185,7 @@ BAD_VALUES = [
     ("sim.eval_period_s=.nan", "sim.eval_period_s must be a finite number, got nan"),
     ("compute.train_time_s=.nan",
      "compute.train_time_s must be a finite number, got nan"),
+    ("compute.train_time_s=null", "compute.train_time_s must be of type float, got None"),
     ("learner.spread=.nan", "learner.spread must be a finite number, got nan"),
     ("link.bandwidth_hz=.nan", "link.bandwidth_hz must be a finite number, got nan"),
     ("constellation.orbits[0].altitude_m=.nan",
@@ -232,6 +221,9 @@ BAD_VALUES = [
     ("constellation.orbits[0].colour=red", "unknown key constellation.orbits[0].colour"),
     # the coarse scan step is the planner's constant, no longer a key
     ("sim.coarse_step_s=10.0", "unknown key sim.coarse_step_s"),
+    # the training time is compute.train_time_s alone, with no compute model
+    ("compute.cycles_per_bit=20.0", "unknown key compute.cycles_per_bit"),
+    ("compute.cpu_hz=1.0e9", "unknown key compute.cpu_hz"),
     ("constellation.orbits=[{inclination_deg: 80.0}]",
      "missing key constellation.orbits[0].altitude_m"),
 ]
@@ -277,46 +269,6 @@ class TestErrorPaths:
         assert main(["run", "--scenario", str(typo), "--out", str(out)]) == 2
         assert not out.exists()
         assert f"error: unknown key {section}.{key}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("section, key, value", [
-        ("compute", "cycles_per_bit", -5.0),
-        ("compute", "cpu_hz", 0.0),
-    ])
-    def test_bad_setting_exits_2_with_path(self, section, key, value,
-                                           scenario_file, tmp_path, capsys):
-        doc = yaml.safe_load(scenario_file.read_text())
-        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
-        doc[section][key] = value
-        bad = scenario_file.with_name("bad.yaml")
-        bad.write_text(yaml.safe_dump(doc))
-        assert main(["run", "--scenario", str(bad),
-                     "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert "internal error" not in err
-        assert f"error: {section}.{key} must " in err
-
-    @pytest.mark.parametrize("command", ["plan", "run"])
-    @pytest.mark.parametrize("compute, message", [
-        ({"train_time_s": 30.0, "cycles_per_bit": 2e4, "cpu_hz": 1e6},
-         "compute.train_time_s and compute.cycles_per_bit are two training-time "
-         "models; give one"),
-        ({"train_time_s": 30.0, "cpu_hz": 1e6},
-         "compute.train_time_s and compute.cpu_hz are two training-time models; "
-         "give one"),
-        ({"cpu_hz": 1e6},
-         "either compute.train_time_s or compute.{cycles_per_bit, cpu_hz} "
-         "must be given"),
-    ], ids=["both-models", "time-and-cpu", "cpu-only"])
-    def test_one_training_time_model(self, compute, message, command,
-                                     scenario_file, tmp_path, capsys):
-        doc = yaml.safe_load(scenario_file.read_text())
-        doc["compute"] = compute
-        bad = scenario_file.with_name("compute.yaml")
-        bad.write_text(yaml.safe_dump(doc))
-        out = tmp_path / "out"
-        assert main([command, "--scenario", str(bad), "--out", str(out)]) == 2
-        assert not out.exists()
-        assert f"error: {message}" in capsys.readouterr().err
 
     def test_too_few_samples_for_altitude_group_exits_2(self, scenario_file,
                                                         tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_run_properties(orbit_list, twin, **draws):
         # a satellite on the same orbit as the first shares all its passes
         orbit_list = orbit_list + orbit_list[:1]
     plan, comm = plan_and_price(scenario(orbit_list, "fedsat", **draws))
-    train_time_s = [draws["train_time_s"]] * len(plan.passes)
+    train_time_s = draws["train_time_s"]
     for policy in POLICIES:
         schedule = reference_schedule(plan, policy, train_time_s, comm)
         assert extract_schedule(plan, policy, train_time_s, comm) == schedule
@@ -147,7 +147,7 @@ def tight_plans(draw):
             t = passes[-1].set_s
         plan.passes.append(passes)
         comm.append(times)
-    return plan, comm, [t_l] * len(plan.passes)
+    return plan, comm, t_l
 
 
 @settings(max_examples=300, deadline=None)
@@ -166,15 +166,15 @@ def fit(p, comm, ready):
     return (start, start + comm) if start + comm <= p.set_s else None
 
 
-def reference_schedule(plan, policy, train_time_s, comm_s):
-    """The cycles of every satellite under policy, found by walking its
-    passes one at a time and applying the rules as the scheduler.py
-    docstrings state them."""
+def reference_schedule(plan, policy, t_l, comm_s):
+    """The cycles of every satellite under policy, each update training for
+    t_l seconds, found by walking its passes one at a time and applying the
+    rules as the scheduler.py docstrings state them."""
     if policy == "fedavg_sync":
-        return reference_sync_schedule(plan, train_time_s, comm_s)
+        return reference_sync_schedule(plan, t_l, comm_s)
     schedule = TransmissionSchedule()
     for k, passes in enumerate(plan.passes):
-        comm, t_l = comm_s[k], train_time_s[k]
+        comm = comm_s[k]
         cycles, free, waiting = [], 0.0, None
         for n, p in enumerate(passes):
             if waiting is not None:
@@ -204,13 +204,13 @@ def reference_schedule(plan, policy, train_time_s, comm_s):
     return schedule
 
 
-def reference_sync_schedule(plan, train_time_s, comm_s):
+def reference_sync_schedule(plan, t_l, comm_s):
     """Lockstep rounds: round 0 starts at t=0 and each later one when the
     last upload of the one before lands. In a round every satellite
     downloads at the rise of its first pass from then on that holds the
-    exchange, trains, and uploads in the first pass that fits after. The
-    rounds stop before one in which a satellite cannot download, and after
-    one in which an upload finds no pass."""
+    exchange, trains for t_l seconds, and uploads in the first pass that
+    fits after. The rounds stop before one in which a satellite cannot
+    download, and after one in which an upload finds no pass."""
     schedule = TransmissionSchedule([[] for _ in plan.passes])
     start = 0.0
     while plan.passes:
@@ -221,7 +221,7 @@ def reference_sync_schedule(plan, train_time_s, comm_s):
                        if p.rise_s >= start and fit(p, comm[n], p.rise_s)), None)
             if dl is None:
                 return schedule
-            ready = dl[2] + train_time_s[k]
+            ready = dl[2] + t_l
             ul = next(((n, *fit(p, comm[n], ready)) for n, p in enumerate(passes)
                        if n >= dl[0] and fit(p, comm[n], ready)), (None, None, None))
             round_.append(ScheduledCycle(Mode.TRAIN_OFFLINE, *dl, *ul))

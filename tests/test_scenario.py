@@ -102,14 +102,14 @@ class TestParsing:
     def test_file_with_optional_fields_loads(self, tmp_path):
         doc = minimal_doc()
         doc["learner"] = {"kind": "mlp", "hidden": 8}
-        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
+        doc["compute"] = {"train_time_s": 45.0}
         doc["sim"] = {"model_bits": 1000, "max_concurrent_links": 2}
         path = tmp_path / "scenario.yaml"
         path.write_text(yaml.safe_dump(doc))
         s = load_scenario(path)
         assert s == scenario_from_dict(doc)
-        assert (s.learner_kind, s.hidden, s.cycles_per_bit, s.cpu_hz) == ("mlp", 8, 20.0, 1e9)
-        assert (s.model_bits, s.max_concurrent_links, s.train_time_s) == (1000, 2, None)
+        assert (s.learner_kind, s.hidden, s.train_time_s) == ("mlp", 8, 45.0)
+        assert (s.model_bits, s.max_concurrent_links) == (1000, 2)
 
     def test_non_mapping_document(self):
         with pytest.raises(ScenarioError):
@@ -144,19 +144,9 @@ class TestValidation:
             self.base(eval_period_s=-1.0)
 
     def test_training_time_unspecified(self):
-        with pytest.raises(ScenarioError):
+        with pytest.raises(ScenarioError, match="compute.train_time_s must be of type "
+                           "float, got None"):
             self.base(train_time_s=None)
-
-    def test_compute_model_substitutes_training_time(self):
-        s = self.base(train_time_s=None, cycles_per_bit=10.0, cpu_hz=1e9)
-        assert (s.train_time_s, s.cycles_per_bit, s.cpu_hz) == (None, 10.0, 1e9)
-
-    @pytest.mark.parametrize("field", ["cycles_per_bit", "cpu_hz"])
-    def test_one_training_time_model(self, field):
-        # a Scenario built in Python holds one model, like a scenario file
-        with pytest.raises(ScenarioError,
-                           match=f"compute.train_time_s and compute.{field} "):
-            self.base(**{field: 5.0})
 
     def test_unknown_learner_kind(self):
         with pytest.raises(ScenarioError):
@@ -242,7 +232,7 @@ class TestValidation:
         ("eval_period_s", float("-inf"), "sim.eval_period_s"),
         ("spread", 10**400, "learner.spread"),
         ("hidden", 10**400, "learner.hidden"),
-        ("cpu_hz", float("inf"), "compute.cpu_hz"),
+        ("train_time_s", float("inf"), "compute.train_time_s"),
         ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=float("nan"))],
          "constellation.orbits[0].inclination_deg"),
         ("orbits", [OrbitConfig(altitude_m=500e3, inclination_deg=80.0,
@@ -306,12 +296,6 @@ class TestOverrides:
         assert (out.seed, out.policy) == (7, "fedsatschedule")
         assert (out.train_time_s, out.horizon_s) == (120.0, 3600.0)
         assert s.seed == 1  # original untouched
-
-    def test_training_time_replaces_compute_model(self):
-        doc = minimal_doc()
-        doc["compute"] = {"cycles_per_bit": 20.0, "cpu_hz": 1e9}
-        out = with_overrides(scenario_from_dict(doc), train_time_s=45.0)
-        assert (out.train_time_s, out.cycles_per_bit, out.cpu_hz) == (45.0, None, None)
 
     def test_no_overrides_is_identity(self):
         s = scenario_from_dict(minimal_doc())

@@ -20,7 +20,7 @@ def uniform_comm(plan, comm=10.0):
 def first_mode(plan, t_l, comm=None, policy="fedsatschedule"):
     """Mode of satellite 0's first cycle; exchanges take no time unless
     given, so the online cycle fits when the next pass lasts at least t_l."""
-    sched = extract_schedule(plan, policy, [t_l], comm or uniform_comm(plan, 0.0))
+    sched = extract_schedule(plan, policy, t_l, comm or uniform_comm(plan, 0.0))
     return sched.cycles[0][0].mode
 
 
@@ -64,7 +64,7 @@ class TestDecisionRule:
 
     def test_baseline_always_offline(self):
         plan = make_plan([[(0.0, 100.0), (1000.0, 9000.0)]])
-        sched = extract_schedule(plan, "fedsat", [1.0], uniform_comm(plan, 0.0))
+        sched = extract_schedule(plan, "fedsat", 1.0, uniform_comm(plan, 0.0))
         assert len(sched.cycles[0]) == 2
         assert all(c.mode is Mode.TRAIN_OFFLINE for c in sched.cycles[0])
 
@@ -97,7 +97,7 @@ class TestNextPassExchangesCountAgainstOnlineCycle:
 class TestExtractScheduleOffline:
     def test_single_cycle_placement(self):
         plan = make_plan([[(100.0, 400.0), (5000.0, 5400.0)]])
-        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan, 20.0))
+        sched = extract_schedule(plan, "fedsat", 60.0, uniform_comm(plan, 20.0))
         c, trailing = sched.cycles[0]
         assert c.mode is Mode.TRAIN_OFFLINE
         assert c.dl_start_s == 100.0
@@ -115,7 +115,7 @@ class TestExtractScheduleOffline:
         plan = make_plan(
             [[(0.0, 300.0), (1000.0, 1300.0), (2000.0, 2300.0)]]
         )
-        sched = extract_schedule(plan, "fedsat", [1500.0], uniform_comm(plan))
+        sched = extract_schedule(plan, "fedsat", 1500.0, uniform_comm(plan))
         c = sched.cycles[0][0]
         # 10 + 1500 > rise of pass 1, so the upload lands in pass 2
         assert c.ul_pass == 2
@@ -123,7 +123,7 @@ class TestExtractScheduleOffline:
 
     def test_trailing_update_without_upload_pass(self):
         plan = make_plan([[(0.0, 300.0)]])
-        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan))
+        sched = extract_schedule(plan, "fedsat", 60.0, uniform_comm(plan))
         (c,) = sched.cycles[0]
         assert c.ul_pass is None and c.ul_start_s is None
 
@@ -131,7 +131,7 @@ class TestExtractScheduleOffline:
         plan = make_plan(
             [[(0.0, 400.0), (3000.0, 3400.0), (6000.0, 6400.0)]]
         )
-        sched = extract_schedule(plan, "fedsat", [60.0], uniform_comm(plan, 20.0))
+        sched = extract_schedule(plan, "fedsat", 60.0, uniform_comm(plan, 20.0))
         first, second = sched.cycles[0][:2]
         # next cycle's download starts right after the upload in the same pass
         assert second.dl_pass == first.ul_pass
@@ -141,7 +141,7 @@ class TestExtractScheduleOffline:
         plan = make_plan(
             [[(0.0, 400.0), (3000.0, 3500.0), (7000.0, 7600.0)]]
         )
-        sched = extract_schedule(plan, "fedsat", [200.0], uniform_comm(plan, 30.0))
+        sched = extract_schedule(plan, "fedsat", 200.0, uniform_comm(plan, 30.0))
         for c in sched.cycles[0]:
             dl_pass = plan.passes[0][c.dl_pass]
             assert dl_pass.rise_s <= c.dl_start_s
@@ -156,7 +156,7 @@ class TestExtractScheduleOffline:
 class TestExtractScheduleOnline:
     def test_online_cycle_confined_to_one_pass(self):
         plan = make_plan([[(0.0, 300.0), (2000.0, 3000.0)]])
-        sched = extract_schedule(plan, "fedsatschedule", [100.0], uniform_comm(plan, 15.0))
+        sched = extract_schedule(plan, "fedsatschedule", 100.0, uniform_comm(plan, 15.0))
         online = [c for c in sched.cycles[0] if c.mode is Mode.TRAIN_ONLINE]
         assert online
         c = online[0]
@@ -167,14 +167,14 @@ class TestExtractScheduleOnline:
 
     def test_short_next_pass_stays_offline(self):
         plan = make_plan([[(0.0, 300.0), (2000.0, 2100.0), (5000.0, 6000.0)]])
-        sched = extract_schedule(plan, "fedsatschedule", [500.0], uniform_comm(plan, 15.0))
+        sched = extract_schedule(plan, "fedsatschedule", 500.0, uniform_comm(plan, 15.0))
         assert sched.cycles[0][0].mode is Mode.TRAIN_OFFLINE
 
     def test_exchanges_push_exact_training_fit_offline(self):
         # next pass lasts exactly t_l: raw duration says online, but the
         # exchanges leave too little room for the online cycle
         plan = make_plan([[(0.0, 300.0), (2000.0, 2600.0)]])
-        strict = extract_schedule(plan, "fedsatschedule", [600.0], uniform_comm(plan, 50.0))
+        strict = extract_schedule(plan, "fedsatschedule", 600.0, uniform_comm(plan, 50.0))
         assert strict.cycles[0][0].mode is Mode.TRAIN_OFFLINE
 
 
@@ -187,8 +187,8 @@ class TestPolicyAgreement:
               (9000.0, 9200.0)]]
         )
         comm = uniform_comm(plan)
-        a = extract_schedule(plan, "fedsat", [5000.0], comm)
-        b = extract_schedule(plan, "fedsatschedule", [5000.0], comm)
+        a = extract_schedule(plan, "fedsat", 5000.0, comm)
+        b = extract_schedule(plan, "fedsatschedule", 5000.0, comm)
         assert a.cycles == b.cycles
 
     def test_online_updates_are_fresher(self):
@@ -199,8 +199,8 @@ class TestPolicyAgreement:
               (9000.0, 9600.0)]]
         )
         comm = uniform_comm(plan)
-        a = extract_schedule(plan, "fedsat", [100.0], comm)
-        b = extract_schedule(plan, "fedsatschedule", [100.0], comm)
+        a = extract_schedule(plan, "fedsat", 100.0, comm)
+        b = extract_schedule(plan, "fedsatschedule", 100.0, comm)
         for base, sched in zip(a.cycles[0], b.cycles[0]):
             if base.ul_complete_s is None or sched.ul_complete_s is None:
                 continue
@@ -211,11 +211,11 @@ class TestPolicyAgreement:
     def test_unknown_policy_rejected(self):
         plan = make_plan([[(0.0, 200.0)]])
         with pytest.raises(ValueError):
-            extract_schedule(plan, "fedprox", [10.0], uniform_comm(plan))
+            extract_schedule(plan, "fedprox", 10.0, uniform_comm(plan))
 
     def test_satellite_with_no_passes(self):
         plan = make_plan([[], [(0.0, 300.0), (2000.0, 2400.0)]])
-        sched = extract_schedule(plan, "fedsat", [60.0, 60.0], uniform_comm(plan))
+        sched = extract_schedule(plan, "fedsat", 60.0, uniform_comm(plan))
         assert sched.cycles[0] == []
         assert len(sched.cycles[1]) >= 1
 
@@ -230,7 +230,7 @@ class TestSyncSchedule:
             [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0), (9000.0, 9300.0)],
             [(100.0, 400.0), (2000.0, 2300.0), (6000.0, 6300.0), (9500.0, 9800.0)],
         ])
-        sched = sync_schedule(plan, [60.0, 60.0])
+        sched = sync_schedule(plan, 60.0)
         # rounds end at 180, 2080, 6080 and 9580 s; sat 0's pass 1 rises
         # before round 2 starts, so round 2 waits for its pass 2
         assert [c.dl_start_s for c in sched.cycles[0]] == [0.0, 1000.0, 5000.0, 9000.0]
@@ -246,7 +246,7 @@ class TestSyncSchedule:
     def test_exchanges_skip_passes_they_do_not_fit(self):
         plan = make_plan([[(0.0, 5.0), (1000.0, 1300.0), (1350.0, 1415.0),
                            (3000.0, 3300.0)]])
-        (c,) = sync_schedule(plan, [400.0]).cycles[0]
+        (c,) = sync_schedule(plan, 400.0).cycles[0]
         # pass 0 is shorter than the download; training outlasts pass 1 and
         # its upload does not fit in what is left of pass 2
         assert (c.dl_pass, c.dl_start_s) == (1, 1000.0)
@@ -255,9 +255,10 @@ class TestSyncSchedule:
     def test_missing_upload_ends_the_schedule(self):
         plan = make_plan([
             [(0.0, 300.0), (1000.0, 1300.0), (5000.0, 5300.0)],
-            [(100.0, 400.0)],
+            [(100.0, 165.0)],
         ])
-        sched = sync_schedule(plan, [60.0, 600.0])
+        # sat 1's pass ends 5 s before its update is trained
+        sched = sync_schedule(plan, 60.0)
         (c0,), (c1,) = sched.cycles
         assert c0.ul_pass == 0
         assert c1.ul_pass is None and c1.ul_start_s is None and c1.ul_complete_s is None
@@ -267,18 +268,18 @@ class TestSyncSchedule:
             [(0.0, 300.0), (1000.0, 1300.0)],
             [(100.0, 400.0)],
         ])
-        sched = sync_schedule(plan, [60.0, 60.0])
+        sched = sync_schedule(plan, 60.0)
         assert [len(cycles) for cycles in sched.cycles] == [1, 1]
-        assert sync_schedule(make_plan([[], [(0.0, 300.0)]]), [60.0] * 2).cycles == [[], []]
+        assert sync_schedule(make_plan([[], [(0.0, 300.0)]]), 60.0).cycles == [[], []]
 
     def test_empty_constellation(self):
-        assert sync_schedule(make_plan([]), []).cycles == []
+        assert sync_schedule(make_plan([]), 60.0).cycles == []
 
 
 class TestLinkCap:
     def schedule(self, second_rise):
         plan = make_plan([[(0.0, 300.0)], [(second_rise, second_rise + 300.0)]])
-        return sync_schedule(plan, [60.0, 60.0])
+        return sync_schedule(plan, 60.0)
 
     def test_touching_exchanges_do_not_overlap(self):
         # sat 0 downloads on [0, 10]; sat 1 starts the instant it ends

@@ -114,7 +114,7 @@ def main(argv=None) -> int:
 
     for policy, r in results.items():
         start = time.perf_counter()
-        assert r.schedule == reference_schedule(plan, policy, prep.train_time_s, prep.comm_s)
+        assert r.schedule == reference_schedule(plan, policy, scenario.train_time_s, prep.comm_s)
         check_run(r, policy, None)
         rows, final_params = reference_replay(r)
         assert r.rows == rows
