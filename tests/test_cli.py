@@ -105,6 +105,17 @@ class TestRun:
         assert self.run(scenario_file, b, ["--tl", "15000"]) == 0
         assert (a / "schedule.csv").read_bytes() != (b / "schedule.csv").read_bytes()
 
+    def test_training_time_from_the_file_equals_the_flag(self, scenario_file, tmp_path):
+        doc = yaml.safe_load(scenario_file.read_text())
+        doc["compute"] = {"train_time_s": 15000.0}
+        slow = scenario_file.with_name("slow.yaml")
+        slow.write_text(yaml.safe_dump(doc))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert self.run(slow, a) == 0
+        assert self.run(scenario_file, b, ["--tl", "15000"]) == 0
+        for name in ("schedule.csv", "metrics.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
     def test_empty_constellation_still_runs(self, scenario_file, tmp_path):
         doc = yaml.safe_load(scenario_file.read_text())
         doc["constellation"]["orbits"] = []
@@ -192,6 +203,7 @@ BAD_VALUES = [
      "constellation.orbits[0].altitude_m must be a finite number, got nan"),
     ("--tl nan", "compute.train_time_s must be a finite number, got nan"),
     ("--tl inf", "compute.train_time_s must be a finite number, got inf"),
+    ("--tl 0", "compute.train_time_s must be strictly positive"),
     ("--horizon inf", "sim.horizon_s must be a finite number, got inf"),
     # grids too large to build: refused before the contact plan allocates one
     ("--horizon 1e300", f"{SCAN_BOUND}, got 3.6e+304"),

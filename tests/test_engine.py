@@ -22,7 +22,7 @@ from satfl.orbital import (
     satellite_position_eci,
 )
 from satfl.scenario import OrbitConfig, Scenario, with_overrides
-from satfl.scheduler import Mode, ScheduledCycle, TransmissionSchedule
+from satfl.scheduler import Mode, ScheduledCycle, TransmissionSchedule, extract_schedule
 
 
 def small_scenario(**overrides):
@@ -237,6 +237,18 @@ class TestLearningCalls:
             assert calls["rows"] == len(r.upload_rows()) > 0
         assert calls["stacks"] == self.STACKS[policy]
         assert calls["eval"] == len({row.global_epoch for row in r.eval_rows()}) > 1
+
+
+class TestTrainingTime:
+    """A replay places every update with the scenario's one train_time_s."""
+
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_replay_schedules_with_the_scenario_training_time(self, policy):
+        # longer than the revisit gap, so the uploads move to later passes
+        prep = engine.prepare(small_scenario(train_time_s=15000.0))
+        schedule = engine.replay(prep, policy).schedule
+        assert schedule == extract_schedule(prep.plan, policy, 15000.0, prep.comm_s)
+        assert schedule != extract_schedule(prep.plan, policy, 30.0, prep.comm_s)
 
 
 class TestStackedTraining:

@@ -16,6 +16,7 @@ from satfl.learning import (
     make_learner,
     partition_non_iid,
 )
+from satfl.learning import _scratch, _workspace
 
 from conftest import reference_softmax, softmax_loss
 
@@ -271,6 +272,41 @@ class TestLocalSgdWorkspaceReuse:
                 assert np.array_equal(got, expected)
         assert n % batch_size
         assert len(learner._workspaces) == any(k == 1 for k, _ in calls)
+
+
+def _offsets(a):
+    """Byte offset of each stack row of a (K, ...) buffer from its first."""
+    return [a[i].ctypes.data - a[0].ctypes.data for i in range(len(a))]
+
+
+class TestStackAlignment:
+    """Each stack row starts 16-byte aligned relative to the first, as a lone
+    update's own buffer does: under OPENBLAS_CORETYPE=Prescott a 1 x 1
+    product whose operand starts 8 bytes off that gives other bits."""
+
+    @pytest.mark.parametrize("lead", [(2,), (3,)], ids=str)
+    @pytest.mark.parametrize("shape", [(9,), (3, 1), (1, 3), (2, 2)], ids=str)
+    def test_scratch_rows_start_on_16_bytes(self, lead, shape):
+        a = _scratch(lead, *shape)
+        assert a.shape == lead + shape and a.dtype == np.float64
+        assert all(offset % 16 == 0 for offset in _offsets(a))
+        # rows do not overlap: each keeps what is written to it
+        a[...] = np.arange(lead[0]).reshape(lead + (1,) * len(shape))
+        assert [set(row.ravel()) for row in a] == [{i} for i in range(lead[0])]
+
+    @pytest.mark.parametrize("kind", ["logreg", "mlp"])
+    def test_workspace_rows_start_on_16_bytes(self, kind):
+        # 9 parameters either way, an odd count, and 3-column chunk rows
+        learner = make_learner(kind, 3, 2, 1)
+        assert learner.param_dim == 9
+        starts = np.random.default_rng(0).standard_normal((3, 9))
+        w, g, _, _, chunks = _workspace(learner, list(starts), 5, 2, 2)
+        assert np.array_equal(w, starts)
+        # the chunk views start where the rows of the chunk buffers do
+        _, X, Y, _ = chunks[0]
+        for a in (w, g, X, Y):
+            assert a.shape[0] == 3
+            assert all(offset % 16 == 0 for offset in _offsets(a))
 
 
 class TestGradients:

@@ -80,6 +80,8 @@ class TestParsing:
         ("scheduler", "policies"), ("constellation", "orbit"),
         ("scheduler", "strict_online_budget"), ("link", "power_w"), ("link", "gain_sat"),
         ("learner", "labels_per_group"),
+        # the training time is compute.train_time_s alone, with no compute model
+        ("compute", "cycles_per_bit"), ("compute", "cpu_hz"),
     ])
     def test_unknown_key_names_its_path(self, section, key):
         doc = minimal_doc()

@@ -276,6 +276,37 @@ class TestSyncSchedule:
         assert sync_schedule(make_plan([]), 60.0).cycles == []
 
 
+class TestOneTrainingTime:
+    """Every update of every satellite trains for the one train_time_s."""
+
+    PASSES = [[(0.0, 300.0), (1000.0, 1300.0), (2500.0, 2700.0), (5000.0, 5300.0)],
+              [(100.0, 400.0), (1500.0, 1900.0), (4000.0, 4400.0)]]
+
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_each_upload_starts_once_its_update_is_trained(self, policy):
+        plan = make_plan(self.PASSES)
+        sched = extract_schedule(plan, policy, 450.0, uniform_comm(plan, 20.0))
+        uploads = 0
+        for passes, cycles in zip(plan.passes, sched.cycles):
+            for c in cycles:
+                if c.ul_pass is None:
+                    continue
+                uploads += 1
+                ready = c.dl_complete_s + 450.0
+                assert c.ul_start_s == max(passes[c.ul_pass].rise_s, ready)
+        # both satellites upload at least once
+        assert uploads >= 2 and all(cycles and cycles[0].ul_pass is not None
+                                    for cycles in sched.cycles)
+
+    @pytest.mark.parametrize("policy", ["fedsat", "fedsatschedule", "fedavg_sync"])
+    def test_twin_satellites_get_equal_cycles(self, policy):
+        # two satellites with the same passes train for the same time, so
+        # every cycle of one is the other's
+        plan = make_plan([self.PASSES[0]] * 2)
+        sched = extract_schedule(plan, policy, 450.0, uniform_comm(plan, 20.0))
+        assert sched.cycles[0] and sched.cycles[0] == sched.cycles[1]
+
+
 class TestLinkCap:
     def schedule(self, second_rise):
         plan = make_plan([[(0.0, 300.0)], [(second_rise, second_rise + 300.0)]])
